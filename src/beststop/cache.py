@@ -1,9 +1,9 @@
 """Disk cache for computed continuation triangles.
 
 Only full, unfrozen triangles are cached: they are the expensive shared
-artifact, they are deterministic in (mode, depth), and a deeper file can
-always answer a shallower request.  Frozen-boundary and band triangles are
-cheap one-offs and are never written.
+artifact and they are deterministic in (mode, depth).  A lookup opens only
+the file for its exact (mode, depth).  Frozen-boundary and band triangles
+are cheap one-offs and are never written.
 
 Files live under $BESTSTOP_CACHE (default ~/.cache/beststop) as one JSON
 document per (mode, depth) with a schema tag.  Writes go through a

@@ -51,7 +51,7 @@ from .permutations import (
 )
 from .prefixtree import cached_tree, completion, successors, tree_to_json
 from .strategy import Strategy, exact_success, parse_strategy, simulate
-from .tallies import Tally, ballot, catalan, cmp_as_rational, decimal_str
+from .tallies import Tally, ballot, cmp_as_rational, decimal_str
 
 CLASS_CHOICES = sorted(CLASSES)
 
@@ -112,9 +112,10 @@ def _tally_line(label: str, t: Tally) -> str:
 def _solve_formula(name: str, n: int, mode: str) -> tuple[str, Tally]:
     if mode != "strike":
         raise InvalidInputError("--formula covers the strike game; drop --mode trigger")
-    if name in ("231", "132", "213"):
-        descr = "strike:{1}"
-        return descr, Tally(catalan(n - 1), catalan(n))
+    if name in ("231", "132"):
+        return "strike:{1}", optimal_success_231(n)
+    if name == "213":
+        return optimal_success_213(n)
     if name == "123":
         if n == 1:
             return "strike:{1}", Tally(1, 1)

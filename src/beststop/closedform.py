@@ -51,7 +51,7 @@ MODES = ("strike", "trigger")
 
 # rules[i-1] is the value-saturation threshold that fires when N - k == i;
 # None marks "never fires on this diagonal"
-FrozenRules = tuple
+FrozenRules = tuple[int | None, ...]
 
 
 def strike_numerator(mode_n: int, k: int) -> int:

@@ -5,14 +5,18 @@ e.g. (2, 5, 1, 6, 3, 7, 4).  Positions and values are 1-based throughout.
 Prefix flattenings (the relative order of the first k entries) are what a
 player observes during the game, so most operations act on those.
 
-Classes are enumerated through their generating tree: a member of rank k+1
-is obtained from its rank-k prefix flattening by appending one new value c
-and shifting the old values >= c up by one.  For the classes used here every
-member extends, so the tree of prefixes at rank N contains the whole class
-at every smaller rank and grows like the Catalan numbers rather than n!.
+A class avoids one or more patterns of size 3 (or none at all).  Classes
+are enumerated through their generating tree: a member of rank k+1 is
+obtained from its rank-k prefix flattening by appending one new value c
+and shifting the old values >= c up by one.  One interval rule gives the
+allowed values c for every such class (see child_indices), so no candidate
+child is built or searched.  For the single-pattern classes every member
+extends, so the tree of prefixes at rank N contains the whole class at
+every smaller rank and grows like the Catalan numbers rather than n!.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
@@ -225,47 +229,35 @@ def contains_pattern(pi: Sequence[int], rho: Sequence[int]) -> bool:
     return _contains_general(p, r)
 
 
-def _completes_pattern(child: Perm, rho: Perm) -> bool:
-    # Occurrence of rho in child that uses child's last entry as rho's last
-    # element.  If a parent avoided rho, any new occurrence must do this.
-    m = len(rho)
-    if m > len(child):
-        return False
-    last = child[-1]
-    body = child[:-1]
-
-    def extendable(chosen: tuple[int, ...], v: int, t: int) -> bool:
-        return all((chosen[s] < v) == (rho[s] < rho[t]) for s in range(len(chosen)))
-
-    def search(start: int, chosen: tuple[int, ...]) -> bool:
-        t = len(chosen)
-        if t == m - 1:
-            return extendable(chosen, last, m - 1)
-        for j in range(start, len(body) - (m - 1 - t) + 1):
-            if extendable(chosen, body[j], t):
-                if search(j + 1, chosen + (body[j],)):
-                    return True
-        return False
-
-    return search(0, ())
-
-
 # --- pattern classes -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PatternClass:
-    """A set of permutations avoiding every pattern in `forbidden`."""
+    """A set of permutations avoiding every pattern in `forbidden`.
+
+    Every forbidden pattern is a permutation of size 3, which is what
+    child_indices' interval rule relies on; several patterns may be
+    combined, and an empty tuple gives all permutations.
+    """
 
     name: str
     forbidden: tuple[Perm, ...]
+
+    def __post_init__(self) -> None:
+        for rho in self.forbidden:
+            if len(rho) != 3 or not is_permutation(rho):
+                raise InvalidInputError(
+                    f"class {self.name}: forbidden pattern {rho!r} is not "
+                    "a permutation of size 3"
+                )
 
     def is_member(self, pi: Sequence[int]) -> bool:
         p = validate_permutation(pi)
         return all(not contains_pattern(p, rho) for rho in self.forbidden)
 
     def is_catalan(self) -> bool:
-        return len(self.forbidden) == 1 and len(self.forbidden[0]) == 3
+        return len(self.forbidden) == 1
 
     def size(self, n: int) -> int | None:
         """Exact class size at rank n when known a priori, else None."""
@@ -313,57 +305,53 @@ def extend(p: Sequence[int], c: int) -> Perm:
     return tuple(v if v < c else v + 1 for v in p) + (c,)
 
 
-def _children_av321(p: Perm) -> set[int]:
-    # c is forbidden exactly when c <= a for some inversion with bottom a:
-    # the inversion pair plus the new small entry would flatten to 321.
-    k = len(p)
-    run_max = 0
-    cut = 0
-    for v in p:
-        if v < run_max and v > cut:
-            cut = v
-        if v > run_max:
-            run_max = v
-    return set(range(cut + 1, k + 2))
-
-
-def _children_av312(p: Perm) -> set[int]:
-    # c is forbidden exactly when a < c <= b for some inversion (b before a):
-    # b, a, then a middle value c would flatten to 312.
-    k = len(p)
-    run_max = 0
-    excluded: set[int] = set()
-    for v in p:
-        if v < run_max:
-            excluded.update(range(v + 1, run_max + 1))
-        else:
-            run_max = v
-    return set(range(1, k + 2)) - excluded
-
-
 def child_indices(p: Sequence[int], cls: PatternClass) -> set[int]:
     """Values c for which extend(p, c) stays inside cls.
+
+    A new occurrence of a forbidden pattern (a, b, r) must end at the new
+    entry c, after some pair u before v in p ordered like (a, b).  Such a
+    pair rules out one interval of values for c: [1, min(u, v)] when r = 1,
+    (min(u, v), max(u, v)] when r = 2 and (max(u, v), k + 1] when r = 3.
+    Scanning p with the earlier values kept sorted, each v needs only the
+    partner whose interval contains all the others, so the union over every
+    pair and pattern costs O(k log k) per pattern.
 
     >>> sorted(child_indices((2, 1, 3), AV321))
     [2, 3, 4]
     >>> sorted(child_indices((2, 1, 3), AV312))
     [1, 3, 4]
+    >>> sorted(child_indices((2, 1, 3), AV231))
+    [3, 4]
     """
     if len(p) == 0:
         return {1}
     perm = validate_permutation(p)
     if not cls.is_member(perm):
         raise InvalidInputError(f"{perm!r} is not a member of class {cls.name}")
-    if cls.forbidden == ((3, 2, 1),):
-        return _children_av321(perm)
-    if cls.forbidden == ((3, 1, 2),):
-        return _children_av312(perm)
     k = len(perm)
+    # difference array over the values 1..k+1 a new entry can take
+    depth = [0] * (k + 3)
+    for a, b, r in cls.forbidden:
+        rising = a < b
+        seen: list[int] = []
+        for v in perm:
+            pos = bisect_left(seen, v)
+            # an earlier partner u with (u < v) == rising exists
+            if pos > 0 if rising else pos < len(seen):
+                if r == 2:
+                    u = seen[0] if rising else seen[-1]
+                else:
+                    u = seen[pos - 1] if rising else seen[pos]
+                lo, hi = (u, v) if rising else (v, u)
+                first, last = ((1, lo), (lo + 1, hi), (hi + 1, k + 1))[r - 1]
+                depth[first] += 1
+                depth[last + 1] -= 1
+            insort(seen, v)
     out = set()
+    covered = 0
     for c in range(1, k + 2):
-        child = extend(perm, c)
-        # only patterns finishing at the appended entry can be new
-        if not any(_completes_pattern(child, rho) for rho in cls.forbidden):
+        covered += depth[c]
+        if covered == 0:
             out.add(c)
     return out
 

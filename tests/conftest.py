@@ -2,19 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from beststop import build, pattern_class
-
-_trees = {}
+from beststop import cached_tree, pattern_class
 
 
 @pytest.fixture(scope="session")
 def tree_for():
-    """Session-cached tree builder: tree_for(name, n)."""
+    """Shared tree builder: tree_for(name, n) is cached_tree(pattern_class(name), n)."""
 
     def get(name, n):
-        key = (name, n)
-        if key not in _trees:
-            _trees[key] = build(pattern_class(name), n)
-        return _trees[key]
+        return cached_tree(pattern_class(name), n)
 
     return get

@@ -45,6 +45,13 @@ def test_solve_formula(capsys):
     code, out, _ = run(capsys, "solve", "--class", "123", "--n", "4", "--formula")
     assert code == 0
     assert "9/14" in out
+    for name in ("132", "213"):
+        code, out, _ = run(capsys, "solve", "--class", name, "--n", "6", "--formula")
+        assert code == 0
+        assert out == "optimal strategy strike:{1}\nvalue = 42/132 (~0.3181818181818)\n"
+        code, out, _ = run(capsys, "solve", "--class", name, "--n", "1", "--formula")
+        assert code == 0
+        assert out == "optimal strategy strike:{1}\nvalue = 1/1 (~1)\n"
 
 
 def test_solve_given_strategy_completes_strike_sets(capsys):

@@ -283,7 +283,7 @@ def _verify_catalan_231(report) -> bool:
 
 
 def _verify_closed_forms(report) -> bool:
-    """123 and 213 optimal values match their formulas (play-verified)."""
+    """123 and 213 optimal values match their formulas (strategy-verified)."""
     ok = True
     for n in range(2, 9):
         descr, want = optimal_success_123(n)

@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, LimitError, NotFoundError
 from .permutations import (
-    DEFAULT_ENUM_CAP,
     PatternClass,
     Perm,
     child_indices,
@@ -31,23 +30,28 @@ from .permutations import (
     is_eligible,
     ltr_maxima,
     perm_to_str,
+    prefix_flattening,
 )
 from .tallies import Tally
 
-# Trees are only materialized up to this rank unless the caller raises it.
+# Trees are only materialized up to this rank and this many members (leaves)
+# unless the caller raises the caps.  A tree holds about 500 B per leaf (the
+# unrestricted class at rank 9, 362,880 leaves: 169 MiB of objects, 193 MiB
+# peak RSS), so the member cap keeps a build to about 0.5 GB.
 DEFAULT_MAX_RANK = 12
+DEFAULT_TREE_CAP = 1_000_000
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TreeNode:
-    """One prefix flattening.  Treat as immutable once the tree is built."""
+    """One prefix flattening."""
 
     prefix: Perm
     rank: int
     eligible: bool
-    strike: Tally = None  # type: ignore[assignment]
-    trigger: Tally = None  # type: ignore[assignment]
-    children: tuple["TreeNode", ...] = ()
+    strike: Tally
+    trigger: Tally
+    children: tuple["TreeNode", ...]
 
     @property
     def size(self) -> int:
@@ -101,7 +105,7 @@ def build(
     cls: PatternClass,
     n: int,
     max_rank: int = DEFAULT_MAX_RANK,
-    cap: int = DEFAULT_ENUM_CAP,
+    cap: int = DEFAULT_TREE_CAP,
 ) -> PrefixTree:
     """Materialize the rank-n tree for cls with all tallies filled in.
 
@@ -120,64 +124,52 @@ def build(
             f"class {cls.name} has {known} members at rank {n}, over the cap {cap}"
         )
 
-    null = TreeNode(prefix=(), rank=n, eligible=False)
-    strike_wins: dict[int, int] = {}
-    trigger_wins: dict[int, int] = {}
-    totals: dict[int, int] = {}
+    # state of the open node of size s (size 0 is the null node): its
+    # finished children and the wins of the leaves seen under it so far
+    kids: list[list[TreeNode]] = [[] for _ in range(n + 1)]
+    strike_wins = [0] * (n + 1)
+    trigger_wins = [0] * (n + 1)
+    index: dict[Perm, TreeNode] = {}
     seen = 0
 
-    # path[s] is the current node of size s; path[0] is the null node
-    path: list[TreeNode] = [null]
-
-    def grow(p: Perm) -> TreeNode:
+    def grow(p: Perm) -> int:
+        """Build the subtree at p, hang it under its parent unless it has no
+        members, and return its member count."""
         nonlocal seen
-        node = TreeNode(prefix=p, rank=n, eligible=is_eligible(p))
-        path.append(node)
-        if len(p) == n:
+        k = len(p)
+        kids[k] = []
+        strike_wins[k] = trigger_wins[k] = 0
+        if k == n:
             seen += 1
             if seen > cap:
                 raise LimitError(
                     f"tree for class {cls.name} at rank {n} exceeded cap {cap}"
                 )
-            totals[id(node)] = 1
+            total = 1
             maxima = ltr_maxima(p)
             m_last = maxima[-1]  # position of the value n
             m_2 = maxima[-2] if len(maxima) > 1 else 0
-            strike_wins[id(path[m_last])] = strike_wins.get(id(path[m_last]), 0) + 1
+            strike_wins[m_last] += 1
             # rejecting at sizes m_2 .. m_last-1 and taking the next
             # running maximum lands exactly on n
             for s in range(m_2, m_last):
-                trigger_wins[id(path[s])] = trigger_wins.get(id(path[s]), 0) + 1
+                trigger_wins[s] += 1
         else:
-            kids = []
-            total = 0
-            for c in sorted(child_indices(p, cls)):
-                child = grow(extend(p, c))
-                if totals[id(child)] > 0:
-                    kids.append(child)
-                    total += totals[id(child)]
-            node.children = tuple(kids)
-            totals[id(node)] = total
-        path.pop()
-        return node
+            total = sum(grow(extend(p, c)) for c in sorted(child_indices(p, cls)))
+        if total:
+            eligible = is_eligible(p)
+            node = TreeNode(p, n, eligible, Tally(strike_wins[k] if eligible else 0, total),
+                            Tally(trigger_wins[k], total), tuple(kids[k]))
+            kids[k - 1].append(node)
+            index[p] = node
+        return total
 
-    root = grow((1,))
-    if totals[id(root)] == 0:
+    total = grow((1,))
+    if total == 0:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
-    null.children = (root,)
-    totals[id(null)] = totals[id(root)]
-
-    index: dict[Perm, TreeNode] = {}
-    stack = [null]
-    while stack:
-        node = stack.pop()
-        t = totals[id(node)]
-        node.strike = Tally(strike_wins.get(id(node), 0) if node.eligible else 0, t)
-        node.trigger = Tally(trigger_wins.get(id(node), 0), t)
-        index[node.prefix] = node
-        stack.extend(node.children)
-
-    return PrefixTree(pattern_class=cls, rank=n, null=null, root=root, index=index)
+    null = TreeNode((), n, False, Tally(0, total), Tally(trigger_wins[0], total), tuple(kids[0]))
+    index[()] = null
+    return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0], index=index)
 
 
 def strike_prob(tree: PrefixTree, p: Sequence[int]) -> Tally:
@@ -213,8 +205,6 @@ def successors(tree: PrefixTree, p: Sequence[int]) -> tuple[TreeNode, ...]:
 
 
 def _check_antichain(members: Iterable[Perm]) -> None:
-    from .permutations import prefix_flattening
-
     ms = set(members)
     for b in ms:
         for j in range(1, len(b)):

@@ -11,16 +11,18 @@ at a time, and decides when to stop.  Four kinds are supported:
   threshold   stop (or trigger) once the count of saturated top values
               reaches a bound that depends on how many entries remain
 
-Strategies never look ahead: every decision is a function of the prefix
-seen so far.
+Strategies never look ahead: one rule decides, from the prefix seen so far,
+whether a strategy acts there (strike kinds accept, the others arm).  play
+applies it to one order, exact_success to the prefix tree's nodes (summing
+their win counts) and simulate to random root-to-leaf paths of that tree.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .closedform import ThresholdTable, continuation_triangle, optimal_boundary
 from .errors import (
@@ -29,17 +31,17 @@ from .errors import (
     InvalidInputError,
 )
 from .permutations import (
-    DEFAULT_ENUM_CAP,
     PatternClass,
     Perm,
-    enumerate_class,
+    is_eligible,
     pattern_class,
     perm_from_str,
     perm_to_str,
+    prefix_flattening,
     validate_permutation,
     value_saturated_count,
 )
-from .prefixtree import cached_tree
+from .prefixtree import PrefixTree, TreeNode, cached_tree
 from .rng import SplitMix64
 from .tallies import Tally
 
@@ -90,6 +92,12 @@ class Strategy:
             return f"positional:{self.position}"
         return f"threshold:{self.mode}"
 
+    @property
+    def strikes(self) -> bool:
+        """Whether the rule accepts where it fires, rather than arming
+        acceptance of the next candidate."""
+        return self.kind == "strike" or (self.kind == "threshold" and self.mode == "strike")
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -108,13 +116,24 @@ class PlayTrace:
     decisions: tuple[Decision, ...]
 
 
-def _threshold_fires(s: Strategy, prefix: Perm, n: int) -> bool:
-    k = len(prefix)
-    i = n - k
-    bound = s.sigma.get(i)
-    if bound is None:
-        # unresolved within the table's depth: the true bound exceeds
-        # depth - i >= any column reachable at rank n <= depth
+def _check_rank(s: Strategy, n: int) -> None:
+    if s.rank is not None and s.rank != n:
+        raise InvalidInputError(f"strategy was built for rank {s.rank}, not rank {n}")
+    if s.kind == "threshold" and s.sigma.depth < n:
+        raise DepthError(f"threshold table depth {s.sigma.depth} < rank {n}")
+
+
+def _fires(s: Strategy, prefix: Perm, eligible: bool, n: int) -> bool:
+    """Does s act on this prefix of a rank-n order?  Strike kinds accept
+    there (a threshold only on a candidate); the others arm."""
+    if s.kind == "positional":
+        return len(prefix) == s.position
+    if s.kind != "threshold":
+        return prefix in s.members
+    bound = s.sigma.get(n - len(prefix))
+    if bound is None or (s.mode == "strike" and not eligible):
+        # an unresolved bound (None) exceeds every count reachable at a
+        # rank within the table's depth
         return False
     if s.transport is not None:
         try:
@@ -124,6 +143,39 @@ def _threshold_fires(s: Strategy, prefix: Perm, n: int) -> bool:
                 f"prefix {prefix!r} is outside this strategy's transport map"
             ) from None
     return value_saturated_count(prefix) >= bound
+
+
+def _run(
+    s: Strategy, prefixes: Iterable[Perm], n: int, record: list[Decision] | None = None
+) -> int | None:
+    """Play s over the prefixes of sizes 1..n of one order and return the
+    size at which it accepts, or None.  Each decision goes to record when
+    one is given.  A strike set that never fires raises
+    IncompleteStrategyError."""
+    armed = False
+    if not s.strikes:
+        # the empty prefix may already arm acceptance
+        armed = _fires(s, (), False, n)
+        if record is not None:
+            record.append(Decision(0, (), False, "arm" if armed else "pass"))
+    for prefix in prefixes:
+        eligible = is_eligible(prefix)
+        if armed:
+            action = "accept" if eligible else "pass"
+        elif _fires(s, prefix, eligible, n):
+            action = "accept" if s.strikes else "arm"
+            armed = True
+        else:
+            action = "pass"
+        if record is not None:
+            record.append(Decision(len(prefix), prefix, eligible, action))
+        if action == "accept":
+            return len(prefix)
+    if s.kind == "strike":
+        raise IncompleteStrategyError(
+            f"strike set never fired on {perm_to_str(prefix)}; the set does not cover it"
+        )
+    return None
 
 
 def play(s: Strategy, pi: Sequence[int]) -> PlayTrace:
@@ -138,67 +190,12 @@ def play(s: Strategy, pi: Sequence[int]) -> PlayTrace:
     n = len(order)
     if n == 0:
         raise InvalidInputError("cannot play the empty order")
-    if s.rank is not None and s.rank != n:
-        raise InvalidInputError(f"strategy was built for rank {s.rank}, order has rank {n}")
-    if s.kind == "threshold" and s.sigma.depth < n:
-        raise DepthError(f"threshold table depth {s.sigma.depth} < rank {n}")
-
-    strike_like = s.kind == "strike" or (s.kind == "threshold" and s.mode == "strike")
+    _check_rank(s, n)
     decisions: list[Decision] = []
-    armed = False
-
-    if not strike_like:
-        # the empty prefix may already arm acceptance
-        if s.kind == "trigger" and () in s.members:
-            armed = True
-        elif s.kind == "positional" and s.position == 0:
-            armed = True
-        elif s.kind == "threshold" and _threshold_fires(s, (), n):
-            armed = True
-        decisions.append(Decision(0, (), False, "arm" if armed else "pass"))
-
-    seen: list[int] = []
-    running_max = 0
-    for pos in range(1, n + 1):
-        v = order[pos - 1]
-        insort(seen, v)
-        prefix = tuple(bisect_left(seen, w) + 1 for w in order[:pos])
-        eligible = v > running_max
-        if v > running_max:
-            running_max = v
-
-        if strike_like:
-            fires = (
-                prefix in s.members
-                if s.kind == "strike"
-                else eligible and _threshold_fires(s, prefix, n)
-            )
-            if fires:
-                decisions.append(Decision(pos, prefix, eligible, "accept"))
-                return PlayTrace(pos, v == n, tuple(decisions))
-            decisions.append(Decision(pos, prefix, eligible, "pass"))
-        else:
-            if armed and eligible:
-                decisions.append(Decision(pos, prefix, eligible, "accept"))
-                return PlayTrace(pos, v == n, tuple(decisions))
-            if not armed:
-                if s.kind == "trigger":
-                    fires = prefix in s.members
-                elif s.kind == "positional":
-                    fires = pos == s.position
-                else:
-                    fires = _threshold_fires(s, prefix, n)
-                if fires:
-                    armed = True
-                    decisions.append(Decision(pos, prefix, eligible, "arm"))
-                    continue
-            decisions.append(Decision(pos, prefix, eligible, "pass"))
-
-    if s.kind == "strike":
-        raise IncompleteStrategyError(
-            f"strike set never fired on {perm_to_str(order)}; the set does not cover it"
-        )
-    return PlayTrace(n, False, tuple(decisions))
+    k = _run(s, (prefix_flattening(order, j) for j in range(1, n + 1)), n, decisions)
+    if k is None:
+        return PlayTrace(n, False, tuple(decisions))
+    return PlayTrace(k, order[k - 1] == n, tuple(decisions))
 
 
 def threshold_strategy(
@@ -234,50 +231,58 @@ def threshold_strategy(
     )
 
 
-_boundary_cache: dict[tuple[str, int], ThresholdTable] = {}
-
-
+@lru_cache(maxsize=None)
 def _cached_boundary(mode: str, depth: int) -> ThresholdTable:
-    key = (mode, depth)
-    if key not in _boundary_cache:
-        _boundary_cache[key] = optimal_boundary(continuation_triangle(mode, depth))
-    return _boundary_cache[key]
+    return optimal_boundary(continuation_triangle(mode, depth))
 
 
-def exact_success(
-    s: Strategy,
-    cls: PatternClass | str,
-    n: int,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> Tally:
-    """Play the strategy against every order in the class and tally wins."""
+def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
+    """Exact success tally over every order in the class, read off the
+    prefix tree: the strike wins (trigger wins, for kinds that arm) of
+    every node where the strategy first acts.
+
+    >>> print(exact_success(threshold_strategy("strike", "321", 5), "321", 5))
+    23/42
+    """
     cl = pattern_class(cls) if isinstance(cls, str) else cls
-    if s.rank is not None and s.rank != n:
-        raise InvalidInputError(f"strategy was built for rank {s.rank}, asked for {n}")
+    _check_rank(s, n)
+    tree = cached_tree(cl, n)
     wins = 0
-    total = 0
-    for order in enumerate_class(cl, n, cap=cap):
-        trace = play(s, order)
-        wins += trace.stopped_value_is_max
-        total += 1
-    return Tally(wins, total)
+    stack = [tree.root if s.strikes else tree.null]
+    while stack:
+        node = stack.pop()
+        if _fires(s, node.prefix, node.eligible, n):
+            wins += node.strike.wins if s.strikes else node.trigger.wins
+        elif node.children:
+            stack.extend(reversed(node.children))
+        elif s.kind == "strike":
+            raise IncompleteStrategyError(
+                f"strike set never fired on {perm_to_str(node.prefix)}; the set does not cover it"
+            )
+    return Tally(wins, tree.total)
+
+
+def _draw_path(tree: PrefixTree, rng: SplitMix64) -> list[TreeNode]:
+    """A uniform root-to-leaf path: each child is taken with probability
+    proportional to its completion count."""
+    node = tree.root
+    path = [node]
+    while node.children:
+        r = rng.below(node.strike.total)
+        for child in node.children:
+            r -= child.strike.total
+            if r < 0:
+                break
+        node = child
+        path.append(node)
+    return path
 
 
 def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
     """Draw one order uniformly from the class by walking the prefix tree,
     weighting each child by its completion count."""
     cl = pattern_class(cls) if isinstance(cls, str) else cls
-    tree = cached_tree(cl, n)
-    node = tree.root
-    while node.children:
-        r = rng.below(node.strike.total)
-        acc = 0
-        for child in node.children:
-            acc += child.strike.total
-            if r < acc:
-                node = child
-                break
-    return node.prefix
+    return _draw_path(cached_tree(cl, n), rng)[-1].prefix
 
 
 @dataclass(frozen=True)
@@ -301,12 +306,14 @@ def simulate(
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     cl = pattern_class(cls) if isinstance(cls, str) else cls
+    _check_rank(s, n)
+    tree = cached_tree(cl, n)
     rng = SplitMix64(seed)
     wins = 0
     for _ in range(trials):
-        order = sample_uniform(cl, n, rng)
-        if play(s, order).stopped_value_is_max:
-            wins += 1
+        path = _draw_path(tree, rng)
+        k = _run(s, (node.prefix for node in path), n)
+        wins += k is not None and path[-1].prefix[k - 1] == n
     est = Fraction(wins, trials)
     p = wins / trials
     return SimReport(

@@ -17,6 +17,9 @@ FORBIDDEN = {
     "312": ((3, 1, 2),),
     "123": ((1, 2, 3),),
     "213": ((2, 1, 3),),
+    # two-pattern classes whose trees lose prefixes with no completion
+    "mono": ((1, 2, 3), (3, 2, 1)),
+    "pair": ((1, 3, 2), (2, 1, 3)),
 }
 
 

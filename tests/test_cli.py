@@ -77,6 +77,20 @@ def test_solve_errors(capsys):
     assert code == 2  # past the exhaustive-tree rank limit
 
 
+def test_tree_caps_exit_2(capsys):
+    # 10! orders are over the tree's member cap and rank 13 is over its rank
+    # cap; every command that reads the tree refuses before building it
+    for argv in (
+        ["solve", "--class", "none", "--n", "10"],
+        ["solve", "--class", "none", "--n", "10", "--strategy", "positional:3"],
+        ["simulate", "--class", "none", "--n", "10", "--strategy", "positional:3"],
+        ["solve", "--class", "321", "--n", "13", "--strategy", "positional:3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "cap" in err, argv
+
+
 def test_triangle_csv(capsys):
     code, out, _ = run(capsys, "triangle", "--rows", "5")
     assert code == 0

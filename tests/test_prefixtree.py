@@ -29,23 +29,46 @@ from beststop import (
 SMALL = [(name, n) for name in CLASSES for n in range(2, 6)]
 
 
+def assert_tallies_match_oracle(tree, members):
+    assert tree.total == len(members)
+    for node in tree.nodes():
+        s = oracles.strike_tally(node.prefix, members)
+        t = oracles.trigger_tally(node.prefix, members)
+        if node.eligible:
+            assert (node.strike.wins, node.strike.total) == s, node.prefix
+        else:
+            # stopping on a non-candidate can never win
+            assert node.strike.wins == 0
+            assert node.strike.total == s[1]
+        assert (node.trigger.wins, node.trigger.total) == t, node.prefix
+    null = oracles.trigger_tally((), members)
+    assert (tree.null.trigger.wins, tree.null.trigger.total) == null
+    # the index holds exactly the null prefix and every member's prefixes
+    prefixes = {oracles.flat(w[:k]) for w in members for k in range(1, len(w) + 1)}
+    assert set(tree.index) == prefixes | {()}
+    assert all(tree.index[node.prefix] is node for node in tree.nodes())
+
+
 def test_every_tally_matches_oracle(tree_for):
     for name, n in SMALL:
-        members = oracles.members(name, n)
-        tree = tree_for(name, n)
-        assert tree.total == len(members)
-        for node in tree.nodes():
-            s = oracles.strike_tally(node.prefix, members)
-            t = oracles.trigger_tally(node.prefix, members)
-            if node.eligible:
-                assert (node.strike.wins, node.strike.total) == s, (name, n, node.prefix)
-            else:
-                # stopping on a non-candidate can never win
-                assert node.strike.wins == 0
-                assert node.strike.total == s[1]
-            assert (node.trigger.wins, node.trigger.total) == t, (name, n, node.prefix)
-        null = oracles.trigger_tally((), members)
-        assert (tree.null.trigger.wins, tree.null.trigger.total) == null
+        assert_tallies_match_oracle(tree_for(name, n), oracles.members(name, n))
+
+
+@pytest.mark.parametrize("name, top", [("mono", 4), ("pair", 5)])
+def test_pruned_trees_match_oracle(name, top):
+    # two-pattern classes leave some prefixes with no completion at the
+    # rank of the game; build must drop those subtrees
+    from beststop import PatternClass
+
+    cls = PatternClass(name, oracles.FORBIDDEN[name])
+    for n in range(1, top + 1):
+        assert_tallies_match_oracle(build(cls, n), oracles.members(name, n))
+    if name == "mono":
+        rank4 = build(cls, 4)
+        assert (1, 3, 2) not in rank4.index and (3, 1, 2) not in rank4.index
+        assert {(2, 1, 3), (2, 3, 1)} <= set(rank4.index)
+        with pytest.raises(InvalidInputError):
+            build(cls, 5)  # Av(123, 321) is empty from rank 5
 
 
 def test_eligibility_flags(tree_for):
@@ -207,9 +230,19 @@ def test_cached_tree_identity():
     assert cached_tree(AV231, 4) is a
 
 
-def test_build_limits():
+def test_build_limits(monkeypatch):
     with pytest.raises(LimitError):
         build(UNRESTRICTED, 13)
+    # 10! members are over the default member cap: refused before any node
+    import beststop.prefixtree
+
+    def no_growth(*args):
+        raise AssertionError("build started growing the tree")
+
+    with monkeypatch.context() as m:
+        m.setattr(beststop.prefixtree, "child_indices", no_growth)
+        with pytest.raises(LimitError, match="3628800 members .* over the cap 1000000"):
+            build(UNRESTRICTED, 10)
     with pytest.raises(LimitError):
         build(UNRESTRICTED, 5, cap=100)
     with pytest.raises(InvalidInputError):

@@ -9,12 +9,14 @@ from beststop import (
     DepthError,
     IncompleteStrategyError,
     InvalidInputError,
+    PatternClass,
     SplitMix64,
     Strategy,
     Tally,
     build,
     catalan,
     cmp_as_rational,
+    completion,
     exact_success,
     optimal_strike_set,
     optimal_trigger_set,
@@ -95,15 +97,44 @@ def test_positional_zero_equals_null_trigger():
             )
 
 
+def sweep_strategies(cls, n, tree):
+    """The strategies the exact scorer is checked on at rank n."""
+    out = [Strategy(kind="positional", position=k, rank=n) for k in range(n + 1)]
+    out.append(parse_strategy("trigger:{null}", cls, n))
+    out.append(Strategy(kind="trigger", members=frozenset({(1,), (1, 2)}), rank=n))
+    base = oracles.random_eligible_antichain(tree, SplitMix64(n))
+    out.append(Strategy(kind="strike", members=completion(base, tree).members, rank=n))
+    if cls.name in ("321", "312"):
+        for mode in ("strike", "trigger"):
+            out.append(threshold_strategy(mode, cls, n))
+            out.append(threshold_strategy(mode, cls, n, direct_statistic=True))
+    return out
+
+
 def test_exact_success_matches_manual_loop():
+    # the play-every-order loop is the oracle for scoring on the tree
+    for name, forbidden in oracles.FORBIDDEN.items():
+        top = {"none": 5, "mono": 4}.get(name, 6)
+        cls = PatternClass(name, forbidden)
+        for n in range(1, top + 1):
+            members = oracles.members(name, n)
+            tree = build(cls, n)
+            for s in sweep_strategies(cls, n, tree):
+                want = sum(play(s, w).stopped_value_is_max for w in members)
+                got = exact_success(s, cls, n)
+                assert (got.wins, got.total) == (want, len(members)), (name, n, s.describe())
+            if n > 1:
+                uncovered = Strategy(kind="strike", members=frozenset({(2, 1)}))
+                with pytest.raises(IncompleteStrategyError):
+                    exact_success(uncovered, cls, n)
+    # a trigger set covering only one prefix scores that prefix's tally
     s = Strategy(kind="trigger", members=frozenset({(1, 2)}))
     got = exact_success(s, "321", 4)
-    members = oracles.members("321", 4)
-    want_wins = sum(play(s, w).stopped_value_is_max for w in members)
-    assert (got.wins, got.total) == (want_wins, 14)
-    # a trigger set covering only one prefix scores that prefix's tally
-    oracle = oracles.trigger_tally((1, 2), members)
-    assert got.wins == oracle[0]
+    assert got.wins == oracles.trigger_tally((1, 2), oracles.members("321", 4))[0]
+    shallow = threshold_strategy("strike", "321", 5, depth=6).sigma
+    for mode in ("strike", "trigger"):
+        with pytest.raises(DepthError):
+            exact_success(Strategy(kind="threshold", mode=mode, sigma=shallow), "321", 7)
 
 
 def test_trigger_accept_checked_before_arming():
@@ -251,6 +282,11 @@ def test_sample_uniform_support_and_spread():
         counts[w] = counts.get(w, 0) + 1
     assert set(counts) == members  # every member drawn
     assert all(55 <= c <= 160 for c in counts.values())
+    # the stream of draws is part of the seeded contract
+    rng = SplitMix64(7)
+    draws = [sample_uniform("321", 6, rng) for _ in range(5)]
+    assert draws == [(3, 4, 1, 6, 2, 5), (1, 3, 5, 6, 2, 4), (3, 6, 1, 2, 4, 5),
+                     (1, 4, 2, 6, 3, 5), (1, 6, 2, 3, 4, 5)]
 
 
 def test_simulate_deterministic():
@@ -266,6 +302,15 @@ def test_simulate_deterministic():
     assert abs(a.estimate - exact) < 4 * max(a.std_error, 1e-9)
     with pytest.raises(InvalidInputError):
         simulate(s, "231", 8, trials=0)
+    # seeded runs reproduce these win counts exactly
+    assert a.wins == 570
+    runs = [
+        (threshold_strategy("strike", "321", 7), "321", 7, 3000, 5, 1595),
+        (threshold_strategy("trigger", "312", 7), "312", 7, 3000, 6, 1612),
+        (parse_strategy("strike:{1}", "231", 6), "231", 6, 1000, 9, 306),
+    ]
+    for s, cls, n, trials, seed, wins in runs:
+        assert simulate(s, cls, n, trials=trials, seed=seed).wins == wins, (cls, seed)
 
 
 def test_describe_orders_null_first():

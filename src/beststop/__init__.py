@@ -98,7 +98,6 @@ from .prefixtree import (
     build,
     cached_tree,
     completion,
-    evaluate_strike,
     strike_prob,
     successors,
     tree_to_dict,

@@ -12,10 +12,10 @@ Three maps carry one game to another:
                      while keeping the position of the maximum fixed
 
 For 321 versus 312 the trees are isomorphic but no single relabeling of
-prefixes realizes the isomorphism; west_correspondence builds the node
-pairing level by level instead, matching sorted child lists in reverse
-order except that the new-maximum child always pairs with the
-new-maximum child.
+prefixes realizes the isomorphism; west_correspondence reads the node
+pairing off the two cached prefix trees instead, matching sorted child
+lists in reverse order except that the new-maximum child always pairs
+with the new-maximum child.
 """
 from __future__ import annotations
 
@@ -28,15 +28,13 @@ from .permutations import (
     AV321,
     PatternClass,
     Perm,
-    child_indices,
     contains_pattern,
-    extend,
     flatten,
     has_inversion,
     pattern_class,
     validate_permutation,
 )
-from .prefixtree import PrefixTree, TreeNode, build
+from .prefixtree import PrefixTree, TreeNode, cached_tree
 
 
 def _flat(seq: Sequence[int]) -> Perm:
@@ -128,31 +126,21 @@ def convert_132_to_231(p: Sequence[int]) -> Perm:
 
 def west_correspondence(n: int) -> dict[Perm, Perm]:
     """The tree isomorphism from 321-avoiding to 312-avoiding prefixes of
-    size <= n: sorted child-index lists are paired largest-with-largest
-    (both are the new-maximum extension) and the rest in reverse order."""
-    if n < 1:
-        raise InvalidInputError(f"rank must be >= 1, got {n}")
-    mapping: dict[Perm, Perm] = {(): ()}
-    frontier: list[tuple[Perm, Perm]] = [((), ())]
-    while frontier:
-        nxt: list[tuple[Perm, Perm]] = []
-        for a, b in frontier:
-            if len(a) >= n:
-                continue
-            ca = sorted(child_indices(a, AV321))
-            cb = sorted(child_indices(b, AV312))
-            if len(ca) != len(cb):
-                raise InvalidInputError(
-                    f"child counts differ under {a!r} / {b!r}: {len(ca)} vs {len(cb)}"
-                )
-            m = len(ca)
-            for t in range(m):
-                u = m - 1 if t == m - 1 else m - 2 - t
-                pa = extend(a, ca[t])
-                pb = extend(b, cb[u])
-                mapping[pa] = pb
-                nxt.append((pa, pb))
-        frontier = nxt
+    size <= n, read off the two rank-n trees: sorted child lists are paired
+    largest-with-largest (both are the new-maximum extension) and the rest
+    in reverse order."""
+    mapping: dict[Perm, Perm] = {}
+    stack = [(cached_tree(AV321, n).null, cached_tree(AV312, n).null)]
+    while stack:
+        a, b = stack.pop()
+        mapping[a.prefix] = b.prefix
+        ca, cb = a.children, b.children
+        if len(ca) != len(cb):
+            raise InvalidInputError(
+                f"child counts differ under {a.prefix!r} / {b.prefix!r}: {len(ca)} vs {len(cb)}"
+            )
+        # ca[t] pairs with cb[m-2-t], except that the last pairs with the last
+        stack.extend(zip(ca, cb[-2::-1] + cb[-1:]))
     return mapping
 
 
@@ -217,49 +205,37 @@ def verify_tree_isomorphism(
     a: PatternClass | str,
     b: PatternClass | str,
     n: int,
-    method: str = "auto",
 ) -> TreeIsomorphismReport:
     """Check whether two games' prefix trees at rank n match node for
     node, with equal completion counts and win counts throughout.
 
-    method: "upsilon" (231/132 relabeling), "west" (321/312 pairing), or
-    "search" (canonical-form comparison, rank <= 6 only); "auto" picks by
-    class pair.
+    The class pair picks the method: "upsilon" (the 231/132 relabeling),
+    "west" (the 321/312 pairing), or else "search" (canonical-form
+    comparison, rank <= 6 only).
     """
     ca = pattern_class(a) if isinstance(a, str) else a
     cb = pattern_class(b) if isinstance(b, str) else b
     pair = (ca.name, cb.name)
-    if method == "auto":
-        if pair in _UPSILON_PAIRS:
-            method = "upsilon"
-        elif pair in _WEST_PAIRS:
-            method = "west"
-        else:
-            method = "search"
+    if pair not in _UPSILON_PAIRS | _WEST_PAIRS and n > 6:
+        raise InvalidInputError("search method is limited to rank <= 6")
+    ta = cached_tree(ca, n)
+    tb = cached_tree(cb, n)
 
-    ta = build(ca, n)
-    tb = build(cb, n)
-
-    if method == "upsilon":
-        if pair not in _UPSILON_PAIRS:
-            raise InvalidInputError("upsilon applies to the 231/132 pair only")
+    if pair in _UPSILON_PAIRS:
+        method = "upsilon"
         fn = convert_231_to_132 if ca.name == "231" else convert_132_to_231
         s_ok, v_ok, miss = _pair_by_map(ta, tb, fn)
-    elif method == "west":
-        if pair not in _WEST_PAIRS:
-            raise InvalidInputError("west applies to the 321/312 pair only")
+    elif pair in _WEST_PAIRS:
+        method = "west"
         raw = west_correspondence(n)
         if ca.name == "312":
             raw = {v: k for k, v in raw.items()}
         s_ok, v_ok, miss = _pair_by_map(ta, tb, raw.get)
-    elif method == "search":
-        if n > 6:
-            raise InvalidInputError("search method is limited to rank <= 6")
+    else:
+        method = "search"
         ok = _shape_key(ta.root) == _shape_key(tb.root)
         s_ok = v_ok = ok
         miss = None if ok else (ta.root.prefix, tb.root.prefix)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
 
     return TreeIsomorphismReport(
         classes=pair,

@@ -9,8 +9,9 @@ Files live under $BESTSTOP_CACHE (default ~/.cache/beststop) as one JSON
 document per (mode, depth) with a schema tag.  Writes go through a
 temporary file and os.replace, and both reads and writes hold an advisory
 lock on a sidecar file, so concurrent processes see either the old or the
-new document, never a torn one.  A file that fails to parse or carries an
-unknown schema is treated as absent and rebuilt, with a warning.
+new document, never a torn one.  A file that fails to parse, carries an
+unknown schema or does not hold exactly the triangle's integer entries is
+treated as absent and rebuilt, with a warning.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import json
 import os
 import tempfile
 import warnings
+from itertools import chain
 from pathlib import Path
 
 from .closedform import ContinuationTriangle, continuation_triangle
@@ -69,18 +71,20 @@ def store_triangle(t: ContinuationTriangle) -> Path:
     if t.frozen_rules is not None or t.max_diag is not None:
         raise InvalidInputError("only full, unfrozen triangles are cached")
     path = _triangle_path(t.mode, t.max_n)
-    doc = {
-        "schema": SCHEMA,
-        "mode": t.mode,
-        "max_n": t.max_n,
-        "entries": [[n, k, v] for (n, k), v in sorted(t.entries.items())],
-    }
+    compact = (",", ":")
+    head = json.dumps({"schema": SCHEMA, "mode": t.mode, "max_n": t.max_n}, separators=compact)
     with _Locked(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, separators=(",", ":"))
+                # json.dumps runs the C encoder, which json.dump never does;
+                # one call per row keeps each string it builds small
+                fh.write(head[:-1] + ',"entries":[')
+                for n in range(2, t.max_n + 1):
+                    row = [[n, k, t.entries[n, k]] for k in range(1, n)]
+                    fh.write(("," if n > 2 else "") + json.dumps(row, separators=compact)[1:-1])
+                fh.write("]}")
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -109,15 +113,18 @@ def load_triangle(mode: str, max_n: int) -> ContinuationTriangle | None:
         warnings.warn(f"discarding cache file {path} with unexpected contents")
         return None
     try:
-        entries = {(int(n), int(k)): int(v) for n, k, v in doc["entries"]}
+        entries = {(n, k): v for n, k, v in doc["entries"]}
     except (TypeError, ValueError) as e:
         warnings.warn(f"discarding malformed cache file {path}: {e}")
         return None
-    expected = max_n * (max_n - 1) // 2
-    if len(entries) != expected:
-        warnings.warn(
-            f"discarding cache file {path}: {len(entries)} entries, expected {expected}"
-        )
+    # plain ints only (int() would truncate a float), and with the count
+    # right, keys inside the triangle are exactly the triangle's keys
+    if (
+        set(map(type, chain.from_iterable(doc["entries"]))) != {int}
+        or len(entries) != max_n * (max_n - 1) // 2
+        or not all(2 <= n <= max_n and 1 <= k < n for n, k in entries)
+    ):
+        warnings.warn(f"discarding cache file {path}: entries are not the expected rows 2..{max_n}")
         return None
     return ContinuationTriangle(
         mode=mode, max_n=max_n, max_diag=None, frozen_rules=None, entries=entries

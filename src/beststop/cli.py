@@ -192,6 +192,15 @@ def _parse_frozen(text: str) -> tuple:
 
 def _cmd_triangle(args) -> int:
     frozen = _parse_frozen(args.frozen) if args.frozen else None
+    # argument errors surface before the sweep (and before any cache write)
+    if args.emit == "row":
+        if args.n is None:
+            raise UsageError("--emit row needs --n")
+        if not 2 <= args.n <= args.rows:
+            raise InvalidInputError(f"row {args.n} out of range 2..{args.rows}")
+    if args.emit == "sigma" and frozen is not None:
+        raise InvalidInputError("sigma tables come from unfrozen triangles")
+
     if frozen is None and args.max_diag is None:
         t = cached_triangle(args.mode, args.rows)
     else:
@@ -199,14 +208,10 @@ def _cmd_triangle(args) -> int:
                                   max_diag=args.max_diag)
 
     if args.emit == "row":
-        if args.n is None:
-            raise UsageError("--emit row needs --n")
         print(",".join(str(v) for v in t.row(args.n)))
         return 0
 
     if args.emit == "sigma":
-        if frozen is not None:
-            raise InvalidInputError("sigma tables come from unfrozen triangles")
         table = optimal_boundary(t)
         print("i,sigma")
         for i in range(0, t.diag_limit + 1):

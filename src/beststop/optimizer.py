@@ -58,7 +58,7 @@ def _optimize(tree: PrefixTree, use_trigger: bool) -> OptimalResult:
 
     collect(start)
     return OptimalResult(
-        strike_set=StrikeSet(members=frozenset(members), complete=True),
+        strike_set=StrikeSet(members=frozenset(members)),
         value=value,
         per_node_values=per_node,
     )

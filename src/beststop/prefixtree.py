@@ -17,9 +17,9 @@ but never a strike point.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInputError, LimitError, NotFoundError
 from .permutations import (
@@ -47,27 +47,23 @@ class TreeNode:
     """One prefix flattening."""
 
     prefix: Perm
-    rank: int
     eligible: bool
     strike: Tally
     trigger: Tally
     children: tuple["TreeNode", ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.prefix)
-
     def is_leaf(self) -> bool:
-        return self.size == self.rank
+        # build prunes every subtree without members, so only the
+        # rank-N nodes are childless
+        return not self.children
 
 
 @dataclass(frozen=True)
 class StrikeSet:
-    """An antichain of prefixes; complete means every member of the class
-    meets exactly one element of the set along its prefix chain."""
+    """A complete antichain of prefixes: every member of the class meets
+    exactly one element of the set along its prefix chain."""
 
     members: frozenset[Perm]
-    complete: bool
 
 
 @dataclass(eq=False)
@@ -158,7 +154,7 @@ def build(
             total = sum(grow(extend(p, c)) for c in sorted(child_indices(p, cls)))
         if total:
             eligible = is_eligible(p)
-            node = TreeNode(p, n, eligible, Tally(strike_wins[k] if eligible else 0, total),
+            node = TreeNode(p, eligible, Tally(strike_wins[k] if eligible else 0, total),
                             Tally(trigger_wins[k], total), tuple(kids[k]))
             kids[k - 1].append(node)
             index[p] = node
@@ -167,7 +163,7 @@ def build(
     total = grow((1,))
     if total == 0:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
-    null = TreeNode((), n, False, Tally(0, total), Tally(trigger_wins[0], total), tuple(kids[0]))
+    null = TreeNode((), False, Tally(0, total), Tally(trigger_wins[0], total), tuple(kids[0]))
     index[()] = null
     return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0], index=index)
 
@@ -235,41 +231,7 @@ def completion(S: Iterable[Perm], tree: PrefixTree) -> StrikeSet:
             scan(child, covered)
 
     scan(tree.root, False)
-    return StrikeSet(members=frozenset(base) | frozenset(added), complete=True)
-
-
-def evaluate_strike(tree: PrefixTree, strategy: StrikeSet | Iterable[Perm]) -> Tally:
-    """Success tally of a complete antichain strike set: the mediant of the
-    members' strike tallies.  Incomplete or overlapping sets are rejected."""
-    if isinstance(strategy, StrikeSet):
-        members = set(strategy.members)
-    else:
-        members = {tuple(p) for p in strategy}
-    for p in members:
-        if p not in tree.index:
-            raise InvalidInputError(
-                f"strike set member {p!r} is not a node of the tree"
-            )
-    _check_antichain(members)
-    wins = 0
-    total = 0
-
-    def scan(node: TreeNode) -> None:
-        nonlocal wins, total
-        if node.prefix in members:
-            wins += node.strike.wins
-            total += node.strike.total
-            return
-        if node.is_leaf():
-            raise InvalidInputError(
-                f"strike set is not complete: order {perm_to_str(node.prefix)} "
-                "meets no member"
-            )
-        for child in node.children:
-            scan(child)
-
-    scan(tree.root)
-    return Tally(wins, total)
+    return StrikeSet(members=frozenset(base) | frozenset(added))
 
 
 def tree_to_dict(tree: PrefixTree, include_null: bool = False) -> dict:
@@ -291,7 +253,45 @@ def tree_to_json(tree: PrefixTree, include_null: bool = False, indent: int = 2) 
     return json.dumps(tree_to_dict(tree, include_null), indent=indent)
 
 
-@lru_cache(maxsize=32)
-def cached_tree(cls: PatternClass, n: int) -> PrefixTree:
-    """Shared, memoized build for repeated lookups (sampling, tests)."""
-    return build(cls, n)
+class TreeCacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    trees: int
+    members: int
+
+
+class _TreeCache:
+    """Built trees by (class, rank), least recently used first.  The trees
+    held have at most DEFAULT_TREE_CAP members in all, the memory one
+    capped build may take: storing a tree evicts the least recently used
+    ones until the rest fit."""
+
+    def __init__(self) -> None:
+        self.trees: OrderedDict[tuple[PatternClass, int], PrefixTree] = OrderedDict()
+        self.hits = self.misses = 0
+
+    def __call__(self, cls: PatternClass, n: int) -> PrefixTree:
+        """Shared, memoized build for repeated lookups (scoring, sampling, tests)."""
+        key = (cls, n)
+        if key in self.trees:
+            self.hits += 1
+            self.trees.move_to_end(key)
+            return self.trees[key]
+        self.misses += 1
+        tree = self.trees[key] = build(cls, n)
+        while self.members() > DEFAULT_TREE_CAP:
+            self.trees.popitem(last=False)
+        return tree
+
+    def members(self) -> int:
+        return sum(t.total for t in self.trees.values())
+
+    def cache_info(self) -> TreeCacheInfo:
+        return TreeCacheInfo(self.hits, self.misses, len(self.trees), self.members())
+
+    def cache_clear(self) -> None:
+        self.trees.clear()
+        self.hits = self.misses = 0
+
+
+cached_tree = _TreeCache()

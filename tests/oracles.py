@@ -151,3 +151,35 @@ def random_eligible_antichain(tree, rng):
 
     walk(tree.root)
     return picked
+
+
+def west_pairs(n):
+    """The 321 -> 312 generating-tree pairing built level by level from the
+    definition: the children of a prefix are its one-entry extensions that
+    avoid the pattern, sorted by the new entry's value, and the lists are
+    paired largest-with-largest (the new maximum) and the rest in reverse
+    order."""
+
+    def children(p, patt):
+        k = len(p)
+        out = []
+        for c in range(1, k + 2):
+            q = tuple(v if v < c else v + 1 for v in p) + (c,)
+            if not contains(q, patt):
+                out.append(q)
+        return out
+
+    mapping = {(): ()}
+    frontier = [((), ())]
+    for _ in range(n):
+        nxt = []
+        for a, b in frontier:
+            ca, cb = children(a, (3, 2, 1)), children(b, (3, 1, 2))
+            assert len(ca) == len(cb), (a, b)
+            m = len(ca)
+            for t in range(m):
+                u = m - 1 if t == m - 1 else m - 2 - t
+                mapping[ca[t]] = cb[u]
+                nxt.append((ca[t], cb[u]))
+        frontier = nxt
+    return mapping

@@ -24,7 +24,6 @@ from beststop import (
     convert_231_to_132,
     decimal_str,
     enumerate_class,
-    evaluate_strike,
     exact_success,
     fit_shifted_ballot,
     limit_of_combination,
@@ -86,7 +85,8 @@ def test_criterion_01_unrestricted_rank4(tree_for):
         assert res.strike_set.members == completion(core, tree).members
         # exhaustive sweep over all complete antichains confirms maximality
         best = max(
-            evaluate_strike(tree, a).wins for a in oracles.complete_antichains(tree)
+            exact_success(Strategy(kind="strike", members=a, rank=4), "none", 4).wins
+            for a in oracles.complete_antichains(tree)
         )
         assert best == 11
 
@@ -101,7 +101,8 @@ def test_criterion_02_av231_catalan_ratio(tree_for):
             rng = SplitMix64(2026)
             for _ in range(100):
                 antichain = oracles.random_eligible_antichain(tree, rng)
-                v = evaluate_strike(tree, completion(antichain, tree))
+                full = completion(antichain, tree).members
+                v = exact_success(Strategy(kind="strike", members=full, rank=n), "231", n)
                 assert (v.wins, v.total) == (want.wins, want.total), (n, antichain)
             members = list(enumerate_class(pattern_class("231"), n))
             for k in range(n):

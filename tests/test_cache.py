@@ -74,6 +74,23 @@ def test_truncated_entries_discarded(isolated_cache):
         assert load_triangle("strike", 6) is None
 
 
+@pytest.mark.parametrize("row", [[9, 5, 1], [6, 5, 5.7]])
+def test_wrong_entry_discarded(isolated_cache, capsys, row):
+    # a key outside the triangle in place of (6, 5), or a float numerator:
+    # the entry count is right, but the file is rebuilt all the same
+    from beststop.cli import main
+
+    store_triangle(continuation_triangle("strike", 6))
+    path = isolated_cache / "triangle-strike-6.json"
+    doc = json.loads(path.read_text())
+    doc["entries"] = [row if e[:2] == [6, 5] else e for e in doc["entries"]]
+    path.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="expected rows 2..6"):
+        assert main(["triangle", "--rows", "6", "--emit", "row", "--n", "6"]) == 0
+    assert capsys.readouterr().out == "71,48,25,9,1\n"
+    assert load_triangle("strike", 6).entries == continuation_triangle("strike", 6).entries
+
+
 def test_only_full_triangles_stored():
     with pytest.raises(InvalidInputError):
         store_triangle(continuation_triangle("strike", 9, max_diag=3))

@@ -85,10 +85,26 @@ def test_tree_caps_exit_2(capsys):
         ["solve", "--class", "none", "--n", "10", "--strategy", "positional:3"],
         ["simulate", "--class", "none", "--n", "10", "--strategy", "positional:3"],
         ["solve", "--class", "321", "--n", "13", "--strategy", "positional:3"],
+        # a 312 threshold strategy also reads the 321 tree for its transport
+        ["solve", "--class", "312", "--n", "13", "--strategy", "threshold:trigger"],
+        ["simulate", "--class", "312", "--n", "13", "--strategy", "threshold:trigger"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "cap" in err, argv
+
+
+def test_triangle_arguments_checked_before_the_sweep(capsys, tmp_path):
+    for argv, code, message in (
+        (["--rows", "400", "--emit", "row"], 1, "needs --n"),
+        (["--rows", "400", "--emit", "row", "--n", "401"], 1, "row 401 out of range 2..400"),
+        (["--rows", "400", "--emit", "row", "--n", "1"], 1, "row 1 out of range 2..400"),
+        (["--rows", "400", "--emit", "sigma", "--frozen", "1,4"], 1, "unfrozen"),
+    ):
+        got, out, err = run(capsys, "triangle", *argv)
+        assert (got, out) == (code, ""), argv
+        assert message in err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_triangle_csv(capsys):

@@ -9,14 +9,16 @@ from beststop import (
     CLASSES,
     AV231,
     UNRESTRICTED,
+    IncompleteStrategyError,
     InvalidInputError,
     LimitError,
     NotFoundError,
+    Strategy,
     Tally,
     build,
     cached_tree,
     completion,
-    evaluate_strike,
+    exact_success,
     pattern_class,
     strike_prob,
     successors,
@@ -27,6 +29,10 @@ from beststop import (
 )
 
 SMALL = [(name, n) for name in CLASSES for n in range(2, 6)]
+
+
+def strike_value(members, name, n):
+    return exact_success(Strategy(kind="strike", members=frozenset(members), rank=n), name, n)
 
 
 def assert_tallies_match_oracle(tree, members):
@@ -172,7 +178,6 @@ def test_trigger_figure_231(tree_for):
 def test_completion(tree_for):
     tree = tree_for("none", 4)
     full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], tree)
-    assert full.complete
     added = full.members - {(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)}
     assert added == {
         (4, 1, 2, 3),
@@ -191,14 +196,12 @@ def test_completion(tree_for):
 def test_evaluate_strike(tree_for):
     tree = tree_for("none", 4)
     full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], tree)
-    assert evaluate_strike(tree, full) == Tally(11, 24)
+    assert strike_value(full.members, "none", 4) == Tally(11, 24)
     # all leaves: win exactly when the best candidate is interviewed last
     leaves = [node.prefix for node in tree.nodes() if node.is_leaf()]
-    assert evaluate_strike(tree, leaves) == Tally(6, 24)
-    with pytest.raises(InvalidInputError):
-        evaluate_strike(tree, [(1, 2)])  # not complete
-    with pytest.raises(InvalidInputError):
-        evaluate_strike(tree, leaves + [(1, 2, 3)])  # overlap
+    assert strike_value(leaves, "none", 4) == Tally(6, 24)
+    with pytest.raises(IncompleteStrategyError):
+        strike_value([(1, 2)], "none", 4)  # not complete
 
 
 def test_random_completions_partition(tree_for):
@@ -209,8 +212,11 @@ def test_random_completions_partition(tree_for):
         tree = tree_for(name, n)
         for _ in range(20):
             base = oracles.random_eligible_antichain(tree, rng)
-            value = evaluate_strike(tree, completion(base, tree))
+            full = completion(base, tree).members
+            value = strike_value(full, name, n)
             assert value.total == tree.total
+            # the members' subtrees cover every order exactly once
+            assert sum(tree.node(p).strike.total for p in full) == tree.total
 
 
 def test_tree_to_dict(tree_for):
@@ -228,6 +234,23 @@ def test_tree_to_dict(tree_for):
 def test_cached_tree_identity():
     a = cached_tree(AV231, 4)
     assert cached_tree(AV231, 4) is a
+
+
+def test_cached_tree_holds_at_most_the_member_cap(monkeypatch):
+    import beststop.prefixtree
+
+    monkeypatch.setattr(beststop.prefixtree, "DEFAULT_TREE_CAP", 100)
+    cached_tree.cache_clear()
+    # 14, 42 and 24 members fit; 231 is then used again, so 321 is the
+    # least recently used tree when 132 arrives, and the unrestricted one
+    # when 123 does
+    for name, n in [("231", 4), ("321", 5), ("none", 4), ("231", 4), ("132", 5), ("123", 5)]:
+        tree = cached_tree(pattern_class(name), n)
+        assert cached_tree.cache_info().members <= 100
+        assert cached_tree(pattern_class(name), n) is tree
+    assert cached_tree.cache_info() == (7, 5, 3, 98)
+    cached_tree(pattern_class("321"), 5)
+    assert cached_tree.cache_info().misses == 6
 
 
 def test_build_limits(monkeypatch):

@@ -10,13 +10,14 @@ Subcommands:
   simulate  Monte Carlo estimate of a strategy's success probability
   tree      inspect a prefix tree or one of its nodes
 
-Exit codes: 0 success, 1 usage or input problems, 2 resource or depth
-limits, 3 a verification mismatch.
+Exit codes: 0 success, 1 usage or input problems (or stdout closed
+early), 2 resource or depth limits, 3 a verification mismatch.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -198,6 +199,9 @@ def _cmd_triangle(args) -> int:
             raise UsageError("--emit row needs --n")
         if not 2 <= args.n <= args.rows:
             raise InvalidInputError(f"row {args.n} out of range 2..{args.rows}")
+        # a --max-diag below 1 is left to the sweep, which names it
+        if args.max_diag is not None and 1 <= args.max_diag < args.n - 1:
+            raise DepthError(f"row {args.n} was not fully computed (band triangle)")
     if args.emit == "sigma" and frozen is not None:
         raise InvalidInputError("sigma tables come from unfrozen triangles")
 
@@ -488,7 +492,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("a subcommand is required (see --help)")
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head`); the signal module's
+        # documentation points stdout at devnull so the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

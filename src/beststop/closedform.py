@@ -24,13 +24,23 @@ be stopped at) and X = M in trigger mode (triggering is allowed anywhere).
 The inner sum telescopes along diagonals, so each diagonal is computed in
 one pass from the previous one; a band of diagonals near k = N is therefore
 available for very large N without touching the huge inner columns.
+
+Along diagonal i = N - k the stop numerators are binomials with a fixed
+lower index,
+
+  strike   C(k+i-1, i)
+  trigger  k*C(k+i-1, i-2) + C(k+i-1, i-1)
+
+so the sweep and the boundary scan step them from column to column with
+C(m+1, j) = C(m, j)*(m+1)/(m+1-j): one multiply and one exact divide per
+entry, no binomial per entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DepthError,
@@ -67,6 +77,28 @@ def trigger_numerator(n: int, k: int) -> int:
 
 def _xnum(mode: str, n: int, k: int) -> int:
     return strike_numerator(n, k) if mode == "strike" else trigger_numerator(n, k)
+
+
+def _diagonal_numerators(mode: str, i: int) -> Iterator[int]:
+    """Stop numerators x(k+i, k) for k = 1, 2, ... down diagonal i, each
+    stepped from the one before (a lower index below 0 gives 0)."""
+    m = i  # the upper index k+i-1 at k = 1
+    if mode == "strike":
+        c = 1  # C(i, i)
+        while True:
+            yield c
+            m += 1
+            c = c * m // (m - i)
+    else:
+        a = comb(i, i - 2) if i >= 2 else 0
+        b = i if i >= 1 else 0  # C(i, i-1)
+        k = 1
+        while True:
+            yield k * a + b
+            m += 1
+            k += 1
+            a = a * m // (m - i + 2)
+            b = b * m // (m - i + 1)
 
 
 def strike_prob_321(p: Sequence[int], n: int) -> Tally:
@@ -177,16 +209,24 @@ class ContinuationTriangle:
         return None
 
 
-def _frozen_fires(mode: str, rules: FrozenRules, n: int, k: int) -> bool:
-    i = n - k
+def _best_along(
+    mode: str, rules: FrozenRules | None, i: int, below: list[int]
+) -> list[int]:
+    """M along diagonal i, indexed by column, from the entries there: the
+    better of stopping and continuing, or what the frozen rule picks."""
+    xs = _diagonal_numerators(mode, i)
+    if rules is None:
+        return [0] + [x if x > e else e for e, x in zip(below[1:], xs)]
     if i == 0:
         # the forced endgame: a strike strategy always accepts an eligible
         # full prefix, a trigger at the full prefix can never win
-        return mode == "strike"
-    if i <= len(rules):
-        r = rules[i - 1]
-        return r is not None and k >= r
-    return False
+        first = 1 if mode == "strike" else None
+    else:
+        first = rules[i - 1] if i <= len(rules) else None  # fires from column first on
+    if first is None:
+        return below
+    return [0] + [x if k >= first else e
+                  for k, e, x in zip(range(1, len(below)), below[1:], xs)]
 
 
 def continuation_triangle(
@@ -209,25 +249,21 @@ def continuation_triangle(
         raise InvalidInputError(f"max_diag must be >= 1, got {max_diag}")
     rules = tuple(frozen_rules) if frozen_rules is not None else None
 
+    # entries and M of the previous diagonal, indexed by column k; both
+    # terms of the recurrence lie there: X(N-1, k) and M(N, k+1)
+    prev = [0] * (max_n + 1)  # diagonal 0: the implicit zero column k = N
+    prev_m = _best_along(mode, rules, 0, prev)
     entries: dict[tuple[int, int], int] = {}
-
-    def bval(n: int, k: int) -> int:
-        return 0 if k >= n else entries[(n, k)]
-
-    def mval(n: int, k: int) -> int:
-        b = bval(n, k)
-        x = _xnum(mode, n, k)
-        if rules is None:
-            return x if x > b else b
-        return x if _frozen_fires(mode, rules, n, k) else b
-
     diag_cap = max_n - 1 if max_diag is None else min(max_diag, max_n - 1)
     for i in range(1, diag_cap + 1):
+        carry = prev if mode == "strike" else prev_m
+        cur = [0] * (max_n - i + 1)
         d = 0
-        for n in range(i + 1, max_n + 1):
-            k = n - i
-            d += bval(n - 1, k) if mode == "strike" else mval(n - 1, k)
-            entries[(n, k)] = mval(n, k + 1) + d
+        for k in range(1, max_n - i + 1):
+            d += carry[k]
+            cur[k] = e = prev_m[k + 1] + d
+            entries[(k + i, k)] = e
+        prev, prev_m = cur, _best_along(mode, rules, i, cur)
 
     return ContinuationTriangle(
         mode=mode, max_n=max_n, max_diag=max_diag, frozen_rules=rules, entries=entries
@@ -259,18 +295,20 @@ class ThresholdTable:
 def optimal_boundary(t: ContinuationTriangle, max_i: int | None = None) -> ThresholdTable:
     """Scan each diagonal of a true (unfrozen) triangle for its first
     optimal entry.  Once stopping is optimal at (N, k) it stays optimal at
-    (N+1, k+1), so the first hit determines the whole diagonal."""
+    (N+1, k+1), so the first hit determines the whole diagonal.  The stop
+    numerators are stepped down each diagonal, with no binomial per entry."""
     if t.frozen_rules is not None:
         raise InvalidInputError("optimal_boundary expects an unfrozen triangle")
     limit = t.diag_limit if max_i is None else min(max_i, t.diag_limit)
+    entries = t.entries
     values: dict[int, int | None] = {}
     for i in range(0, limit + 1):
-        found = None
-        for k in range(1, t.max_n - i + 1):
-            if t.is_optimal(k + i, k):
-                found = k
+        values[i] = None
+        for k, x in zip(range(1, t.max_n - i + 1), _diagonal_numerators(t.mode, i)):
+            # is_optimal(k + i, k), with the numerator stepped down the diagonal
+            if x > 0 and x >= (entries[k + i, k] if i else 0):
+                values[i] = k
                 break
-        values[i] = found
     return ThresholdTable(mode=t.mode, depth=t.max_n, values=values)
 
 

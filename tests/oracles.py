@@ -7,6 +7,7 @@ disagree loudly when one of them is wrong.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from math import comb
 
 # name -> forbidden patterns, spelled out rather than imported
 FORBIDDEN = {
@@ -183,3 +184,48 @@ def west_pairs(n):
                 nxt.append((ca[t], cb[u]))
         frontier = nxt
     return mapping
+
+
+def triangle_by_comb(mode, max_n, frozen_rules=None, max_diag=None):
+    """Continuation-triangle entries {(N, k): numerator}, swept diagonal by
+    diagonal with one math.comb per stop numerator, straight from the
+    formulas of the closedform module docstring:
+
+      x(N, k)     = C(N-1, k-1) (strike) or k*C(N-1, k+1) + C(N-1, k) (trigger)
+      M(N, k)     = max(entry(N, k), x(N, k)), or x(N, k) where a frozen
+                    rule fires and entry(N, k) elsewhere; entry(N, N) = 0
+      entry(N, k) = M(N, k+1) + sum_{c=1..k} X(N-c, k+1-c)
+
+    with X = entry (strike) or M (trigger).  A frozen rules[i-1] fires on
+    diagonal i = N - k from column rules[i-1] on (None: never); on diagonal
+    0 a strike fires everywhere and a trigger nowhere."""
+    entries = {}
+
+    def x(n, k):
+        if mode == "strike":
+            return comb(n - 1, k - 1)
+        return k * comb(n - 1, k + 1) + comb(n - 1, k)
+
+    def entry(n, k):
+        return 0 if k == n else entries[n, k]
+
+    def fires(n, k):
+        i = n - k
+        if i == 0:
+            return mode == "strike"
+        r = frozen_rules[i - 1] if i <= len(frozen_rules) else None
+        return r is not None and k >= r
+
+    def best(n, k):
+        if frozen_rules is None:
+            return max(entry(n, k), x(n, k))
+        return x(n, k) if fires(n, k) else entry(n, k)
+
+    last = max_n - 1 if max_diag is None else min(max_diag, max_n - 1)
+    for i in range(1, last + 1):
+        below = 0  # the sum over c, whose terms all lie on diagonal i - 1
+        for n in range(i + 1, max_n + 1):
+            k = n - i
+            below += entry(n - 1, k) if mode == "strike" else best(n - 1, k)
+            entries[n, k] = best(n, k + 1) + below
+    return entries

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import beststop.cli
 from beststop.cli import main
 
 
@@ -105,6 +110,41 @@ def test_triangle_arguments_checked_before_the_sweep(capsys, tmp_path):
         assert (got, out) == (code, ""), argv
         assert message in err, argv
     assert list(tmp_path.iterdir()) == []
+
+
+def test_band_row_refused_before_the_sweep(capsys, monkeypatch):
+    # row 30 needs diagonals up to 29
+    full = run(capsys, "triangle", "--rows", "30", "--emit", "row", "--n", "30")
+    band = run(capsys, "triangle", "--rows", "30", "--max-diag", "29",
+               "--emit", "row", "--n", "30")
+    assert band == full and full[0] == 0
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the band was swept")
+
+    monkeypatch.setattr(beststop.cli, "continuation_triangle", no_sweep)
+    code, out, err = run(capsys, "triangle", "--rows", "3000", "--max-diag", "3",
+                         "--emit", "row", "--n", "2500")
+    assert (code, out) == (2, "")
+    assert err == "error: row 2500 was not fully computed (band triangle)\n"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # the CSV of 200 rows is megabytes, far past any pipe buffer, so the
+    # writer meets the closed pipe while it is still printing
+    src = str(Path(beststop.cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "BESTSTOP_CACHE": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from beststop.cli import main; sys.exit(main())",
+         "triangle", "--rows", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"N,k,numerator,denominator,optimal\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_triangle_csv(capsys):

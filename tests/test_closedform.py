@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beststop import (
     DepthError,
@@ -26,6 +28,9 @@ from beststop import (
     trigger_numerator,
     trigger_prob_321,
 )
+from beststop.closedform import _diagonal_numerators
+
+import oracles
 
 # continuation numerators below increasing prefixes, rows 2..16
 GOLDEN_STRIKE_ROWS = {
@@ -164,6 +169,75 @@ def test_sigma_tables_depth_60():
     want = {1: 1, 2: 1, 3: 3, 4: 8, 5: 15, 6: 25, 7: 36}
     for i, v in want.items():
         assert trigger.get(i) == v, i
+
+
+SIGMA_HEADS = {
+    "strike": (1, 1, 4, 9, 16, 25, 36, 49),
+    "trigger": (None, 1, 1, 3, 8, 15, 25, 36),
+}
+
+FROZEN_CASES = (None, (1, 4, 9), (None,), (None, 1, 3, 8), (1, 1), (2, None, 5, 1))
+
+
+def test_sigma_tables_depth_600_and_a_6000_row_band():
+    for mode, heads in SIGMA_HEADS.items():
+        full = optimal_boundary(continuation_triangle(mode, 600))
+        assert tuple(full.get(i) for i in range(8)) == heads, mode
+        band = optimal_boundary(continuation_triangle(mode, 6000, max_diag=24))
+        assert band.depth == 6000 and max(band.values) == 24
+        # depth 600 resolves every diagonal up to 24 (a trigger at i = 0
+        # never wins), so the two tables define the same sigma(i)
+        assert all(full.get(i) is not None for i in range(1, 25)), mode
+        assert [band.get(i) for i in range(25)] == [full.get(i) for i in range(25)], mode
+
+
+def test_diagonal_numerators_match_point_formulas():
+    for mode, point in (("strike", strike_numerator), ("trigger", trigger_numerator)):
+        for i in range(0, 200):
+            xs = _diagonal_numerators(mode, i)
+            got = [next(xs) for _ in range(200 - i)]
+            assert got == [point(k + i, k) for k in range(1, 201 - i)], (mode, i)
+
+
+def test_sweep_matches_comb_oracle():
+    for mode in ("strike", "trigger"):
+        for max_n in (2, 3, 5, 12, 80):
+            for max_diag in (None, 1, 2, 7):
+                for rules in FROZEN_CASES:
+                    t = continuation_triangle(mode, max_n, frozen_rules=rules,
+                                              max_diag=max_diag)
+                    want = oracles.triangle_by_comb(mode, max_n, rules, max_diag)
+                    assert t.entries == want, (mode, max_n, max_diag, rules)
+
+
+def _boundary_by_is_optimal(t):
+    return {
+        i: next((k for k in range(1, t.max_n - i + 1) if t.is_optimal(k + i, k)), None)
+        for i in range(t.diag_limit + 1)
+    }
+
+
+def test_optimal_boundary_matches_is_optimal_scan():
+    for mode in ("strike", "trigger"):
+        for max_n, max_diag in ((2, None), (3, None), (12, None), (80, None),
+                                (80, 1), (80, 2), (80, 7), (300, 12)):
+            t = continuation_triangle(mode, max_n, max_diag=max_diag)
+            want = _boundary_by_is_optimal(t)
+            assert optimal_boundary(t).values == want, (mode, max_n, max_diag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("strike", "trigger")),
+    st.integers(2, 60),
+    st.none() | st.lists(st.none() | st.integers(0, 12), max_size=6).map(tuple),
+    st.none() | st.integers(1, 60),
+)
+def test_sweep_matches_comb_oracle_property(mode, max_n, rules, max_diag):
+    t = continuation_triangle(mode, max_n, frozen_rules=rules, max_diag=max_diag)
+    assert t.entries == oracles.triangle_by_comb(mode, max_n, rules, max_diag)
+    if rules is None:
+        assert optimal_boundary(t).values == _boundary_by_is_optimal(t)
 
 
 def test_sigma_table_errors():

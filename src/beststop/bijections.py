@@ -183,10 +183,7 @@ def _pair_by_map(
             return False, False, (node.prefix, partner)
         if len(node.children) != len(other.children) or node.eligible != other.eligible:
             return False, False, (node.prefix, partner)
-        same = (
-            node.strike.wins == other.strike.wins
-            and node.strike.total == other.strike.total
-        )
+        same = node.strike_wins == other.strike_wins and node.total == other.total
         if not same and value_miss is None:
             value_miss = (node.prefix, partner)
     return True, value_miss is None, value_miss
@@ -194,7 +191,7 @@ def _pair_by_map(
 
 def _shape_key(node: TreeNode) -> tuple:
     kids = tuple(sorted(_shape_key(c) for c in node.children))
-    return (node.eligible, node.strike.wins, node.strike.total, kids)
+    return (node.eligible, node.strike_wins, node.total, kids)
 
 
 _UPSILON_PAIRS = {("231", "132"), ("132", "231")}
@@ -213,8 +210,7 @@ def verify_tree_isomorphism(
     "west" (the 321/312 pairing), or else "search" (canonical-form
     comparison, rank <= 6 only).
     """
-    ca = pattern_class(a) if isinstance(a, str) else a
-    cb = pattern_class(b) if isinstance(b, str) else b
+    ca, cb = pattern_class(a), pattern_class(b)
     pair = (ca.name, cb.name)
     if pair not in _UPSILON_PAIRS | _WEST_PAIRS and n > 6:
         raise InvalidInputError("search method is limited to rank <= 6")

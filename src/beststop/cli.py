@@ -261,62 +261,47 @@ def _verify_figures_321(report) -> bool:
         tree = cached_tree(cls, n)
         for node in tree.nodes():
             s = strike_prob_321(node.prefix, n)
-            if (s.wins, s.total) != (node.strike.wins, node.strike.total):
+            if s != node.strike:
                 report(f"figures-321: strike {perm_to_str(node.prefix)} at {n}: "
                        f"recursion {s}, tree {node.strike}")
                 ok = False
             tr = trigger_prob_321(node.prefix, n)
-            if (tr.wins, tr.total) != (node.trigger.wins, node.trigger.total):
+            if tr != node.trigger:
                 report(f"figures-321: trigger {perm_to_str(node.prefix)} at {n}: "
                        f"recursion {tr}, tree {node.trigger}")
                 ok = False
     return ok
 
 
-def _verify_catalan_231(report) -> bool:
-    """Optimal 231 value is catalan(n-1)/catalan(n); strike:{1} achieves it."""
-    cls = pattern_class("231")
+def _check_formula(report, label: str, cls_name: str, formula) -> bool:
+    """For 2 <= n <= 8, with (descr, want) = formula(n): the optimizer's
+    value is want, and the strategy descr plays to want."""
+    cls = pattern_class(cls_name)
     ok = True
     for n in range(2, 9):
-        want = optimal_success_231(n)
+        descr, want = formula(n)
         got = optimal_strike_set(cached_tree(cls, n)).value
         if cmp_as_rational(want, got) != 0:
-            report(f"catalan-231: n={n} optimizer {got} vs formula {want}")
+            report(f"{label} n={n} optimizer {got} vs formula {want}")
             ok = False
-        s = parse_strategy("strike:{1}", cls, n)
-        v = exact_success(s, cls, n)
+        v = exact_success(parse_strategy(descr, cls, n), cls, n)
         if cmp_as_rational(v, want) != 0:
-            report(f"catalan-231: n={n} strike:{{1}} plays to {v}, formula {want}")
+            report(f"{label} n={n} {descr} plays to {v}, formula {want}")
             ok = False
     return ok
+
+
+def _verify_catalan_231(report) -> bool:
+    """Optimal 231 value is catalan(n-1)/catalan(n); strike:{1} achieves it."""
+    return _check_formula(report, "catalan-231:", "231",
+                          lambda n: ("strike:{1}", optimal_success_231(n)))
 
 
 def _verify_closed_forms(report) -> bool:
     """123 and 213 optimal values match their formulas (strategy-verified)."""
-    ok = True
-    for n in range(2, 9):
-        descr, want = optimal_success_123(n)
-        cls = pattern_class("123")
-        got = optimal_strike_set(cached_tree(cls, n)).value
-        if cmp_as_rational(want, got) != 0:
-            report(f"closed-forms: 123 n={n} optimizer {got} vs formula {want}")
-            ok = False
-        v = exact_success(parse_strategy(descr, cls, n), cls, n)
-        if cmp_as_rational(v, want) != 0:
-            report(f"closed-forms: 123 n={n} {descr} plays to {v}, formula {want}")
-            ok = False
-    for n in range(2, 9):
-        descr, want = optimal_success_213(n)
-        cls = pattern_class("213")
-        got = optimal_strike_set(cached_tree(cls, n)).value
-        if cmp_as_rational(want, got) != 0:
-            report(f"closed-forms: 213 n={n} optimizer {got} vs formula {want}")
-            ok = False
-        v = exact_success(parse_strategy(descr, cls, n), cls, n)
-        if cmp_as_rational(v, want) != 0:
-            report(f"closed-forms: 213 n={n} {descr} plays to {v}, formula {want}")
-            ok = False
-    return ok
+    ok_123 = _check_formula(report, "closed-forms: 123", "123", optimal_success_123)
+    ok_213 = _check_formula(report, "closed-forms: 213", "213", optimal_success_213)
+    return ok_123 and ok_213
 
 
 def _verify_positional_321(report) -> bool:
@@ -333,36 +318,26 @@ def _verify_positional_321(report) -> bool:
     return ok
 
 
-def _verify_asymptote_321(report) -> bool:
-    """The (1,4,9)-boundary value fits 8 shifted ballot columns; limit 32983/65536."""
-    t = continuation_triangle("strike", 30, frozen_rules=(1, 4, 9))
-    try:
-        fit = fit_shifted_ballot(t, diagonal=5, shifts=range(1, 9), fit_start=11,
-                                 verify_stop=30)
-    except BestStopError as e:
-        report(f"asymptote-321: fit failed: {e}")
-        return False
-    lim = limit_of_combination(fit.coefficients)
-    if lim != Fraction(32983, 65536):
-        report(f"asymptote-321: limit {lim}, expected 32983/65536")
-        return False
-    return True
+def _fit_limit(label: str, mode: str, rows: int, rules: tuple, diagonal: int,
+               limit: Fraction):
+    """A verify target: the value of the triangle frozen at rules fits 8
+    shifted ballot columns on rows up to rows, and its limit is limit."""
 
+    def check(report) -> bool:
+        t = continuation_triangle(mode, rows, frozen_rules=rules)
+        try:
+            fit = fit_shifted_ballot(t, diagonal=diagonal, shifts=range(1, 9),
+                                     fit_start=11, verify_stop=rows)
+        except BestStopError as e:
+            report(f"{label}: fit failed: {e}")
+            return False
+        lim = limit_of_combination(fit.coefficients)
+        if lim != limit:
+            report(f"{label}: limit {lim}, expected {limit}")
+            return False
+        return True
 
-def _verify_trigger_bound(report) -> bool:
-    """The (1,1,3,8)-boundary trigger value has limit 8239/16384."""
-    t = continuation_triangle("trigger", 40, frozen_rules=(1, 1, 3, 8))
-    try:
-        fit = fit_shifted_ballot(t, diagonal=6, shifts=range(1, 9), fit_start=11,
-                                 verify_stop=40)
-    except BestStopError as e:
-        report(f"trigger-bound: fit failed: {e}")
-        return False
-    lim = limit_of_combination(fit.coefficients)
-    if lim != Fraction(8239, 16384):
-        report(f"trigger-bound: limit {lim}, expected 8239/16384")
-        return False
-    return True
+    return check
 
 
 def _verify_west(report) -> bool:
@@ -401,8 +376,10 @@ VERIFY_TARGETS = {
     "catalan-231": _verify_catalan_231,
     "closed-forms": _verify_closed_forms,
     "positional-321": _verify_positional_321,
-    "asymptote-321": _verify_asymptote_321,
-    "trigger-bound": _verify_trigger_bound,
+    "asymptote-321": _fit_limit("asymptote-321", "strike", 30, (1, 4, 9), 5,
+                                Fraction(32983, 65536)),
+    "trigger-bound": _fit_limit("trigger-bound", "trigger", 40, (1, 1, 3, 8), 6,
+                                Fraction(8239, 16384)),
     "west": _verify_west,
     "upsilon": _verify_upsilon,
 }

@@ -1,8 +1,9 @@
 """Backwards induction over a materialized prefix tree.
 
-Working upward from the leaves, a node's continuation value is the mediant
-of its children's best values.  Stopping at the node replaces that value
-exactly when the node's own tally is strictly larger (ties keep the deeper
+Working upward from the leaves, a node's continuation value is the sum of
+its children's best win counts.  Every value at a node has that node's
+member count as its total, so stopping replaces the continuation exactly
+when the node's own wins are strictly larger (ties keep the deeper
 strategy), which makes the resulting strike set canonical.
 """
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 from .prefixtree import PrefixTree, StrikeSet, TreeNode
 from .permutations import Perm
-from .tallies import Tally, cmp_as_rational, tally_sum
+from .tallies import Tally
 
 
 @dataclass(frozen=True)
@@ -28,24 +29,22 @@ def _optimize(tree: PrefixTree, use_trigger: bool) -> OptimalResult:
     per_node: dict[Perm, Tally] = {}
     chosen: set[Perm] = set()
 
-    def best(node: TreeNode) -> Tally:
-        if node.children:
-            below = tally_sum(best(c) for c in node.children)
-        else:
-            below = Tally(0, 1)
-        per_node[node.prefix] = below
-        own = node.trigger if use_trigger else node.strike
-        if node.is_leaf():
+    def best(node: TreeNode) -> int:
+        """The best wins over the orders below node."""
+        own = node.trigger_wins if use_trigger else node.strike_wins
+        if not node.children:
             # leaves stay in the strategy unless an ancestor absorbs them
+            per_node[node.prefix] = Tally(0, 1)
             return own
-        may_stop = use_trigger or node.eligible
-        if may_stop and cmp_as_rational(own, below) > 0:
+        below = sum(best(c) for c in node.children)
+        per_node[node.prefix] = Tally(below, node.total)
+        if (use_trigger or node.eligible) and own > below:
             chosen.add(node.prefix)
             return own
         return below
 
     start = tree.null if use_trigger else tree.root
-    value = best(start)
+    value = Tally(best(start), start.total)
 
     members: list[Perm] = []
 

@@ -283,7 +283,10 @@ CLASSES = {
 }
 
 
-def pattern_class(name: str) -> PatternClass:
+def pattern_class(name: str | PatternClass) -> PatternClass:
+    """The class with this name; a PatternClass is returned unchanged."""
+    if isinstance(name, PatternClass):
+        return name
     key = "none" if name in ("unrestricted", "all") else name
     try:
         return CLASSES[key]

@@ -35,22 +35,32 @@ from .permutations import (
 from .tallies import Tally
 
 # Trees are only materialized up to this rank and this many members (leaves)
-# unless the caller raises the caps.  A tree holds about 500 B per leaf (the
-# unrestricted class at rank 9, 362,880 leaves: 169 MiB of objects, 193 MiB
-# peak RSS), so the member cap keeps a build to about 0.5 GB.
+# unless the caller raises the caps.  A tree holds about 300 B per leaf (the
+# unrestricted class at rank 9, 362,880 leaves: 100 MiB of objects, 118 MiB
+# peak RSS), so the member cap keeps a build to about 0.3 GB.
 DEFAULT_MAX_RANK = 12
 DEFAULT_TREE_CAP = 1_000_000
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class TreeNode:
-    """One prefix flattening."""
+    """One prefix flattening.  total is its member count, shared by its
+    strike and trigger values; the win counts are stored as plain ints."""
 
     prefix: Perm
     eligible: bool
-    strike: Tally
-    trigger: Tally
+    strike_wins: int
+    trigger_wins: int
+    total: int
     children: tuple["TreeNode", ...]
+
+    @property
+    def strike(self) -> Tally:
+        return Tally(self.strike_wins, self.total)
+
+    @property
+    def trigger(self) -> Tally:
+        return Tally(self.trigger_wins, self.total)
 
     def is_leaf(self) -> bool:
         # build prunes every subtree without members, so only the
@@ -76,7 +86,7 @@ class PrefixTree:
 
     @property
     def total(self) -> int:
-        return self.root.strike.total
+        return self.root.total
 
     def node(self, p: Sequence[int]) -> TreeNode:
         key = tuple(p)
@@ -154,8 +164,8 @@ def build(
             total = sum(grow(extend(p, c)) for c in sorted(child_indices(p, cls)))
         if total:
             eligible = is_eligible(p)
-            node = TreeNode(p, eligible, Tally(strike_wins[k] if eligible else 0, total),
-                            Tally(trigger_wins[k], total), tuple(kids[k]))
+            node = TreeNode(p, eligible, strike_wins[k] if eligible else 0,
+                            trigger_wins[k], total, tuple(kids[k]))
             kids[k - 1].append(node)
             index[p] = node
         return total
@@ -163,7 +173,7 @@ def build(
     total = grow((1,))
     if total == 0:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
-    null = TreeNode((), False, Tally(0, total), Tally(trigger_wins[0], total), tuple(kids[0]))
+    null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))
     index[()] = null
     return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0], index=index)
 

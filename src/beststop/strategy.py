@@ -130,6 +130,11 @@ def _fires(s: Strategy, prefix: Perm, eligible: bool, n: int) -> bool:
         return len(prefix) == s.position
     if s.kind != "threshold":
         return prefix in s.members
+    if not prefix:
+        # the empty prefix saturates no value and every sigma entry is a
+        # column >= 1, so a threshold never fires there (sigma(n) may lie
+        # past the table's depth)
+        return False
     bound = s.sigma.get(n - len(prefix))
     if bound is None or (s.mode == "strike" and not eligible):
         # an unresolved bound (None) exceeds every count reachable at a
@@ -210,7 +215,7 @@ def threshold_strategy(
     game.  direct_statistic=True skips the transport and reads the
     statistic off the observed prefix itself (a negative control; it
     falls behind the transported strategy from rank 7 on)."""
-    cl = pattern_class(cls) if isinstance(cls, str) else cls
+    cl = pattern_class(cls)
     if cl.name not in ("321", "312"):
         raise InvalidInputError(
             "threshold strategies are defined for the 321- and 312-avoiding games"
@@ -244,7 +249,7 @@ def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
     >>> print(exact_success(threshold_strategy("strike", "321", 5), "321", 5))
     23/42
     """
-    cl = pattern_class(cls) if isinstance(cls, str) else cls
+    cl = pattern_class(cls)
     _check_rank(s, n)
     tree = cached_tree(cl, n)
     wins = 0
@@ -252,7 +257,7 @@ def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
     while stack:
         node = stack.pop()
         if _fires(s, node.prefix, node.eligible, n):
-            wins += node.strike.wins if s.strikes else node.trigger.wins
+            wins += node.strike_wins if s.strikes else node.trigger_wins
         elif node.children:
             stack.extend(reversed(node.children))
         elif s.kind == "strike":
@@ -268,9 +273,9 @@ def _draw_path(tree: PrefixTree, rng: SplitMix64) -> list[TreeNode]:
     node = tree.root
     path = [node]
     while node.children:
-        r = rng.below(node.strike.total)
+        r = rng.below(node.total)
         for child in node.children:
-            r -= child.strike.total
+            r -= child.total
             if r < 0:
                 break
         node = child
@@ -281,7 +286,7 @@ def _draw_path(tree: PrefixTree, rng: SplitMix64) -> list[TreeNode]:
 def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
     """Draw one order uniformly from the class by walking the prefix tree,
     weighting each child by its completion count."""
-    cl = pattern_class(cls) if isinstance(cls, str) else cls
+    cl = pattern_class(cls)
     return _draw_path(cached_tree(cl, n), rng)[-1].prefix
 
 
@@ -305,7 +310,7 @@ def simulate(
     uniformly random orders from the class."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    cl = pattern_class(cls) if isinstance(cls, str) else cls
+    cl = pattern_class(cls)
     _check_rank(s, n)
     tree = cached_tree(cl, n)
     rng = SplitMix64(seed)
@@ -334,7 +339,7 @@ def parse_strategy(text: str, cls: PatternClass | str, n: int) -> Strategy:
     >>> parse_strategy("positional:1", "123", 4).describe()
     'positional:1'
     """
-    cl = pattern_class(cls) if isinstance(cls, str) else cls
+    cl = pattern_class(cls)
     body = text.strip()
     if ":" not in body:
         raise InvalidInputError(f"descriptor needs a kind prefix: {text!r}")

@@ -171,6 +171,7 @@ def test_contains_pattern_edges():
 
 def test_pattern_class_lookup():
     assert pattern_class("321") is AV321
+    assert pattern_class(AV321) is AV321
     assert pattern_class("none") is UNRESTRICTED
     assert pattern_class("unrestricted") is UNRESTRICTED
     assert pattern_class("all") is UNRESTRICTED

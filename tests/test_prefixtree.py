@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -251,6 +252,19 @@ def test_cached_tree_holds_at_most_the_member_cap(monkeypatch):
     assert cached_tree.cache_info() == (7, 5, 3, 98)
     cached_tree(pattern_class("321"), 5)
     assert cached_tree.cache_info().misses == 6
+
+
+def test_tree_bytes_per_node():
+    # each node is a slots object and an index entry; its counts are plain
+    # ints (measured about 300 B per node, 460 B when every node held two
+    # Tally objects)
+    tracemalloc.start()
+    try:
+        tree = build(AV231, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(tree.index) <= 380
 
 
 def test_build_limits(monkeypatch):

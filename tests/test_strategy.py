@@ -17,6 +17,7 @@ from beststop import (
     catalan,
     cmp_as_rational,
     completion,
+    enumerate_class,
     exact_success,
     optimal_strike_set,
     optimal_trigger_set,
@@ -216,6 +217,18 @@ def test_threshold_depth_errors():
         threshold_strategy("strike", "231", 5)
     with pytest.raises(InvalidInputError):
         threshold_strategy("both", "321", 5)
+
+
+@pytest.mark.parametrize("mode", ["strike", "trigger"])
+def test_threshold_table_as_deep_as_the_rank(mode):
+    # sigma(n) is not computed at depth n; no prefix of a rank-n order needs it
+    exact = threshold_strategy(mode, "321", 5, depth=5)
+    deep = threshold_strategy(mode, "321", 5, depth=60)
+    for pi in enumerate_class(pattern_class("321"), 5):
+        assert play(exact, pi) == play(deep, pi), pi
+    assert exact_success(exact, "321", 5) == exact_success(deep, "321", 5)
+    trace = play(threshold_strategy(mode, "321", 60), tuple(range(1, 61)))
+    assert trace.decisions[0].action == "pass"
 
 
 def test_transport_rejects_foreign_prefix():

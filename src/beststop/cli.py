@@ -103,10 +103,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _tally_line(label: str, t: Tally) -> str:
-    return f"{label} = {t} (~{decimal_str(t.as_rational())})"
-
-
 # --- solve ------------------------------------------------------------------
 
 
@@ -140,37 +136,25 @@ def _cmd_solve(args) -> int:
             full = completion(s.members, cached_tree(cls, args.n))
             s = Strategy(kind="strike", members=full.members, rank=args.n)
         value = exact_success(s, cls, args.n)
-        payload = {"class": cls.name, "n": args.n, "strategy": s.describe(),
-                   "value": str(value), "decimal": decimal_str(value.as_rational())}
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"strategy {s.describe()}")
-            print(_tally_line("value", value))
-        return 0
-
-    if args.formula:
+        head, fields = f"strategy {s.describe()}", {"strategy": s.describe()}
+    elif args.formula:
         descr, value = _solve_formula(cls.name, args.n, args.mode)
-        if args.json:
-            print(json.dumps({"class": cls.name, "n": args.n, "strategy": descr,
-                              "value": str(value),
-                              "decimal": decimal_str(value.as_rational())}, indent=2))
-        else:
-            print(f"optimal strategy {descr}")
-            print(_tally_line("value", value))
-        return 0
-
-    tree = cached_tree(cls, args.n)
-    result = optimal_strike_set(tree) if args.mode == "strike" else optimal_trigger_set(tree)
-    members = sorted(result.strike_set.members, key=lambda p: (len(p), p))
-    names = ["null" if p == () else perm_to_str(p) for p in members]
-    if args.json:
-        print(json.dumps({"class": cls.name, "n": args.n, "mode": args.mode,
-                          "members": names, "value": str(result.value),
-                          "decimal": decimal_str(result.value.as_rational())}, indent=2))
+        head, fields = f"optimal strategy {descr}", {"strategy": descr}
     else:
-        print(f"optimal {args.mode} set {{{','.join(names)}}}")
-        print(_tally_line("value", result.value))
+        tree = cached_tree(cls, args.n)
+        result = optimal_strike_set(tree) if args.mode == "strike" else optimal_trigger_set(tree)
+        members = sorted(result.strike_set.members, key=lambda p: (len(p), p))
+        names = ["null" if p == () else perm_to_str(p) for p in members]
+        value = result.value
+        head = f"optimal {args.mode} set {{{','.join(names)}}}"
+        fields = {"mode": args.mode, "members": names}
+    decimal = decimal_str(value.as_rational())
+    if args.json:
+        print(json.dumps({"class": cls.name, "n": args.n, **fields, "value": str(value),
+                          "decimal": decimal}, indent=2))
+    else:
+        print(head)
+        print(f"value = {value} (~{decimal})")
     return 0
 
 

@@ -101,25 +101,33 @@ def _diagonal_numerators(mode: str, i: int) -> Iterator[int]:
             b = b * m // (m - i + 1)
 
 
+def _reduce_321(p: Sequence[int], n: int) -> tuple[int, int, bool]:
+    """Remove the minimum from the 321-avoiding prefix p until it is
+    increasing: its length k then, the rank reached, and whether every
+    prefix along the way was eligible."""
+    perm = validate_permutation(p)
+    if contains_pattern(perm, (3, 2, 1)):
+        raise InvalidInputError(f"prefix {perm!r} contains the pattern 321")
+    if n < len(perm):
+        raise InvalidInputError(f"rank {n} is smaller than the prefix length")
+    from .bijections import remove_minimum
+
+    eligible = True
+    while has_inversion(perm):
+        eligible = eligible and is_eligible(perm)
+        perm = remove_minimum(perm)
+        n -= 1
+    return len(perm), n, eligible
+
+
 def strike_prob_321(p: Sequence[int], n: int) -> Tally:
     """Exact strike tally of a 321-avoiding prefix at rank n, by reduction.
 
     >>> str(strike_prob_321((1, 3, 2, 4), 5))
     '2/3'
     """
-    perm = validate_permutation(p)
-    if contains_pattern(perm, (3, 2, 1)):
-        raise InvalidInputError(f"prefix {perm!r} contains the pattern 321")
-    if n < len(perm):
-        raise InvalidInputError(f"rank {n} is smaller than the prefix length")
-    if not has_inversion(perm):
-        k = len(perm)
-        return Tally(strike_numerator(n, k), ballot(n, k))
-    from .bijections import remove_minimum
-
-    sub = strike_prob_321(remove_minimum(perm), n - 1)
-    wins = sub.wins if is_eligible(perm) else 0
-    return Tally(wins, sub.total)
+    k, m, eligible = _reduce_321(p, n)
+    return Tally(strike_numerator(m, k) if eligible else 0, ballot(m, k))
 
 
 def trigger_prob_321(p: Sequence[int] | None, n: int) -> Tally:
@@ -131,17 +139,8 @@ def trigger_prob_321(p: Sequence[int] | None, n: int) -> Tally:
     """
     if p is None or len(tuple(p)) == 0:
         return Tally(trigger_numerator(n, 0), ballot(n, 0))
-    perm = validate_permutation(p)
-    if contains_pattern(perm, (3, 2, 1)):
-        raise InvalidInputError(f"prefix {perm!r} contains the pattern 321")
-    if n < len(perm):
-        raise InvalidInputError(f"rank {n} is smaller than the prefix length")
-    if not has_inversion(perm):
-        k = len(perm)
-        return Tally(trigger_numerator(n, k), ballot(n, k))
-    from .bijections import remove_minimum
-
-    return trigger_prob_321(remove_minimum(perm), n - 1)
+    k, m, _ = _reduce_321(p, n)
+    return Tally(trigger_numerator(m, k), ballot(m, k))
 
 
 @dataclass(eq=False)
@@ -343,14 +342,13 @@ def fit_shifted_ballot(
     shifts: Iterable[int],
     fit_start: int,
     verify_stop: int | None = None,
-    fit_column: int = 1,
 ) -> FitResult:
     """Express a frozen triangle as a combination of shifted ballot numbers.
 
     Solves for coefficients c_i with
-        entry(N, fit_column) = sum_i c_i * shifted_ballot(i, N, fit_column)
-    on consecutive rows starting at fit_start (the column must be deep
-    enough that every shift contributes, else the system is singular), then
+        entry(N, 1) = sum_i c_i * shifted_ballot(i, N, 1)
+    on consecutive rows starting at fit_start (which must exceed every
+    shift, so that each one contributes, else the system is singular), then
     verifies the combination against every entry with fit_start <= N <=
     verify_stop and k <= N - diagonal.  In that region the frozen boundary
     lies strictly outside the recurrence's reach, so triangle and
@@ -369,17 +367,14 @@ def fit_shifted_ballot(
         raise DepthError(
             f"fit needs rows up to {max(rows[-1], stop)} but triangle stops at {t.max_n}"
         )
-    if rows[0] - fit_column < shift_list[-1]:
+    if fit_start <= shift_list[-1]:
         raise InvalidInputError(
             f"shift {shift_list[-1]} contributes nothing at "
-            f"({rows[0]}, {fit_column}); start the fit deeper"
+            f"({fit_start}, 1); start the fit deeper"
         )
 
-    a = [
-        [Fraction(shifted_ballot(i, n, fit_column)) for i in shift_list]
-        for n in rows
-    ]
-    b = [Fraction(t.entry(n, fit_column)) for n in rows]
+    a = [[Fraction(shifted_ballot(i, n, 1)) for i in shift_list] for n in rows]
+    b = [Fraction(t.entry(n, 1)) for n in rows]
     coeffs = dict(zip(shift_list, _solve_linear(a, b)))
 
     for n in range(fit_start, stop + 1):

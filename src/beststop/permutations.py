@@ -8,11 +8,15 @@ player observes during the game, so most operations act on those.
 A class avoids one or more patterns of size 3 (or none at all).  Classes
 are enumerated through their generating tree: a member of rank k+1 is
 obtained from its rank-k prefix flattening by appending one new value c
-and shifting the old values >= c up by one.  One interval rule gives the
-allowed values c for every such class (see child_indices), so no candidate
-child is built or searched.  For the single-pattern classes every member
-extends, so the tree of prefixes at rank N contains the whole class at
-every smaller rank and grows like the Catalan numbers rather than n!.
+and shifting the old values >= c up by one.  One interval rule answers
+both questions asked of such a class: which values c a prefix allows
+(child_indices) and whether an order is a member (contains_pattern,
+PatternClass.is_member), so no candidate child is built or searched.  The
+tree walks (enumerate_class, prefixtree.build) read the rule unchecked,
+since every prefix they visit is one they built.  For the single-pattern
+classes every member extends, so the tree of prefixes at rank N contains
+the whole class at every smaller rank and grows like the Catalan numbers
+rather than n!.
 """
 from __future__ import annotations
 
@@ -131,80 +135,66 @@ def value_saturated_count(p: Sequence[int]) -> int:
 
 # --- pattern containment ---------------------------------------------------
 #
-# The six rank-3 patterns get dedicated scans; everything else falls back to
-# a pruned subsequence search.  The scans for 231/312/213 reuse the 132 scan
-# through the reverse/complement symmetries of the permutation square.
+# One interval scan (_spans) serves every size-3 pattern, for containment
+# and for the children of a prefix; other sizes get a subsequence search.
 
 
-def _contains_123(pi: Perm) -> bool:
-    low: int | None = None
-    mid: int | None = None
-    for v in pi:
-        if mid is not None and v > mid:
+def _spans(perm: Sequence[int], pattern: Perm) -> Iterator[tuple[int, int, int]]:
+    """Yield (j, first, last) for each entry v = perm[j] that has an earlier
+    partner u ordered like (a, b), where pattern = (a, b, r).
+
+    A value x after v, other than u and v, completes the pattern with them
+    exactly when first <= x <= last: [1, min(u, v)] for r = 1,
+    (min(u, v), max(u, v)] for r = 2 and (max(u, v), k + 1] for r = 3, with
+    k = len(perm).  This holds both for a later entry of perm and for a new
+    entry x appended with the values >= x shifted up.  Keeping the earlier
+    values sorted, each v needs only the partner whose interval contains all
+    the others, so a scan costs O(k log k).
+    """
+    a, b, r = pattern
+    rising = a < b
+    top = len(perm) + 1
+    seen: list[int] = []
+    for j, v in enumerate(perm):
+        pos = bisect_left(seen, v)
+        # an earlier partner u with (u < v) == rising exists
+        if pos > 0 if rising else pos < len(seen):
+            if r == 2:
+                u = seen[0] if rising else seen[-1]
+            else:
+                u = seen[pos - 1] if rising else seen[pos]
+            lo, hi = (u, v) if rising else (v, u)
+            first, last = ((1, lo), (lo + 1, hi), (hi + 1, top))[r - 1]
+            yield j, first, last
+        insort(seen, v)
+
+
+def _contains3(perm: Perm, pattern: Perm) -> bool:
+    """True when a later entry lies in some span's interval.  The spans are
+    checked from the right against the later entries kept sorted, so the
+    test costs O(k log k) like the scan itself."""
+    later: list[int] = []
+    done = len(perm)
+    for j, first, last in reversed(list(_spans(perm, pattern))):
+        for x in perm[j + 1:done]:
+            insort(later, x)
+        done = j + 1
+        i = bisect_left(later, first)
+        if i < len(later) and later[i] <= last:
             return True
-        if low is None or v < low:
-            low = v
-        elif v > low and (mid is None or v < mid):
-            mid = v
     return False
-
-
-def _contains_321(pi: Perm) -> bool:
-    high: int | None = None
-    mid: int | None = None
-    for v in pi:
-        if mid is not None and v < mid:
-            return True
-        if high is None or v > high:
-            high = v
-        elif v < high and (mid is None or v > mid):
-            mid = v
-    return False
-
-
-def _contains_132(pi: Perm) -> bool:
-    # occurrence positions i < j < k with pi[i] < pi[k] < pi[j];
-    # if any witness i works, the prefix minimum works
-    n = len(pi)
-    if n < 3:
-        return False
-    lowest = pi[0]
-    for j in range(1, n - 1):
-        if lowest < pi[j]:
-            for k in range(j + 1, n):
-                if lowest < pi[k] < pi[j]:
-                    return True
-        if pi[j] < lowest:
-            lowest = pi[j]
-    return False
-
-
-_SIZE3 = {
-    (1, 2, 3): _contains_123,
-    (3, 2, 1): _contains_321,
-    (1, 3, 2): _contains_132,
-    (2, 3, 1): lambda pi: _contains_132(reverse(pi)),
-    (3, 1, 2): lambda pi: _contains_132(complement(pi)),
-    (2, 1, 3): lambda pi: _contains_132(reverse(complement(pi))),
-}
 
 
 def _contains_general(pi: Perm, rho: Perm) -> bool:
     m = len(rho)
 
-    def extendable(chosen: tuple[int, ...], v: int) -> bool:
-        t = len(chosen)
-        return all((chosen[s] < v) == (rho[s] < rho[t]) for s in range(t))
-
     def search(start: int, chosen: tuple[int, ...]) -> bool:
         t = len(chosen)
-        if t == m:
-            return True
-        for j in range(start, len(pi) - (m - t) + 1):
-            if extendable(chosen, pi[j]):
-                if search(j + 1, chosen + (pi[j],)):
-                    return True
-        return False
+        return t == m or any(
+            search(j + 1, chosen + (pi[j],))
+            for j in range(start, len(pi) - (m - t) + 1)
+            if all((chosen[s] < pi[j]) == (rho[s] < rho[t]) for s in range(t))
+        )
 
     return search(0, ())
 
@@ -221,12 +211,7 @@ def contains_pattern(pi: Sequence[int], rho: Sequence[int]) -> bool:
     r = validate_permutation(rho)
     if len(r) > len(p):
         return False
-    if len(r) == 1:
-        return True
-    fn = _SIZE3.get(r)
-    if fn is not None:
-        return fn(p)
-    return _contains_general(p, r)
+    return _contains3(p, r) if len(r) == 3 else _contains_general(p, r)
 
 
 # --- pattern classes -------------------------------------------------------
@@ -236,9 +221,9 @@ def contains_pattern(pi: Sequence[int], rho: Sequence[int]) -> bool:
 class PatternClass:
     """A set of permutations avoiding every pattern in `forbidden`.
 
-    Every forbidden pattern is a permutation of size 3, which is what
-    child_indices' interval rule relies on; several patterns may be
-    combined, and an empty tuple gives all permutations.
+    Every forbidden pattern is a permutation of size 3, which is what the
+    interval rule relies on; several patterns may be combined, and an
+    empty tuple gives all permutations.
     """
 
     name: str
@@ -254,7 +239,7 @@ class PatternClass:
 
     def is_member(self, pi: Sequence[int]) -> bool:
         p = validate_permutation(pi)
-        return all(not contains_pattern(p, rho) for rho in self.forbidden)
+        return not any(_contains3(p, rho) for rho in self.forbidden)
 
     def is_catalan(self) -> bool:
         return len(self.forbidden) == 1
@@ -308,16 +293,30 @@ def extend(p: Sequence[int], c: int) -> Perm:
     return tuple(v if v < c else v + 1 for v in p) + (c,)
 
 
+def _children(p: Sequence[int], cls: PatternClass) -> list[int]:
+    """child_indices in ascending order, without its checks: p must be a
+    member of cls (or empty).  A difference array over the values 1..k+1
+    takes the union of the forbidden intervals of every pattern."""
+    k = len(p)
+    depth = [0] * (k + 3)
+    for rho in cls.forbidden:
+        for _, first, last in _spans(p, rho):
+            depth[first] += 1
+            depth[last + 1] -= 1
+    out, covered = [], 0
+    for c in range(1, k + 2):
+        covered += depth[c]
+        if covered == 0:
+            out.append(c)
+    return out
+
+
 def child_indices(p: Sequence[int], cls: PatternClass) -> set[int]:
     """Values c for which extend(p, c) stays inside cls.
 
-    A new occurrence of a forbidden pattern (a, b, r) must end at the new
-    entry c, after some pair u before v in p ordered like (a, b).  Such a
-    pair rules out one interval of values for c: [1, min(u, v)] when r = 1,
-    (min(u, v), max(u, v)] when r = 2 and (max(u, v), k + 1] when r = 3.
-    Scanning p with the earlier values kept sorted, each v needs only the
-    partner whose interval contains all the others, so the union over every
-    pair and pattern costs O(k log k) per pattern.
+    A new occurrence of a forbidden pattern must end at the new entry c,
+    so c is allowed unless it lies in one of the intervals _spans gives
+    for p and that pattern.
 
     >>> sorted(child_indices((2, 1, 3), AV321))
     [2, 3, 4]
@@ -331,32 +330,7 @@ def child_indices(p: Sequence[int], cls: PatternClass) -> set[int]:
     perm = validate_permutation(p)
     if not cls.is_member(perm):
         raise InvalidInputError(f"{perm!r} is not a member of class {cls.name}")
-    k = len(perm)
-    # difference array over the values 1..k+1 a new entry can take
-    depth = [0] * (k + 3)
-    for a, b, r in cls.forbidden:
-        rising = a < b
-        seen: list[int] = []
-        for v in perm:
-            pos = bisect_left(seen, v)
-            # an earlier partner u with (u < v) == rising exists
-            if pos > 0 if rising else pos < len(seen):
-                if r == 2:
-                    u = seen[0] if rising else seen[-1]
-                else:
-                    u = seen[pos - 1] if rising else seen[pos]
-                lo, hi = (u, v) if rising else (v, u)
-                first, last = ((1, lo), (lo + 1, hi), (hi + 1, k + 1))[r - 1]
-                depth[first] += 1
-                depth[last + 1] -= 1
-            insort(seen, v)
-    out = set()
-    covered = 0
-    for c in range(1, k + 2):
-        covered += depth[c]
-        if covered == 0:
-            out.add(c)
-    return out
+    return set(_children(perm, cls))
 
 
 def enumerate_class(
@@ -386,7 +360,7 @@ def enumerate_class(
                 )
             yield p
             return
-        for c in sorted(child_indices(p, cls)):
+        for c in _children(p, cls):
             yield from walk(extend(p, c))
 
     yield from walk((1,))
@@ -401,9 +375,7 @@ def perm_to_str(p: Sequence[int]) -> str:
     '10,2,1,3,4,5,6,7,8,9'
     """
     perm = validate_permutation(p)
-    if len(perm) <= 9:
-        return "".join(str(v) for v in perm)
-    return ",".join(str(v) for v in perm)
+    return ("" if len(perm) <= 9 else ",").join(str(v) for v in perm)
 
 
 def perm_from_str(text: str) -> Perm:

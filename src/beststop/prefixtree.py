@@ -25,7 +25,7 @@ from .errors import InvalidInputError, LimitError, NotFoundError
 from .permutations import (
     PatternClass,
     Perm,
-    child_indices,
+    _children,
     extend,
     is_eligible,
     ltr_maxima,
@@ -107,21 +107,17 @@ class PrefixTree:
             stack.extend(reversed(n.children))
 
 
-def build(
-    cls: PatternClass,
-    n: int,
-    max_rank: int = DEFAULT_MAX_RANK,
-    cap: int = DEFAULT_TREE_CAP,
-) -> PrefixTree:
+def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
     """Materialize the rank-n tree for cls with all tallies filled in.
 
-    Raises LimitError when n exceeds max_rank or the class size exceeds cap.
+    Raises LimitError when n exceeds DEFAULT_MAX_RANK or the class size
+    exceeds cap.
     """
     if n < 1:
         raise InvalidInputError(f"rank must be >= 1, got {n}")
-    if n > max_rank:
+    if n > DEFAULT_MAX_RANK:
         raise LimitError(
-            f"rank {n} exceeds the tree cap {max_rank}; "
+            f"rank {n} exceeds the tree cap {DEFAULT_MAX_RANK}; "
             "use the closed-form modules for deeper ranks"
         )
     known = cls.size(n)
@@ -161,7 +157,7 @@ def build(
             for s in range(m_2, m_last):
                 trigger_wins[s] += 1
         else:
-            total = sum(grow(extend(p, c)) for c in sorted(child_indices(p, cls)))
+            total = sum(grow(extend(p, c)) for c in _children(p, cls))
         if total:
             eligible = is_eligible(p)
             node = TreeNode(p, eligible, strike_wins[k] if eligible else 0,
@@ -259,8 +255,8 @@ def tree_to_dict(tree: PrefixTree, include_null: bool = False) -> dict:
     return render(tree.null if include_null else tree.root)
 
 
-def tree_to_json(tree: PrefixTree, include_null: bool = False, indent: int = 2) -> str:
-    return json.dumps(tree_to_dict(tree, include_null), indent=indent)
+def tree_to_json(tree: PrefixTree, include_null: bool = False) -> str:
+    return json.dumps(tree_to_dict(tree, include_null), indent=2)
 
 
 class TreeCacheInfo(NamedTuple):

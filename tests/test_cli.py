@@ -157,6 +157,29 @@ def test_triangle_csv(capsys):
     assert len(lines) == 1 + sum(n - 1 for n in range(2, 6))
 
 
+@pytest.mark.parametrize("mode", ["strike", "trigger"])
+@pytest.mark.parametrize("frozen, max_diag", [((1, 4, 9), None), (None, 6), ((None, 2, 5), 9)])
+def test_triangle_csv_matches_entry_by_entry(capsys, mode, frozen, max_diag):
+    # frozen and banded CSVs print every computed entry with its ballot
+    # denominator and optimality flag
+    from beststop import ballot, continuation_triangle
+
+    t = continuation_triangle(mode, 40, frozen_rules=frozen, max_diag=max_diag)
+    want = ["N,k,numerator,denominator,optimal"] + [
+        f"{n},{k},{t.entry(n, k)},{ballot(n, k)},{int(t.is_optimal(n, k))}"
+        for n in range(2, 41) for k in range(max(1, n - t.diag_limit), n)
+    ]
+    argv = ["triangle", "--rows", "40", "--mode", mode]
+    if frozen:
+        argv.append("--frozen=" + ",".join("-" if r is None else str(r) for r in frozen))
+    if max_diag:
+        argv += ["--max-diag", str(max_diag)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == want
+    assert any(line.endswith(",1") for line in want[1:])
+
+
 def test_triangle_row_and_band(capsys):
     code, out, _ = run(capsys, "triangle", "--rows", "16", "--emit", "row", "--n", "16")
     assert code == 0

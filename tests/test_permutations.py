@@ -155,6 +155,20 @@ def test_contains_pattern_matches_oracle():
                 assert contains_pattern(w, rho) == oracles.contains(w, rho), (w, rho)
 
 
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
+    )
+)
+def test_interval_scan_matches_oracle(p):
+    # containment and membership both read the interval scan behind the
+    # children of a prefix
+    for rho in PATTERNS3:
+        want = oracles.contains(p, rho)
+        assert contains_pattern(p, rho) == want, (p, rho)
+        assert PatternClass("one", (rho,)).is_member(p) == (not want), (p, rho)
+
+
 def test_contains_pattern_general_path():
     # rank-4 patterns exercise the generic subsequence search
     for rho in [(2, 4, 1, 3), (1, 2, 3, 4), (4, 3, 2, 1)]:
@@ -258,6 +272,22 @@ def test_child_indices_matches_definition():
                     )
                 }
                 assert child_indices(w, cls) == want, (cls.name, w)
+
+
+def test_tree_walks_skip_the_checks(monkeypatch):
+    # enumerate_class and build extend only prefixes they built, so they
+    # never validate, test membership or call the checked child_indices
+    import beststop.permutations
+    from beststop import build
+
+    def refuse(*args):
+        raise AssertionError("a tree walk re-checked its own prefix")
+
+    monkeypatch.setattr(PatternClass, "is_member", refuse)
+    monkeypatch.setattr(beststop.permutations, "validate_permutation", refuse)
+    monkeypatch.setattr(beststop.permutations, "child_indices", refuse)
+    assert build(AV321, 6).total == 132
+    assert len(list(enumerate_class(AV312, 6))) == 132
 
 
 def test_child_indices_rejects_non_member():

@@ -277,7 +277,7 @@ def test_build_limits(monkeypatch):
         raise AssertionError("build started growing the tree")
 
     with monkeypatch.context() as m:
-        m.setattr(beststop.prefixtree, "child_indices", no_growth)
+        m.setattr(beststop.prefixtree, "_children", no_growth)
         with pytest.raises(LimitError, match="3628800 members .* over the cap 1000000"):
             build(UNRESTRICTED, 10)
     with pytest.raises(LimitError):

@@ -123,18 +123,24 @@ def _solve_formula(name: str, n: int, mode: str) -> tuple[str, Tally]:
     raise InvalidInputError("no closed form for the unrestricted game; omit --formula")
 
 
+def _given_strategy(text: str, cls, n: int) -> Strategy:
+    """Parse a --strategy descriptor.  A bare strike set is understood up
+    to completion: orders it never fires on end in a forced stop at the
+    last candidate."""
+    s = parse_strategy(text, cls, n)
+    if s.kind == "strike":
+        full = completion(s.members, cached_tree(cls, n))
+        s = Strategy(kind="strike", members=full.members, rank=n)
+    return s
+
+
 def _cmd_solve(args) -> int:
     cls = pattern_class(args.cls)
     if args.n < 1:
         raise InvalidInputError(f"--n must be >= 1, got {args.n}")
 
     if args.strategy:
-        s = parse_strategy(args.strategy, cls, args.n)
-        if s.kind == "strike":
-            # a bare strike set is understood up to completion: orders it
-            # never fires on end in a forced stop at the last candidate
-            full = completion(s.members, cached_tree(cls, args.n))
-            s = Strategy(kind="strike", members=full.members, rank=args.n)
+        s = _given_strategy(args.strategy, cls, args.n)
         value = exact_success(s, cls, args.n)
         head, fields = f"strategy {s.describe()}", {"strategy": s.describe()}
     elif args.formula:
@@ -393,7 +399,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cls = pattern_class(args.cls)
-    s = parse_strategy(args.strategy, cls, args.n)
+    s = _given_strategy(args.strategy, cls, args.n)
     rep = simulate(s, cls, args.n, args.trials, seed=args.seed)
     if args.json:
         print(json.dumps({"class": cls.name, "n": args.n, "strategy": s.describe(),

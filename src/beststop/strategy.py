@@ -13,8 +13,9 @@ at a time, and decides when to stop.  Four kinds are supported:
 
 Strategies never look ahead: one rule decides, from the prefix seen so far,
 whether a strategy acts there (strike kinds accept, the others arm).  play
-applies it to one order, exact_success to the prefix tree's nodes (summing
-their win counts) and simulate to random root-to-leaf paths of that tree.
+applies it prefix by prefix to one order.  exact_success and simulate apply
+it once per prefix tree node, to find where the strategy first acts: the
+one sums those nodes' win counts, the other meets them on random paths.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .closedform import ThresholdTable, continuation_triangle, optimal_boundary
 from .errors import (
@@ -150,39 +151,6 @@ def _fires(s: Strategy, prefix: Perm, eligible: bool, n: int) -> bool:
     return value_saturated_count(prefix) >= bound
 
 
-def _run(
-    s: Strategy, prefixes: Iterable[Perm], n: int, record: list[Decision] | None = None
-) -> int | None:
-    """Play s over the prefixes of sizes 1..n of one order and return the
-    size at which it accepts, or None.  Each decision goes to record when
-    one is given.  A strike set that never fires raises
-    IncompleteStrategyError."""
-    armed = False
-    if not s.strikes:
-        # the empty prefix may already arm acceptance
-        armed = _fires(s, (), False, n)
-        if record is not None:
-            record.append(Decision(0, (), False, "arm" if armed else "pass"))
-    for prefix in prefixes:
-        eligible = is_eligible(prefix)
-        if armed:
-            action = "accept" if eligible else "pass"
-        elif _fires(s, prefix, eligible, n):
-            action = "accept" if s.strikes else "arm"
-            armed = True
-        else:
-            action = "pass"
-        if record is not None:
-            record.append(Decision(len(prefix), prefix, eligible, action))
-        if action == "accept":
-            return len(prefix)
-    if s.kind == "strike":
-        raise IncompleteStrategyError(
-            f"strike set never fired on {perm_to_str(prefix)}; the set does not cover it"
-        )
-    return None
-
-
 def play(s: Strategy, pi: Sequence[int]) -> PlayTrace:
     """Run the strategy over one full interview order.
 
@@ -197,24 +165,34 @@ def play(s: Strategy, pi: Sequence[int]) -> PlayTrace:
         raise InvalidInputError("cannot play the empty order")
     _check_rank(s, n)
     decisions: list[Decision] = []
-    k = _run(s, (prefix_flattening(order, j) for j in range(1, n + 1)), n, decisions)
-    if k is None:
-        return PlayTrace(n, False, tuple(decisions))
-    return PlayTrace(k, order[k - 1] == n, tuple(decisions))
+    armed = False
+    # kinds that arm read the empty prefix too: it may already arm them
+    for k in range(1 if s.strikes else 0, n + 1):
+        prefix = prefix_flattening(order, k) if k else ()
+        eligible = is_eligible(prefix)
+        if armed:
+            action = "accept" if eligible else "pass"
+        elif _fires(s, prefix, eligible, n):
+            action = "accept" if s.strikes else "arm"
+            armed = True
+        else:
+            action = "pass"
+        decisions.append(Decision(k, prefix, eligible, action))
+        if action == "accept":
+            return PlayTrace(k, order[k - 1] == n, tuple(decisions))
+    if s.kind == "strike":
+        raise IncompleteStrategyError(
+            f"strike set never fired on {perm_to_str(order)}; the set does not cover it"
+        )
+    return PlayTrace(n, False, tuple(decisions))
 
 
 def threshold_strategy(
-    mode: str,
-    cls: PatternClass | str,
-    n: int,
-    depth: int | None = None,
-    direct_statistic: bool = False,
+    mode: str, cls: PatternClass | str, n: int, depth: int | None = None
 ) -> Strategy:
     """The saturated-count threshold strategy for the 321-avoiding game,
     or its transport along the tree correspondence for the 312-avoiding
-    game.  direct_statistic=True skips the transport and reads the
-    statistic off the observed prefix itself (a negative control; it
-    falls behind the transported strategy from rank 7 on)."""
+    game."""
     cl = pattern_class(cls)
     if cl.name not in ("321", "312"):
         raise InvalidInputError(
@@ -227,7 +205,7 @@ def threshold_strategy(
         raise DepthError(f"threshold table depth {d} < rank {n}")
     sigma = _cached_boundary(mode, d)
     transport = None
-    if cl.name == "312" and not direct_statistic:
+    if cl.name == "312":
         from .bijections import west_correspondence
 
         transport = {b: a for a, b in west_correspondence(n).items()}
@@ -241,6 +219,25 @@ def _cached_boundary(mode: str, depth: int) -> ThresholdTable:
     return optimal_boundary(continuation_triangle(mode, depth))
 
 
+def _acting(s: Strategy, tree: PrefixTree, n: int) -> set[TreeNode]:
+    """The nodes where s first acts: the first node its rule fires on along
+    each path from the root (from the null prefix, for kinds that arm).  A
+    strike set raises IncompleteStrategyError at its first uncovered leaf."""
+    acting = set()
+    stack = [tree.root if s.strikes else tree.null]
+    while stack:
+        node = stack.pop()
+        if _fires(s, node.prefix, node.eligible, n):
+            acting.add(node)
+        elif node.children:
+            stack.extend(reversed(node.children))
+        elif s.kind == "strike":
+            raise IncompleteStrategyError(
+                f"strike set never fired on {perm_to_str(node.prefix)}; the set does not cover it"
+            )
+    return acting
+
+
 def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
     """Exact success tally over every order in the class, read off the
     prefix tree: the strike wins (trigger wins, for kinds that arm) of
@@ -252,26 +249,16 @@ def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
     cl = pattern_class(cls)
     _check_rank(s, n)
     tree = cached_tree(cl, n)
-    wins = 0
-    stack = [tree.root if s.strikes else tree.null]
-    while stack:
-        node = stack.pop()
-        if _fires(s, node.prefix, node.eligible, n):
-            wins += node.strike_wins if s.strikes else node.trigger_wins
-        elif node.children:
-            stack.extend(reversed(node.children))
-        elif s.kind == "strike":
-            raise IncompleteStrategyError(
-                f"strike set never fired on {perm_to_str(node.prefix)}; the set does not cover it"
-            )
+    acting = _acting(s, tree, n)
+    wins = sum(node.strike_wins if s.strikes else node.trigger_wins for node in acting)
     return Tally(wins, tree.total)
 
 
 def _draw_path(tree: PrefixTree, rng: SplitMix64) -> list[TreeNode]:
-    """A uniform root-to-leaf path: each child is taken with probability
-    proportional to its completion count."""
+    """A uniform path from the null prefix to a leaf (path[k] has size k):
+    each child is taken with probability proportional to its member count."""
     node = tree.root
-    path = [node]
+    path = [tree.null, node]
     while node.children:
         r = rng.below(node.total)
         for child in node.children:
@@ -313,11 +300,15 @@ def simulate(
     cl = pattern_class(cls)
     _check_rank(s, n)
     tree = cached_tree(cl, n)
+    acting = _acting(s, tree, n)
     rng = SplitMix64(seed)
     wins = 0
     for _ in range(trials):
         path = _draw_path(tree, rng)
-        k = _run(s, (node.prefix for node in path), n)
+        k = next((k for k, node in enumerate(path) if node in acting), None)
+        if k is not None and not s.strikes:
+            # armed at k: accept the next candidate, if one comes
+            k = next((j for j in range(k + 1, n + 1) if path[j].eligible), None)
         wins += k is not None and path[-1].prefix[k - 1] == n
     est = Fraction(wins, trials)
     p = wins / trials

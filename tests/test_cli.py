@@ -231,6 +231,18 @@ def test_simulate(capsys):
     assert abs(doc["estimate"] - exact) < 4 * se
 
 
+def test_simulate_completes_strike_sets_like_solve(capsys):
+    code, out, _ = run(capsys, "solve", "--class", "321", "--n", "5",
+                       "--strategy", "strike:{12}")
+    assert code == 0 and "value = 9/42" in out
+    completed = out.splitlines()[0].removeprefix("strategy ")
+    assert completed != "strike:{12}"
+    code, out, err = run(capsys, "simulate", "--class", "321", "--n", "5",
+                         "--strategy", "strike:{12}", "--trials", "2000", "--seed", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"strategy {completed} on 321, n=5"
+
+
 def test_tree_display(capsys):
     code, out, _ = run(capsys, "tree", "--class", "321", "--n", "4")
     assert code == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import beststop.strategy
 import oracles
 from beststop import (
     DepthError,
@@ -98,6 +99,13 @@ def test_positional_zero_equals_null_trigger():
             )
 
 
+def direct_threshold(mode, n):
+    """The 321 threshold rule read off the observed prefix itself, with no
+    transport: on the 312 game, a negative control."""
+    sigma = threshold_strategy(mode, "321", n).sigma
+    return Strategy(kind="threshold", mode=mode, sigma=sigma, rank=n)
+
+
 def sweep_strategies(cls, n, tree):
     """The strategies the exact scorer is checked on at rank n."""
     out = [Strategy(kind="positional", position=k, rank=n) for k in range(n + 1)]
@@ -108,7 +116,7 @@ def sweep_strategies(cls, n, tree):
     if cls.name in ("321", "312"):
         for mode in ("strike", "trigger"):
             out.append(threshold_strategy(mode, cls, n))
-            out.append(threshold_strategy(mode, cls, n, direct_statistic=True))
+            out.append(direct_threshold(mode, n))
     return out
 
 
@@ -136,6 +144,35 @@ def test_exact_success_matches_manual_loop():
     for mode in ("strike", "trigger"):
         with pytest.raises(DepthError):
             exact_success(Strategy(kind="threshold", mode=mode, sigma=shallow), "321", 7)
+
+
+def test_simulate_matches_play_on_the_same_draws(monkeypatch):
+    # play, prefix by prefix, is the oracle for simulate's acting-node lookup
+    trials = 60
+    for name, forbidden in oracles.FORBIDDEN.items():
+        top = {"none": 5, "mono": 4}.get(name, 6)
+        cls = PatternClass(name, forbidden)
+        for n in range(1, top + 1):
+            tree = build(cls, n)
+            for seed, s in enumerate(sweep_strategies(cls, n, tree)):
+                rng = SplitMix64(seed)
+                want = sum(play(s, sample_uniform(cls, n, rng)).stopped_value_is_max
+                           for _ in range(trials))
+                got = simulate(s, cls, n, trials=trials, seed=seed)
+                assert got.wins == want, (name, n, s.describe())
+    # an incomplete strike set is refused before any draw, at the leaf
+    # exact_success names
+    def no_draw(tree, rng):
+        raise AssertionError("simulate drew a path")
+
+    monkeypatch.setattr(beststop.strategy, "_draw_path", no_draw)
+    uncovered = Strategy(kind="strike", members=frozenset({(2, 1)}))
+    for name in ("321", "231", "none"):
+        with pytest.raises(IncompleteStrategyError) as exact:
+            exact_success(uncovered, name, 4)
+        with pytest.raises(IncompleteStrategyError) as sim:
+            simulate(uncovered, name, 4, trials=10)
+        assert str(sim.value) == str(exact.value)
 
 
 def test_trigger_accept_checked_before_arming():
@@ -172,12 +209,12 @@ def test_direct_statistic_eventually_suboptimal():
     # the relabeling, agrees with the optimum through rank 6 and then falls
     # behind
     for n in range(2, 7):
-        s = threshold_strategy("strike", "312", n, direct_statistic=True)
+        s = direct_threshold("strike", n)
         assert s.transport is None
         got = exact_success(s, "312", n)
         want = exact_success(threshold_strategy("strike", "312", n), "312", n)
         assert cmp_as_rational(got, want) == 0, n
-    direct = exact_success(threshold_strategy("strike", "312", 7, direct_statistic=True), "312", 7)
+    direct = exact_success(direct_threshold("strike", 7), "312", 7)
     best = exact_success(threshold_strategy("strike", "312", 7), "312", 7)
     assert (direct.wins, direct.total) == (224, 429)
     assert (best.wins, best.total) == (229, 429)

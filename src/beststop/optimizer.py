@@ -4,11 +4,14 @@ Working upward from the leaves, a node's continuation value is the sum of
 its children's best win counts.  Every value at a node has that node's
 member count as its total, so stopping replaces the continuation exactly
 when the node's own wins are strictly larger (ties keep the deeper
-strategy), which makes the resulting strike set canonical.
+strategy), which makes the resulting strike set canonical.  The pass keeps
+plain integer win counts; per_node_values turns them into tallies keyed by
+prefix only when it is read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .prefixtree import PrefixTree, StrikeSet, TreeNode
 from .permutations import Perm
@@ -18,28 +21,37 @@ from .tallies import Tally
 @dataclass(frozen=True)
 class OptimalResult:
     """strike_set members are trigger prefixes (possibly the empty prefix)
-    when produced by optimal_trigger_set."""
+    when produced by optimal_trigger_set.  best_below holds, for each node
+    the induction visited, the best wins strictly below it (0 at a leaf)."""
 
     strike_set: StrikeSet
     value: Tally
-    per_node_values: dict[Perm, Tally]
+    best_below: dict[TreeNode, int] = field(repr=False)
+
+    @cached_property
+    def per_node_values(self) -> dict[Perm, Tally]:
+        """best_below as tallies over each node's members, keyed by prefix
+        (a leaf's is 0/1); built on the first read."""
+        return {node.prefix: Tally(wins, node.total) for node, wins in self.best_below.items()}
 
 
 def _optimize(tree: PrefixTree, use_trigger: bool) -> OptimalResult:
-    per_node: dict[Perm, Tally] = {}
-    chosen: set[Perm] = set()
+    best_below: dict[TreeNode, int] = {}
+    chosen: set[TreeNode] = set()
 
     def best(node: TreeNode) -> int:
         """The best wins over the orders below node."""
         own = node.trigger_wins if use_trigger else node.strike_wins
         if not node.children:
             # leaves stay in the strategy unless an ancestor absorbs them
-            per_node[node.prefix] = Tally(0, 1)
+            best_below[node] = 0
             return own
-        below = sum(best(c) for c in node.children)
-        per_node[node.prefix] = Tally(below, node.total)
+        below = 0
+        for child in node.children:
+            below += best(child)
+        best_below[node] = below
         if (use_trigger or node.eligible) and own > below:
-            chosen.add(node.prefix)
+            chosen.add(node)
             return own
         return below
 
@@ -49,7 +61,7 @@ def _optimize(tree: PrefixTree, use_trigger: bool) -> OptimalResult:
     members: list[Perm] = []
 
     def collect(node: TreeNode) -> None:
-        if node.prefix in chosen or node.is_leaf():
+        if node in chosen or not node.children:
             members.append(node.prefix)
             return
         for child in node.children:
@@ -59,7 +71,7 @@ def _optimize(tree: PrefixTree, use_trigger: bool) -> OptimalResult:
     return OptimalResult(
         strike_set=StrikeSet(members=frozenset(members)),
         value=value,
-        per_node_values=per_node,
+        best_below=best_below,
     )
 
 

@@ -27,8 +27,6 @@ from .permutations import (
     Perm,
     _children,
     extend,
-    is_eligible,
-    ltr_maxima,
     perm_to_str,
     prefix_flattening,
 )
@@ -134,9 +132,11 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
     index: dict[Perm, TreeNode] = {}
     seen = 0
 
-    def grow(p: Perm) -> int:
+    def grow(p: Perm, top: int, second: int) -> int:
         """Build the subtree at p, hang it under its parent unless it has no
-        members, and return its member count."""
+        members, and return its member count.  top and second are the sizes
+        at which p's last two left-to-right maxima arrived (second is 0 when
+        p has only one)."""
         nonlocal seen
         k = len(p)
         kids[k] = []
@@ -148,25 +148,27 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
                     f"tree for class {cls.name} at rank {n} exceeded cap {cap}"
                 )
             total = 1
-            maxima = ltr_maxima(p)
-            m_last = maxima[-1]  # position of the value n
-            m_2 = maxima[-2] if len(maxima) > 1 else 0
-            strike_wins[m_last] += 1
-            # rejecting at sizes m_2 .. m_last-1 and taking the next
-            # running maximum lands exactly on n
-            for s in range(m_2, m_last):
+            # the value n arrived at size top; rejecting at sizes
+            # second .. top-1 and taking the next running maximum lands
+            # exactly on it
+            strike_wins[top] += 1
+            for s in range(second, top):
                 trigger_wins[s] += 1
         else:
-            total = sum(grow(extend(p, c)) for c in _children(p, cls))
+            # a child whose new entry is k+1 is a new running maximum
+            total = 0
+            for c in _children(p, cls):
+                q = extend(p, c)
+                total += grow(q, k + 1, top) if c > k else grow(q, top, second)
         if total:
-            eligible = is_eligible(p)
+            eligible = top == k
             node = TreeNode(p, eligible, strike_wins[k] if eligible else 0,
                             trigger_wins[k], total, tuple(kids[k]))
             kids[k - 1].append(node)
             index[p] = node
         return total
 
-    total = grow((1,))
+    total = grow((1,), 1, 0)
     if total == 0:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
     null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))

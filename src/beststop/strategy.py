@@ -15,7 +15,11 @@ Strategies never look ahead: one rule decides, from the prefix seen so far,
 whether a strategy acts there (strike kinds accept, the others arm).  play
 applies it prefix by prefix to one order.  exact_success and simulate apply
 it once per prefix tree node, to find where the strategy first acts: the
-one sums those nodes' win counts, the other meets them on random paths.
+one sums those nodes' win counts, the other walks random root-to-leaf
+paths and decides each trial as its path is drawn.  A trial wins when the
+strategy accepts the path's last eligible node: a strike kind at an
+eligible acting node with no eligible node after it, a kind that arms when
+exactly one eligible node follows the arming node.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .closedform import ThresholdTable, continuation_triangle, optimal_boundary
 from .errors import (
@@ -254,11 +258,11 @@ def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
     return Tally(wins, tree.total)
 
 
-def _draw_path(tree: PrefixTree, rng: SplitMix64) -> list[TreeNode]:
-    """A uniform path from the null prefix to a leaf (path[k] has size k):
-    each child is taken with probability proportional to its member count."""
+def _walk(tree: PrefixTree, rng: SplitMix64) -> Iterator[TreeNode]:
+    """A uniform path from the root to a leaf, node by node: each child is
+    taken with probability proportional to its member count."""
     node = tree.root
-    path = [tree.null, node]
+    yield node
     while node.children:
         r = rng.below(node.total)
         for child in node.children:
@@ -266,15 +270,16 @@ def _draw_path(tree: PrefixTree, rng: SplitMix64) -> list[TreeNode]:
             if r < 0:
                 break
         node = child
-        path.append(node)
-    return path
+        yield node
 
 
 def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
     """Draw one order uniformly from the class by walking the prefix tree,
     weighting each child by its completion count."""
     cl = pattern_class(cls)
-    return _draw_path(cached_tree(cl, n), rng)[-1].prefix
+    for node in _walk(cached_tree(cl, n), rng):
+        pass
+    return node.prefix
 
 
 @dataclass(frozen=True)
@@ -302,14 +307,20 @@ def simulate(
     tree = cached_tree(cl, n)
     acting = _acting(s, tree, n)
     rng = SplitMix64(seed)
+    # once the strategy acts, seen counts the eligible nodes from the acting
+    # node on (after it, for kinds that arm); a strike at an ineligible node
+    # has lost, so it starts past 1.  A trial wins when seen ends at 1.
+    armed = 0 if tree.null in acting else None
+    strikes = s.strikes
     wins = 0
     for _ in range(trials):
-        path = _draw_path(tree, rng)
-        k = next((k for k, node in enumerate(path) if node in acting), None)
-        if k is not None and not s.strikes:
-            # armed at k: accept the next candidate, if one comes
-            k = next((j for j in range(k + 1, n + 1) if path[j].eligible), None)
-        wins += k is not None and path[-1].prefix[k - 1] == n
+        seen = armed
+        for node in _walk(tree, rng):
+            if seen is not None:
+                seen += node.eligible
+            elif node in acting:
+                seen = (1 if node.eligible else 2) if strikes else 0
+        wins += seen == 1
     est = Fraction(wins, trials)
     p = wins / trials
     return SimReport(

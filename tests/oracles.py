@@ -229,3 +229,19 @@ def triangle_by_comb(mode, max_n, frozen_rules=None, max_diag=None):
             below += entry(n - 1, k) if mode == "strike" else best(n - 1, k)
             entries[n, k] = best(n, k + 1) + below
     return entries
+
+
+def below_by_words(rng, bound):
+    """rng.below(bound) as one rejection loop over whole 64-bit words of
+    rng.next64(), for any bound >= 1."""
+    if bound == 1:
+        return 0
+    words = ((bound - 1).bit_length() + 63) // 64
+    span = 1 << (64 * words)
+    limit = span - span % bound
+    while True:
+        value = 0
+        for _ in range(words):
+            value = (value << 64) | rng.next64()
+        if value < limit:
+            return value % bound

@@ -265,6 +265,15 @@ def test_tree_display(capsys):
     assert code == 1
 
 
+def test_verify_all_targets(capsys):
+    # the default runs every target; triangle is the one reader of the
+    # optimizer's per-node values
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert out.splitlines() == [f"ok   {t}" for t in beststop.cli.VERIFY_TARGETS]
+    assert len(out.splitlines()) == 9
+
+
 def test_verify_subset(capsys):
     code, out, _ = run(capsys, "verify", "catalan-231")
     assert code == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracles
 from beststop import InvalidInputError, SplitMix64
 
 # published splitmix64 outputs for seed 0
@@ -42,11 +43,32 @@ def test_below_rejects_nonpositive():
 
 
 def test_below_large_bound():
-    # bounds beyond 64 bits of entropy are out of scope; just below 2^63
+    # just below 2^63; bounds past 64 bits are checked against the oracle
     r = SplitMix64(11)
     bound = 2**63 - 1
     for _ in range(5):
         assert 0 <= r.below(bound) < bound
+
+
+BOUNDS = (1, 2, 7, 16796, 2**63 - 1, 2**64 - 1, 2**64, 2**64 + 1, 2**130 + 7)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_below_matches_word_loop(bound):
+    # one-word and multi-word bounds draw the same values in the same
+    # number of words as the general rejection loop
+    for seed in range(5):
+        r, oracle = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(20):
+            assert r.below(bound) == oracles.below_by_words(oracle, bound), (seed, bound)
+            assert r.state == oracle.state
+
+
+def test_below_stream_across_the_word_boundary():
+    r = SplitMix64(1)
+    assert [r.below(b) for b in BOUNDS[-4:]] == [
+        10451216379200822465, 13757245211066428519, 8731885537248441262,
+        599881876311382562377038947983578840739]
 
 
 def test_chance_frequency():

@@ -165,7 +165,7 @@ def test_simulate_matches_play_on_the_same_draws(monkeypatch):
     def no_draw(tree, rng):
         raise AssertionError("simulate drew a path")
 
-    monkeypatch.setattr(beststop.strategy, "_draw_path", no_draw)
+    monkeypatch.setattr(beststop.strategy, "_walk", no_draw)
     uncovered = Strategy(kind="strike", members=frozenset({(2, 1)}))
     for name in ("321", "231", "none"):
         with pytest.raises(IncompleteStrategyError) as exact:
@@ -358,6 +358,9 @@ def test_simulate_deterministic():
         (threshold_strategy("strike", "321", 7), "321", 7, 3000, 5, 1595),
         (threshold_strategy("trigger", "312", 7), "312", 7, 3000, 6, 1612),
         (parse_strategy("strike:{1}", "231", 6), "231", 6, 1000, 9, 306),
+        # at the benchmark's rank
+        (threshold_strategy("strike", "321", 10), "321", 10, 2000, 1, 1082),
+        (threshold_strategy("trigger", "312", 10), "312", 10, 2000, 2, 1035),
     ]
     for s, cls, n, trials, seed, wins in runs:
         assert simulate(s, cls, n, trials=trials, seed=seed).wins == wins, (cls, seed)

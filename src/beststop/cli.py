@@ -51,7 +51,7 @@ from .permutations import (
     perm_to_str,
 )
 from .prefixtree import cached_tree, completion, successors, tree_to_json
-from .strategy import Strategy, exact_success, parse_strategy, simulate
+from .strategy import Strategy, exact_success, member_names, members_str, parse_strategy, simulate
 from .tallies import Tally, ballot, cmp_as_rational, decimal_str
 
 CLASS_CHOICES = sorted(CLASSES)
@@ -149,10 +149,9 @@ def _cmd_solve(args) -> int:
     else:
         tree = cached_tree(cls, args.n)
         result = optimal_strike_set(tree) if args.mode == "strike" else optimal_trigger_set(tree)
-        members = sorted(result.strike_set.members, key=lambda p: (len(p), p))
-        names = ["null" if p == () else perm_to_str(p) for p in members]
+        names = member_names(result.strike_set.members)
         value = result.value
-        head = f"optimal {args.mode} set {{{','.join(names)}}}"
+        head = f"optimal {args.mode} set {members_str(names)}"
         fields = {"mode": args.mode, "members": names}
     decimal = decimal_str(value.as_rational())
     if args.json:
@@ -330,27 +329,23 @@ def _fit_limit(label: str, mode: str, rows: int, rules: tuple, diagonal: int,
     return check
 
 
-def _verify_west(report) -> bool:
+def _check_isomorphism(report, label: str, a: str, b: str) -> bool:
+    """verify_tree_isomorphism(a, b, n) holds for 2 <= n <= 7."""
     from .bijections import verify_tree_isomorphism
 
     ok = True
     for n in range(2, 8):
-        r = verify_tree_isomorphism("321", "312", n)
+        r = verify_tree_isomorphism(a, b, n)
         if not r.ok:
-            report(f"west: rank {n} mismatch at {r.first_mismatch}")
+            report(f"{label}: rank {n} mismatch at {r.first_mismatch}")
             ok = False
     return ok
 
 
 def _verify_upsilon(report) -> bool:
-    from .bijections import convert_132_to_231, convert_231_to_132, verify_tree_isomorphism
+    from .bijections import convert_132_to_231, convert_231_to_132
 
-    ok = True
-    for n in range(2, 8):
-        r = verify_tree_isomorphism("231", "132", n)
-        if not r.ok:
-            report(f"upsilon: rank {n} mismatch at {r.first_mismatch}")
-            ok = False
+    ok = _check_isomorphism(report, "upsilon", "231", "132")
     cls = pattern_class("231")
     for n in range(1, 8):
         for p in enumerate_class(cls, n):
@@ -370,7 +365,7 @@ VERIFY_TARGETS = {
                                 Fraction(32983, 65536)),
     "trigger-bound": _fit_limit("trigger-bound", "trigger", 40, (1, 1, 3, 8), 6,
                                 Fraction(8239, 16384)),
-    "west": _verify_west,
+    "west": lambda report: _check_isomorphism(report, "west", "321", "312"),
     "upsilon": _verify_upsilon,
 }
 

@@ -47,6 +47,7 @@ from .errors import (
     FitError,
     InconsistencyError,
     InvalidInputError,
+    LimitError,
 )
 from .permutations import (
     Perm,
@@ -58,6 +59,9 @@ from .permutations import (
 from .tallies import Tally, ballot, catalan, shifted_ballot
 
 MODES = ("strike", "trigger")
+
+# the tree cap's figure: a full 2,000-row triangle (1,999,000 entries) peaks at 815 MiB
+TRIANGLE_CAP = 1_000_000
 
 # rules[i-1] is the value-saturation threshold that fires when N - k == i;
 # None marks "never fires on this diagonal"
@@ -239,6 +243,7 @@ def continuation_triangle(
     frozen_rules replaces the pointwise max with a fixed stopping boundary
     (the value of that specific threshold strategy, a lower bound on the
     optimum).  max_diag restricts computation to diagonals N - k <= max_diag.
+    Raises LimitError past TRIANGLE_CAP entries.
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -247,13 +252,17 @@ def continuation_triangle(
     if max_diag is not None and max_diag < 1:
         raise InvalidInputError(f"max_diag must be >= 1, got {max_diag}")
     rules = tuple(frozen_rules) if frozen_rules is not None else None
+    diag_cap = max_n - 1 if max_diag is None else min(max_diag, max_n - 1)
+    size = diag_cap * max_n - diag_cap * (diag_cap + 1) // 2  # diagonal i holds max_n - i
+    if size > TRIANGLE_CAP:
+        raise LimitError(f"{max_n} rows over {diag_cap} diagonals hold {size} entries, "
+                         f"over the triangle cap {TRIANGLE_CAP}")
 
     # entries and M of the previous diagonal, indexed by column k; both
     # terms of the recurrence lie there: X(N-1, k) and M(N, k+1)
     prev = [0] * (max_n + 1)  # diagonal 0: the implicit zero column k = N
     prev_m = _best_along(mode, rules, 0, prev)
     entries: dict[tuple[int, int], int] = {}
-    diag_cap = max_n - 1 if max_diag is None else min(max_diag, max_n - 1)
     for i in range(1, diag_cap + 1):
         carry = prev if mode == "strike" else prev_m
         cur = [0] * (max_n - i + 1)

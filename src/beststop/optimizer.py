@@ -4,16 +4,17 @@ Working upward from the leaves, a node's continuation value is the sum of
 its children's best win counts.  Every value at a node has that node's
 member count as its total, so stopping replaces the continuation exactly
 when the node's own wins are strictly larger (ties keep the deeper
-strategy), which makes the resulting strike set canonical.  The pass keeps
-plain integer win counts; per_node_values turns them into tallies keyed by
-prefix only when it is read.
+strategy), which makes the resulting strike set canonical: its frontier
+(prefixtree.frontier) of stopping nodes.  The pass keeps plain integer win
+counts; per_node_values turns them into tallies keyed by prefix only when
+it is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .prefixtree import PrefixTree, StrikeSet, TreeNode
+from .prefixtree import PrefixTree, StrikeSet, TreeNode, frontier
 from .permutations import Perm
 from .tallies import Tally
 
@@ -58,18 +59,9 @@ def _optimize(tree: PrefixTree, use_trigger: bool) -> OptimalResult:
     start = tree.null if use_trigger else tree.root
     value = Tally(best(start), start.total)
 
-    members: list[Perm] = []
-
-    def collect(node: TreeNode) -> None:
-        if node in chosen or not node.children:
-            members.append(node.prefix)
-            return
-        for child in node.children:
-            collect(child)
-
-    collect(start)
+    members = frozenset(node.prefix for node, _ in frontier(start, chosen.__contains__))
     return OptimalResult(
-        strike_set=StrikeSet(members=frozenset(members)),
+        strike_set=StrikeSet(members=members),
         value=value,
         best_below=best_below,
     )

@@ -13,13 +13,17 @@ it:
 A virtual null node above the root represents the empty prefix, which is a
 legal trigger point ("accept the first candidate that is a running maximum")
 but never a strike point.
+
+frontier is the one walk to the first node on each path where a test holds:
+strategy scoring, strike-set completion, optimal sets and successors read it.
 """
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInputError, LimitError, NotFoundError
 from .permutations import (
@@ -188,6 +192,21 @@ def trigger_prob(tree: PrefixTree, p: Sequence[int] | None) -> Tally:
     return tree.node(p).trigger
 
 
+def frontier(start: TreeNode, hit: Callable[[TreeNode], bool]) -> Iterator[tuple[TreeNode, bool]]:
+    """The first node at or below start where hit holds on each path, or the
+    path's leaf if none, as (node, hit_here) in depth-first order, children
+    in stored order.  hit is not asked about the nodes below a hit."""
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if hit(node):
+            yield node, True
+        elif node.children:
+            stack.extend(reversed(node.children))
+        else:
+            yield node, False
+
+
 def successors(tree: PrefixTree, p: Sequence[int]) -> tuple[TreeNode, ...]:
     """The frontier after rejecting at the eligible prefix p: its minimal
     eligible strict descendants, plus any rank-N descendants reached
@@ -195,17 +214,8 @@ def successors(tree: PrefixTree, p: Sequence[int]) -> tuple[TreeNode, ...]:
     node = tree.node(p)
     if not node.eligible:
         raise InvalidInputError(f"prefix {tuple(p)!r} is not eligible")
-    out: list[TreeNode] = []
-
-    def scan(cur: TreeNode) -> None:
-        for child in cur.children:
-            if child.eligible or child.is_leaf():
-                out.append(child)
-            else:
-                scan(child)
-
-    scan(node)
-    return tuple(out)
+    return tuple(first for child in node.children
+                 for first, _ in frontier(child, attrgetter("eligible")))
 
 
 def _check_antichain(members: Iterable[Perm]) -> None:
@@ -221,25 +231,14 @@ def _check_antichain(members: Iterable[Perm]) -> None:
 
 
 def completion(S: Iterable[Perm], tree: PrefixTree) -> StrikeSet:
-    """Extend the antichain S to a complete one by adding every rank-N leaf
-    not already covered by a member of S."""
+    """Extend the antichain S to a complete one, its frontier: S and every
+    rank-N leaf not already covered by a member of S."""
     base = {tuple(p) for p in S}
     for p in base:
         tree.node(p)  # raises NotFoundError for strays
     _check_antichain(base)
-    added: list[Perm] = []
-
-    def scan(node: TreeNode, covered: bool) -> None:
-        covered = covered or node.prefix in base
-        if node.is_leaf():
-            if not covered:
-                added.append(node.prefix)
-            return
-        for child in node.children:
-            scan(child, covered)
-
-    scan(tree.root, False)
-    return StrikeSet(members=frozenset(base) | frozenset(added))
+    reached = frontier(tree.root, lambda node: node.prefix in base)
+    return StrikeSet(members=frozenset(node.prefix for node, _ in reached))
 
 
 def tree_to_dict(tree: PrefixTree, include_null: bool = False) -> dict:

@@ -13,13 +13,13 @@ at a time, and decides when to stop.  Four kinds are supported:
 
 Strategies never look ahead: one rule decides, from the prefix seen so far,
 whether a strategy acts there (strike kinds accept, the others arm).  play
-applies it prefix by prefix to one order.  exact_success and simulate apply
-it once per prefix tree node, to find where the strategy first acts: the
-one sums those nodes' win counts, the other walks random root-to-leaf
-paths and decides each trial as its path is drawn.  A trial wins when the
-strategy accepts the path's last eligible node: a strike kind at an
-eligible acting node with no eligible node after it, a kind that arms when
-exactly one eligible node follows the arming node.
+applies it prefix by prefix to one order.  exact_success and simulate find
+where the strategy first acts with one lookup, prefixtree.frontier under
+the rule: the one sums those nodes' win counts, the other walks random
+root-to-leaf paths and decides each trial as its path is drawn.  A trial
+wins when the strategy accepts the path's last eligible node: a strike
+kind at an eligible acting node with no eligible node after it, a kind
+that arms when exactly one eligible node follows the arming node.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .closedform import ThresholdTable, continuation_triangle, optimal_boundary
 from .errors import (
@@ -46,7 +46,7 @@ from .permutations import (
     validate_permutation,
     value_saturated_count,
 )
-from .prefixtree import PrefixTree, TreeNode, cached_tree
+from .prefixtree import PrefixTree, TreeNode, cached_tree, frontier
 from .rng import SplitMix64
 from .tallies import Tally
 
@@ -88,11 +88,7 @@ class Strategy:
 
     def describe(self) -> str:
         if self.kind == "strike" or self.kind == "trigger":
-            names = sorted(
-                ("null" if p == () else perm_to_str(p) for p in self.members),
-                key=lambda s: (s != "null", len(s), s),
-            )
-            return f"{self.kind}:{{{','.join(names)}}}"
+            return f"{self.kind}:{members_str(member_names(self.members))}"
         if self.kind == "positional":
             return f"positional:{self.position}"
         return f"threshold:{self.mode}"
@@ -102,6 +98,18 @@ class Strategy:
         """Whether the rule accepts where it fires, rather than arming
         acceptance of the next candidate."""
         return self.kind == "strike" or (self.kind == "threshold" and self.mode == "strike")
+
+
+def member_names(members: Iterable[Perm]) -> list[str]:
+    """A set's members as descriptors name them, shortest first, in order."""
+    ordered = sorted(members, key=lambda p: (len(p), p))
+    return ["null" if p == () else perm_to_str(p) for p in ordered]
+
+
+def members_str(names: Sequence[str]) -> str:
+    """The {...} list parse_strategy reads back: split by ";" once a member
+    is written with commas (rank >= 10), by "," otherwise."""
+    return "{" + (";" if any("," in name for name in names) else ",").join(names) + "}"
 
 
 @dataclass(frozen=True)
@@ -223,23 +231,24 @@ def _cached_boundary(mode: str, depth: int) -> ThresholdTable:
     return optimal_boundary(continuation_triangle(mode, depth))
 
 
-def _acting(s: Strategy, tree: PrefixTree, n: int) -> set[TreeNode]:
-    """The nodes where s first acts: the first node its rule fires on along
-    each path from the root (from the null prefix, for kinds that arm).  A
-    strike set raises IncompleteStrategyError at its first uncovered leaf."""
+def _acting(s: Strategy, cls: PatternClass | str, n: int) -> tuple[PrefixTree, set[TreeNode]]:
+    """The rank-n tree of cls and the nodes where s first acts on it: the
+    first node its rule fires on along each path from the root (from the
+    null prefix, for kinds that arm).  A strike set raises
+    IncompleteStrategyError at its first uncovered leaf."""
+    cl = pattern_class(cls)
+    _check_rank(s, n)
+    tree = cached_tree(cl, n)
     acting = set()
-    stack = [tree.root if s.strikes else tree.null]
-    while stack:
-        node = stack.pop()
-        if _fires(s, node.prefix, node.eligible, n):
+    start = tree.root if s.strikes else tree.null
+    for node, fired in frontier(start, lambda node: _fires(s, node.prefix, node.eligible, n)):
+        if fired:
             acting.add(node)
-        elif node.children:
-            stack.extend(reversed(node.children))
         elif s.kind == "strike":
             raise IncompleteStrategyError(
                 f"strike set never fired on {perm_to_str(node.prefix)}; the set does not cover it"
             )
-    return acting
+    return tree, acting
 
 
 def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
@@ -250,10 +259,7 @@ def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
     >>> print(exact_success(threshold_strategy("strike", "321", 5), "321", 5))
     23/42
     """
-    cl = pattern_class(cls)
-    _check_rank(s, n)
-    tree = cached_tree(cl, n)
-    acting = _acting(s, tree, n)
+    tree, acting = _acting(s, cls, n)
     wins = sum(node.strike_wins if s.strikes else node.trigger_wins for node in acting)
     return Tally(wins, tree.total)
 
@@ -302,10 +308,7 @@ def simulate(
     uniformly random orders from the class."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    cl = pattern_class(cls)
-    _check_rank(s, n)
-    tree = cached_tree(cl, n)
-    acting = _acting(s, tree, n)
+    tree, acting = _acting(s, cls, n)
     rng = SplitMix64(seed)
     # once the strategy acts, seen counts the eligible nodes from the acting
     # node on (after it, for kinds that arm); a strike at an ineligible node
@@ -336,7 +339,8 @@ def parse_strategy(text: str, cls: PatternClass | str, n: int) -> Strategy:
     """Parse a strategy descriptor.
 
     Forms: "strike:{12,213,3124}", "trigger:{null,1,21}",
-    "trigger:{size=2}", "positional:3", "threshold:strike".
+    "trigger:{size=2}", "positional:3", "threshold:strike".  A member list
+    holding a ";" is split there (rank >= 10 prefixes hold commas).
 
     >>> parse_strategy("positional:1", "123", 4).describe()
     'positional:1'
@@ -364,7 +368,7 @@ def parse_strategy(text: str, cls: PatternClass | str, n: int) -> Strategy:
         if not inner:
             raise InvalidInputError(f"{kind} descriptor has no members: {text!r}")
         members = set()
-        for token in inner.split(","):
+        for token in inner.split(";" if ";" in inner else ","):
             token = token.strip()
             if token == "null":
                 if kind == "strike":

@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import beststop.bijections
 import beststop.cli
 from beststop.cli import main
+from beststop.strategy import member_names, parse_strategy
 
 
 @pytest.fixture(autouse=True)
@@ -97,6 +100,36 @@ def test_tree_caps_exit_2(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "cap" in err, argv
+
+
+def test_rank_10_sets_read_back(capsys):
+    # rank-10 members are written with commas, so the list splits on ";"
+    code, out, _ = run(capsys, "solve", "--class", "321", "--n", "10", "--json")
+    assert code == 0
+    names = json.loads(out)["members"]
+    assert "1,2,3,4,5,6,9,7,8,10" in names
+    code, out, _ = run(capsys, "solve", "--class", "321", "--n", "10")
+    assert code == 0
+    listed = out.splitlines()[0].removeprefix("optimal strike set ")
+    assert listed == "{" + ";".join(names) + "}"
+    s = parse_strategy("strike:" + listed, "321", 10)
+    assert member_names(s.members) == names
+    code, out, _ = run(capsys, "solve", "--class", "321", "--n", "10",
+                       "--strategy", "strike:" + listed)
+    assert code == 0
+    assert out.splitlines() == ["strategy strike:" + listed,
+                                "value = 8833/16796 (~0.525899023577)"]
+
+
+def test_triangle_cap_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "triangle", "--rows", "100000")
+    assert (code, out) == (2, "")
+    assert err == ("error: 100000 rows over 99999 diagonals hold 4999950000 entries, "
+                   "over the triangle cap 1000000\n")
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run(capsys, "triangle", "--rows", "5000", "--max-diag", "20",
+                       "--emit", "sigma")
+    assert code == 0 and out.startswith("i,sigma\n0,")
 
 
 def test_triangle_arguments_checked_before_the_sweep(capsys, tmp_path):
@@ -280,6 +313,21 @@ def test_verify_subset(capsys):
     assert out.strip() == "ok   catalan-231"
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 1 and "unknown verify target" in err
+
+
+def test_verify_names_each_failing_isomorphism_rank(capsys, monkeypatch):
+    def broken(a, b, n):
+        return SimpleNamespace(ok=False, first_mismatch=(a, b))
+
+    monkeypatch.setattr(beststop.bijections, "verify_tree_isomorphism", broken)
+    code, out, _ = run(capsys, "verify", "west", "upsilon")
+    assert code == 3
+    assert out.splitlines() == [
+        "FAIL west",
+        *(f"     west: rank {n} mismatch at ('321', '312')" for n in range(2, 7)),
+        "FAIL upsilon",
+        *(f"     upsilon: rank {n} mismatch at ('231', '132')" for n in range(2, 7)),
+    ]
 
 
 def test_usage_errors(capsys):

@@ -11,6 +11,7 @@ from beststop import (
     FitError,
     InconsistencyError,
     InvalidInputError,
+    LimitError,
     Tally,
     ballot,
     catalan,
@@ -148,6 +149,11 @@ def test_entry_edges():
         continuation_triangle("both", 10)
     with pytest.raises(InvalidInputError):
         continuation_triangle("strike", 10, max_diag=0)
+    # over the entry cap, refused before the sweep: a full 1,415-row triangle
+    # (1,000,405 entries) and a 50,012-row band of 20 diagonals (1,000,030)
+    for max_n, max_diag in ((1415, None), (50_012, 20)):
+        with pytest.raises(LimitError):
+            continuation_triangle("trigger", max_n, max_diag=max_diag)
 
 
 def test_value_is_pointwise_max():

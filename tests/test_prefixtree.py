@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from operator import attrgetter
 
 import pytest
 
@@ -14,6 +15,8 @@ from beststop import (
     InvalidInputError,
     LimitError,
     NotFoundError,
+    PatternClass,
+    SplitMix64,
     Strategy,
     Tally,
     build,
@@ -28,6 +31,7 @@ from beststop import (
     tree_to_json,
     trigger_prob,
 )
+from beststop.prefixtree import frontier
 
 SMALL = [(name, n) for name in CLASSES for n in range(2, 6)]
 
@@ -127,6 +131,31 @@ def test_successors_match_definition(tree_for):
                     want.add(q)
             got = {s.prefix for s in successors(tree, node.prefix)}
             assert got == want, (name, n, node.prefix)
+
+
+def test_frontier_matches_definition():
+    # the frontier from start: in preorder, the nodes where hit holds with
+    # no hitting proper ancestor below start, and the leaves with none
+    def preorder(node, hit, above=False):
+        """Each node below node with whether hit holds above it."""
+        yield node, above
+        for child in node.children:
+            yield from preorder(child, hit, above or hit(node))
+
+    for name, forbidden in oracles.FORBIDDEN.items():
+        top = {"none": 5, "mono": 4}.get(name, 6)
+        cls = PatternClass(name, forbidden)
+        for n in range(1, top + 1):
+            tree = build(cls, n)
+            rng = SplitMix64(n)
+            # an antichain of any nodes, drawn by coin flips down the tree
+            chain = {node for node, _ in frontier(tree.null, lambda node: rng.chance(1, 3))}
+            for hit in (attrgetter("eligible"), chain.__contains__,
+                        lambda node: False, lambda node: True):
+                for start in (tree.root, tree.null):
+                    want = [(node, hit(node)) for node, above in preorder(start, hit)
+                            if not above and (hit(node) or node.is_leaf())]
+                    assert list(frontier(start, hit)) == want, (name, n, start.prefix)
 
 
 def test_successors_rejects_ineligible(tree_for):

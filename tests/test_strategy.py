@@ -167,12 +167,13 @@ def test_simulate_matches_play_on_the_same_draws(monkeypatch):
 
     monkeypatch.setattr(beststop.strategy, "_walk", no_draw)
     uncovered = Strategy(kind="strike", members=frozenset({(2, 1)}))
-    for name in ("321", "231", "none"):
+    for name, leaf in (("321", "3412"), ("231", "1432"), ("none", "3421")):
         with pytest.raises(IncompleteStrategyError) as exact:
             exact_success(uncovered, name, 4)
         with pytest.raises(IncompleteStrategyError) as sim:
             simulate(uncovered, name, 4, trials=10)
         assert str(sim.value) == str(exact.value)
+        assert f"never fired on {leaf};" in str(exact.value), name
 
 
 def test_trigger_accept_checked_before_arming():

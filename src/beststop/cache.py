@@ -5,13 +5,17 @@ artifact and they are deterministic in (mode, depth).  A lookup opens only
 the file for its exact (mode, depth).  Frozen-boundary and band triangles
 are cheap one-offs and are never written.
 
-Files live under $BESTSTOP_CACHE (default ~/.cache/beststop) as one JSON
-document per (mode, depth) with a schema tag.  Writes go through a
-temporary file and os.replace, and both reads and writes hold an advisory
-lock on a sidecar file, so concurrent processes see either the old or the
-new document, never a torn one.  A file that fails to parse, carries an
-unknown schema or does not hold exactly the triangle's integer entries is
-treated as absent and rebuilt, with a warning.
+Files live under $BESTSTOP_CACHE (default ~/.cache/beststop), one per
+(mode, depth).  A file is a JSON head line with the schema tag, mode and
+depth, then one JSON array per diagonal i = 1 .. depth-1 holding that
+diagonal's depth-i entries, the lists exactly as the triangle holds them;
+it is written and read one line at a time.  Writes go through a temporary
+file and os.replace, and both reads and writes hold an advisory lock on a
+sidecar file, so concurrent processes see either the old or the new file,
+never a torn one.  A file that fails to parse, carries an unknown schema
+(files of earlier schemas included) or does not hold exactly the
+triangle's integer diagonals is treated as absent and rebuilt, with a
+warning.
 """
 from __future__ import annotations
 
@@ -19,13 +23,12 @@ import json
 import os
 import tempfile
 import warnings
-from itertools import chain
 from pathlib import Path
 
 from .closedform import ContinuationTriangle, continuation_triangle
 from .errors import InvalidInputError
 
-SCHEMA = 1
+SCHEMA = 2
 
 try:
     import fcntl
@@ -79,12 +82,10 @@ def store_triangle(t: ContinuationTriangle) -> Path:
         try:
             with os.fdopen(fd, "w") as fh:
                 # json.dumps runs the C encoder, which json.dump never does;
-                # one call per row keeps each string it builds small
-                fh.write(head[:-1] + ',"entries":[')
-                for n in range(2, t.max_n + 1):
-                    row = [[n, k, t.entries[n, k]] for k in range(1, n)]
-                    fh.write(("," if n > 2 else "") + json.dumps(row, separators=compact)[1:-1])
-                fh.write("]}")
+                # one call per diagonal keeps each string it builds small
+                fh.write(head + "\n")
+                for diag in t.diags:
+                    fh.write(json.dumps(diag, separators=compact) + "\n")
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -99,35 +100,29 @@ def load_triangle(mode: str, max_n: int) -> ContinuationTriangle | None:
         return None
     with _Locked(path):
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as e:
+            with open(path) as fh:
+                head = json.loads(fh.readline())
+                if (
+                    not isinstance(head, dict)
+                    or head.get("schema") != SCHEMA
+                    or head.get("mode") != mode
+                    or head.get("max_n") != max_n
+                ):
+                    warnings.warn(f"discarding cache file {path} with unexpected contents")
+                    return None
+                diags = [json.loads(line) for line in fh]
+        except (OSError, ValueError) as e:  # JSONDecodeError and bad UTF-8 included
             warnings.warn(f"discarding unreadable cache file {path}: {e}")
             return None
-    if (
-        not isinstance(doc, dict)
-        or doc.get("schema") != SCHEMA
-        or doc.get("mode") != mode
-        or doc.get("max_n") != max_n
-        or not isinstance(doc.get("entries"), list)
-    ):
-        warnings.warn(f"discarding cache file {path} with unexpected contents")
-        return None
-    try:
-        entries = {(n, k): v for n, k, v in doc["entries"]}
-    except (TypeError, ValueError) as e:
-        warnings.warn(f"discarding malformed cache file {path}: {e}")
-        return None
-    # plain ints only (int() would truncate a float), and with the count
-    # right, keys inside the triangle are exactly the triangle's keys
-    if (
-        set(map(type, chain.from_iterable(doc["entries"]))) != {int}
-        or len(entries) != max_n * (max_n - 1) // 2
-        or not all(2 <= n <= max_n and 1 <= k < n for n, k in entries)
+    # diagonal i holds max_n - i plain ints (int() would truncate a float)
+    if len(diags) != max_n - 1 or not all(
+        type(diag) is list and len(diag) == max_n - i and set(map(type, diag)) == {int}
+        for i, diag in enumerate(diags, 1)
     ):
         warnings.warn(f"discarding cache file {path}: entries are not the expected rows 2..{max_n}")
         return None
     return ContinuationTriangle(
-        mode=mode, max_n=max_n, max_diag=None, frozen_rules=None, entries=entries
+        mode=mode, max_n=max_n, max_diag=None, frozen_rules=None, diags=diags
     )
 
 

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, count, islice, repeat
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -60,7 +62,8 @@ from .tallies import Tally, ballot, catalan, shifted_ballot
 
 MODES = ("strike", "trigger")
 
-# the tree cap's figure: a full 2,000-row triangle (1,999,000 entries) peaks at 815 MiB
+# the tree cap's figure: the largest full triangle under it, 1,414 rows (998,991
+# entries), peaks at 212 MiB in either mode, and a full 2,000-row one at 538 MiB
 TRIANGLE_CAP = 1_000_000
 
 # rules[i-1] is the value-saturation threshold that fires when N - k == i;
@@ -151,36 +154,44 @@ def trigger_prob_321(p: Sequence[int] | None, n: int) -> Tally:
 class ContinuationTriangle:
     """Numerators of best-continuation values below increasing prefixes.
 
-    entries[(N, k)] holds the numerator for 1 <= k <= N - 1 wherever the
-    diagonal N - k was computed; the k = N column is implicitly zero.  The
-    implied denominator of entry (N, k) is ballot(N, k).
+    diags[i - 1] holds diagonal i = N - k for 1 <= i <= diag_limit, indexed
+    by column: diags[i - 1][k - 1] is the numerator at (k + i, k).  The
+    k = N column (diagonal 0) is implicitly zero.  The implied denominator
+    of entry (N, k) is ballot(N, k).  entries maps (N, k) to the same
+    numerators, built on the first read.
     """
 
     mode: str
     max_n: int
     max_diag: int | None
     frozen_rules: FrozenRules | None
-    entries: dict[tuple[int, int], int] = field(repr=False)
+    diags: list[list[int]] = field(repr=False)
 
     @property
     def diag_limit(self) -> int:
         return self.max_n - 1 if self.max_diag is None else min(self.max_diag, self.max_n - 1)
 
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """(N, k) -> numerator over the computed diagonals, diagonal by
+        diagonal; built on the first read."""
+        return {(k + i, k): e for i, diag in enumerate(self.diags, 1)
+                for k, e in enumerate(diag, 1)}
+
     def has(self, n: int, k: int) -> bool:
-        return k == n or (n, k) in self.entries
+        return k == n or (1 <= k < n <= self.max_n and n - k <= self.diag_limit)
 
     def entry(self, n: int, k: int) -> int:
         if not 1 <= k <= n <= self.max_n:
             raise InvalidInputError(f"entry ({n}, {k}) out of range")
         if k == n:
             return 0
-        try:
-            return self.entries[(n, k)]
-        except KeyError:
+        if n - k > self.diag_limit:
             raise DepthError(
                 f"entry ({n}, {k}) lies outside the computed band "
                 f"(max_n={self.max_n}, max_diag={self.max_diag})"
-            ) from None
+            )
+        return self.diags[n - k - 1][k - 1]
 
     def stop_numerator(self, n: int, k: int) -> int:
         return _xnum(self.mode, n, k)
@@ -203,7 +214,7 @@ class ContinuationTriangle:
             raise InvalidInputError(f"row {n} out of range 2..{self.max_n}")
         if self.diag_limit < n - 1:
             raise DepthError(f"row {n} was not fully computed (band triangle)")
-        return tuple(self.entries[(n, k)] for k in range(1, n))
+        return tuple(self.diags[n - k - 1][k - 1] for k in range(1, n))
 
     def leftmost_optimal(self, n: int) -> int | None:
         for k in range(1, n + 1):
@@ -215,11 +226,12 @@ class ContinuationTriangle:
 def _best_along(
     mode: str, rules: FrozenRules | None, i: int, below: list[int]
 ) -> list[int]:
-    """M along diagonal i, indexed by column, from the entries there: the
-    better of stopping and continuing, or what the frozen rule picks."""
+    """M along diagonal i, indexed like the diagonal (column k at k - 1),
+    from the entries there: the better of stopping and continuing, or what
+    the frozen rule picks."""
     xs = _diagonal_numerators(mode, i)
     if rules is None:
-        return [0] + [x if x > e else e for e, x in zip(below[1:], xs)]
+        return [x if x > e else e for e, x in zip(below, xs)]
     if i == 0:
         # the forced endgame: a strike strategy always accepts an eligible
         # full prefix, a trigger at the full prefix can never win
@@ -228,8 +240,7 @@ def _best_along(
         first = rules[i - 1] if i <= len(rules) else None  # fires from column first on
     if first is None:
         return below
-    return [0] + [x if k >= first else e
-                  for k, e, x in zip(range(1, len(below)), below[1:], xs)]
+    return [x if k >= first else e for k, e, x in zip(count(1), below, xs)]
 
 
 def continuation_triangle(
@@ -258,23 +269,20 @@ def continuation_triangle(
         raise LimitError(f"{max_n} rows over {diag_cap} diagonals hold {size} entries, "
                          f"over the triangle cap {TRIANGLE_CAP}")
 
-    # entries and M of the previous diagonal, indexed by column k; both
-    # terms of the recurrence lie there: X(N-1, k) and M(N, k+1)
-    prev = [0] * (max_n + 1)  # diagonal 0: the implicit zero column k = N
+    # entries and M of the previous diagonal, indexed like the diagonals;
+    # both terms of the recurrence lie there: M(N, k+1) at column k+1 and
+    # the running sum of X over columns 1..k
+    prev = [0] * max_n  # diagonal 0: the implicit zero column k = N
     prev_m = _best_along(mode, rules, 0, prev)
-    entries: dict[tuple[int, int], int] = {}
+    diags: list[list[int]] = []
     for i in range(1, diag_cap + 1):
         carry = prev if mode == "strike" else prev_m
-        cur = [0] * (max_n - i + 1)
-        d = 0
-        for k in range(1, max_n - i + 1):
-            d += carry[k]
-            cur[k] = e = prev_m[k + 1] + d
-            entries[(k + i, k)] = e
+        cur = [m + d for m, d in zip(islice(prev_m, 1, None), accumulate(carry))]
+        diags.append(cur)
         prev, prev_m = cur, _best_along(mode, rules, i, cur)
 
     return ContinuationTriangle(
-        mode=mode, max_n=max_n, max_diag=max_diag, frozen_rules=rules, entries=entries
+        mode=mode, max_n=max_n, max_diag=max_diag, frozen_rules=rules, diags=diags
     )
 
 
@@ -308,13 +316,13 @@ def optimal_boundary(t: ContinuationTriangle, max_i: int | None = None) -> Thres
     if t.frozen_rules is not None:
         raise InvalidInputError("optimal_boundary expects an unfrozen triangle")
     limit = t.diag_limit if max_i is None else min(max_i, t.diag_limit)
-    entries = t.entries
     values: dict[int, int | None] = {}
     for i in range(0, limit + 1):
         values[i] = None
-        for k, x in zip(range(1, t.max_n - i + 1), _diagonal_numerators(t.mode, i)):
+        below = t.diags[i - 1] if i else repeat(0, t.max_n)
+        for k, e, x in zip(count(1), below, _diagonal_numerators(t.mode, i)):
             # is_optimal(k + i, k), with the numerator stepped down the diagonal
-            if x > 0 and x >= (entries[k + i, k] if i else 0):
+            if x > 0 and x >= e:
                 values[i] = k
                 break
     return ThresholdTable(mode=t.mode, depth=t.max_n, values=values)

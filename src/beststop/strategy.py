@@ -340,7 +340,8 @@ def parse_strategy(text: str, cls: PatternClass | str, n: int) -> Strategy:
 
     Forms: "strike:{12,213,3124}", "trigger:{null,1,21}",
     "trigger:{size=2}", "positional:3", "threshold:strike".  A member list
-    holding a ";" is split there (rank >= 10 prefixes hold commas).
+    holding a ";" is split there (rank >= 10 prefixes hold commas); one
+    without, whose commas split off a "10", is a single such member.
 
     >>> parse_strategy("positional:1", "123", 4).describe()
     'positional:1'
@@ -367,8 +368,12 @@ def parse_strategy(text: str, cls: PatternClass | str, n: int) -> Strategy:
             return Strategy(kind="positional", position=size, rank=n)
         if not inner:
             raise InvalidInputError(f"{kind} descriptor has no members: {text!r}")
+        tokens = inner.split(";" if ";" in inner else ",")
+        if ";" not in inner and "10" in map(str.strip, tokens):
+            # a lone member written with commas: no digit-form member reads "10"
+            tokens = [inner]
         members = set()
-        for token in inner.split(";" if ";" in inner else ","):
+        for token in tokens:
             token = token.strip()
             if token == "null":
                 if kind == "strike":

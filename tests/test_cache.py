@@ -19,14 +19,27 @@ def test_cache_dir_honours_env(isolated_cache):
 
 
 def test_store_and_load_round_trip():
-    t = continuation_triangle("strike", 9)
-    path = store_triangle(t)
-    assert path.exists()
-    back = load_triangle("strike", 9)
-    assert back is not None
-    assert back.entries == t.entries
-    assert (back.mode, back.max_n) == ("strike", 9)
-    assert back.frozen_rules is None and back.max_diag is None
+    for mode in ("strike", "trigger"):
+        for n in (2, 3, 60):
+            t = continuation_triangle(mode, n)
+            path = store_triangle(t)
+            assert path.exists()
+            back = load_triangle(mode, n)
+            assert back is not None
+            assert back.diags == t.diags
+            assert back.entries == t.entries
+            assert (back.mode, back.max_n) == (mode, n)
+            assert back.frozen_rules is None and back.max_diag is None
+
+
+def _lines(path):
+    """The head and the diagonal lines of a cache file, parsed."""
+    head, *diags = map(json.loads, path.read_text().splitlines())
+    return head, diags
+
+
+def _write_lines(path, head, diags):
+    path.write_text("".join(json.dumps(v) + "\n" for v in (head, *diags)))
 
 
 def test_load_missing_returns_none():
@@ -47,6 +60,9 @@ def test_corrupt_file_recomputed(isolated_cache):
     path.write_text("{not json")
     with pytest.warns(UserWarning, match="unreadable"):
         assert load_triangle("strike", 6) is None
+    path.write_bytes(b"\xff\xfe{}\n")
+    with pytest.warns(UserWarning, match="unreadable"):
+        assert load_triangle("strike", 6) is None
     with pytest.warns(UserWarning):
         t = cached_triangle("strike", 6)
     assert t.entries == continuation_triangle("strike", 6).entries
@@ -54,41 +70,79 @@ def test_corrupt_file_recomputed(isolated_cache):
     assert load_triangle("strike", 6) is not None
 
 
+def test_file_is_a_head_line_then_one_line_per_diagonal(isolated_cache):
+    store_triangle(continuation_triangle("strike", 6))
+    assert (isolated_cache / "triangle-strike-6.json").read_text() == (
+        '{"schema":2,"mode":"strike","max_n":6}\n'
+        "[1,1,1,1,1]\n[3,5,7,9]\n[8,15,25]\n[23,48]\n[71]\n"
+    )
+
+
 def test_wrong_schema_discarded(isolated_cache):
     store_triangle(continuation_triangle("strike", 6))
     path = isolated_cache / "triangle-strike-6.json"
-    doc = json.loads(path.read_text())
-    doc["schema"] = 99
-    path.write_text(json.dumps(doc))
+    head, diags = _lines(path)
+    head["schema"] = 99
+    _write_lines(path, head, diags)
     with pytest.warns(UserWarning, match="unexpected contents"):
         assert load_triangle("strike", 6) is None
 
 
 def test_truncated_entries_discarded(isolated_cache):
+    # the last diagonal's line is missing
     store_triangle(continuation_triangle("strike", 6))
     path = isolated_cache / "triangle-strike-6.json"
-    doc = json.loads(path.read_text())
-    doc["entries"] = doc["entries"][:-1]
-    path.write_text(json.dumps(doc))
+    head, diags = _lines(path)
+    _write_lines(path, head, diags[:-1])
     with pytest.warns(UserWarning, match="expected"):
         assert load_triangle("strike", 6) is None
 
 
-@pytest.mark.parametrize("row", [[9, 5, 1], [6, 5, 5.7]])
+@pytest.mark.parametrize("row", [[[1, 1, 1, 1, 5.7], [3, 5, 7, 9]],
+                                 [[1, 1, 1, 1, 1, 9], [3, 5, 7]]])
 def test_wrong_entry_discarded(isolated_cache, capsys, row):
-    # a key outside the triangle in place of (6, 5), or a float numerator:
-    # the entry count is right, but the file is rebuilt all the same
+    # the first two diagonals with a float numerator at (6, 5), or with
+    # (6, 4) moved to the end of diagonal 1, one entry long: the entry count
+    # is right, but the file is rebuilt all the same
     from beststop.cli import main
 
     store_triangle(continuation_triangle("strike", 6))
     path = isolated_cache / "triangle-strike-6.json"
-    doc = json.loads(path.read_text())
-    doc["entries"] = [row if e[:2] == [6, 5] else e for e in doc["entries"]]
-    path.write_text(json.dumps(doc))
+    head, diags = _lines(path)
+    _write_lines(path, head, row + diags[2:])
     with pytest.warns(UserWarning, match="expected rows 2..6"):
         assert main(["triangle", "--rows", "6", "--emit", "row", "--n", "6"]) == 0
     assert capsys.readouterr().out == "71,48,25,9,1\n"
     assert load_triangle("strike", 6).entries == continuation_triangle("strike", 6).entries
+
+
+@pytest.mark.parametrize("edit", [
+    lambda diags: diags[:2] + [diags[2][:-1]] + diags[3:],  # a short diagonal
+    lambda diags: diags + [[0]],  # one diagonal too many
+    lambda diags: diags[:1] + [{"k": 3}] + diags[2:],  # not a list
+], ids=["wrong-length", "extra-diagonal", "non-list"])
+def test_malformed_diagonals_discarded(isolated_cache, edit):
+    store_triangle(continuation_triangle("strike", 6))
+    path = isolated_cache / "triangle-strike-6.json"
+    head, diags = _lines(path)
+    _write_lines(path, head, edit(diags))
+    with pytest.warns(UserWarning, match="expected rows 2..6"):
+        assert load_triangle("strike", 6) is None
+
+
+def test_schema_1_file_rewritten(isolated_cache):
+    # the earlier format: one JSON document of [n, k, v] triples
+    t = continuation_triangle("trigger", 6)
+    path = isolated_cache / "triangle-trigger-6.json"
+    triples = [[n, k, v] for (n, k), v in t.entries.items()]
+    path.write_text(json.dumps({"schema": 1, "mode": "trigger", "max_n": 6, "entries": triples},
+                               separators=(",", ":")))
+    with pytest.warns(UserWarning, match="unexpected contents"):
+        assert load_triangle("trigger", 6) is None
+    with pytest.warns(UserWarning, match="unexpected contents"):
+        assert cached_triangle("trigger", 6).entries == t.entries
+    assert path.read_text().startswith('{"schema":2,')
+    assert load_triangle("trigger", 6).diags == t.diags
 
 
 def test_only_full_triangles_stored():

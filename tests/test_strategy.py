@@ -296,6 +296,18 @@ def test_parse_strategy_forms():
     assert s.kind == "threshold" and s.mode == "trigger"
 
 
+@pytest.mark.parametrize("kind", ["strike", "trigger"])
+def test_one_member_rank_10_set_reads_back(kind):
+    # written with commas and no ";": the lone member is not split at them
+    for member in [tuple(range(1, 11)), (2, 1, 3, 4, 5, 6, 7, 8, 10, 9)]:
+        s = Strategy(kind=kind, members=frozenset({member}), rank=10)
+        text = s.describe()
+        assert text == f"{kind}:{{{','.join(map(str, member))}}}"
+        back = parse_strategy(text, "321", 10)
+        assert (back.kind, back.members) == (kind, {member})
+        assert back.describe() == text
+
+
 def test_parse_strategy_errors():
     with pytest.raises(InvalidInputError):
         parse_strategy("nonsense", "231", 4)

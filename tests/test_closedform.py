@@ -156,6 +156,17 @@ def test_entry_edges():
             continuation_triangle("trigger", max_n, max_diag=max_diag)
 
 
+def test_entries_built_on_first_read():
+    # the readers index the per-diagonal lists; the (n, k) dict is made
+    # only when something asks for it
+    t = continuation_triangle("trigger", 30)
+    optimal_boundary(t)
+    t.row(30), t.value(30, 1), t.has(30, 2), t.leftmost_optimal(30)
+    assert "entries" not in vars(t)
+    assert t.entries[30, 29] == t.entry(30, 29) == t.diags[0][28]
+    assert "entries" in vars(t)
+
+
 def test_value_is_pointwise_max():
     t = continuation_triangle("strike", 12)
     assert t.value(5, 1) == Tally(23, 42)

@@ -45,6 +45,7 @@ from .errors import (
 from .optimizer import optimal_strike_set, optimal_trigger_set
 from .permutations import (
     CLASSES,
+    _perm_str,
     enumerate_class,
     pattern_class,
     perm_from_str,
@@ -414,19 +415,19 @@ def _cmd_tree(args) -> int:
     if args.prefix:
         p = () if args.prefix == "null" else perm_from_str(args.prefix)
         node = tree.node(p)
-        name = "null" if p == () else perm_to_str(p)
+        name = "null" if p == () else _perm_str(p)
         if args.json:
             print(json.dumps({
                 "prefix": name, "eligible": node.eligible,
                 "strike": str(node.strike), "trigger": str(node.trigger),
-                "children": [perm_to_str(c.prefix) for c in node.children],
+                "children": [_perm_str(c.prefix) for c in node.children],
             }, indent=2))
         else:
             print(f"node {name}: eligible={node.eligible} "
                   f"strike={node.strike} trigger={node.trigger}")
             if p and len(p) < args.n and node.eligible:
                 succ = successors(tree, p)
-                print("successors: " + ", ".join(perm_to_str(s.prefix) for s in succ))
+                print("successors: " + ", ".join(_perm_str(s.prefix) for s in succ))
         return 0
     if args.json:
         print(tree_to_json(tree))
@@ -434,7 +435,7 @@ def _cmd_tree(args) -> int:
         for node in tree.nodes():
             pad = "  " * (len(node.prefix) - 1)
             mark = "*" if node.eligible else " "
-            print(f"{pad}{perm_to_str(node.prefix)} {mark} "
+            print(f"{pad}{_perm_str(node.prefix)} {mark} "
                   f"strike={node.strike} trigger={node.trigger}")
     return 0
 

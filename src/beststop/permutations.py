@@ -12,8 +12,9 @@ and shifting the old values >= c up by one.  One interval rule answers
 both questions asked of such a class: which values c a prefix allows
 (child_indices) and whether an order is a member (contains_pattern,
 PatternClass.is_member), so no candidate child is built or searched.  The
-tree walks (enumerate_class, prefixtree.build) read the rule unchecked,
-since every prefix they visit is one they built.  For the single-pattern
+tree walks (enumerate_class, prefixtree.build) never rescan a prefix: they
+carry each prefix's forbidden values down the tree as a bitmask label and
+update it per child from the one entry it adds.  For the single-pattern
 classes every member extends, so the tree of prefixes at rank N contains
 the whole class at every smaller rank and grows like the Catalan numbers
 rather than n!.
@@ -149,7 +150,8 @@ def _spans(perm: Sequence[int], pattern: Perm) -> Iterator[tuple[int, int, int]]
     k = len(perm).  This holds both for a later entry of perm and for a new
     entry x appended with the values >= x shifted up.  Keeping the earlier
     values sorted, each v needs only the partner whose interval contains all
-    the others, so a scan costs O(k log k).
+    the others, so a scan costs O(k log k).  _contains3 and child_indices
+    read the scan; the tree walks keep its union as a label instead (_opened).
     """
     a, b, r = pattern
     rising = a < b
@@ -167,6 +169,57 @@ def _spans(perm: Sequence[int], pattern: Perm) -> Iterator[tuple[int, int, int]]
             first, last = ((1, lo), (lo + 1, hi), (hi + 1, top))[r - 1]
             yield j, first, last
         insort(seen, v)
+
+
+# The label of a member p of size k is an int whose bit x (1 <= x <= k + 1)
+# is set when appending x would complete a forbidden pattern: the union of
+# _spans' intervals over every pattern.  The label of extend(p, c) follows
+# from p's with no scan.  Its earlier entries meet x as p's did, with p's
+# gap c split in two at the new entry, so the bits below c stay, bit c goes
+# to c and c + 1, and the bits above c move up one; the new entry adds the
+# one interval per pattern that _spans gives it (_opened).  The children of
+# p are the clear bits, in ascending order (_free).  West, Discrete Math.
+# 146 (1995); Barcucci, Del Lungo, Pergola and Pinzani, J. Difference Equ.
+# Appl. 5 (1999).
+
+
+def _opened(cls: PatternClass, n: int) -> list[list[int]]:
+    """opened[k][c], for 0 <= k < n and 1 <= c <= k + 1: the label bits that
+    the new entry of extend(p, c) adds, for p of size k.
+
+    The earlier entries of extend(p, c) hold every value of 1..k+1 but c,
+    so the partner _spans picks is fixed.  For (a, b, r) with a < b it
+    exists when c > 1 and is 1 for r = 2, else c - 1; with a > b it exists
+    when c < k + 1 and is k + 1 for r = 2, else c + 1.
+    """
+    table = []
+    for k in range(n):
+        top = k + 2
+        row = [0] * top
+        for c in range(1, top):
+            for a, b, r in cls.forbidden:
+                if a < b:
+                    if c == 1:
+                        continue
+                    lo, hi = (1 if r == 2 else c - 1), c
+                else:
+                    if c == k + 1:
+                        continue
+                    lo, hi = c, (k + 1 if r == 2 else c + 1)
+                first, last = ((1, lo), (lo + 1, hi), (hi + 1, top))[r - 1]
+                row[c] |= (2 << last) - (1 << first)
+        table.append(row)
+    return table
+
+
+def _free(label: int, k: int) -> list[int]:
+    """The children of a size-k member with this label, ascending."""
+    return [c for c in range(1, k + 2) if not label >> c & 1]
+
+
+def _relabel(label: int, c: int, row: list[int]) -> int:
+    """The label of extend(p, c) from p's label and p's row of _opened."""
+    return (label & ((2 << c) - 1)) | (label >> c << (c + 1)) | row[c]
 
 
 def _contains3(perm: Perm, pattern: Perm) -> bool:
@@ -290,13 +343,14 @@ def extend(p: Sequence[int], c: int) -> Perm:
     k = len(p)
     if not 1 <= c <= k + 1:
         raise InvalidInputError(f"child index {c} out of range 1..{k + 1}")
-    return tuple(v if v < c else v + 1 for v in p) + (c,)
+    return tuple([v + (v >= c) for v in p]) + (c,)
 
 
 def _children(p: Sequence[int], cls: PatternClass) -> list[int]:
     """child_indices in ascending order, without its checks: p must be a
     member of cls (or empty).  A difference array over the values 1..k+1
-    takes the union of the forbidden intervals of every pattern."""
+    takes the union of the forbidden intervals of every pattern: the clear
+    bits of p's label, found by a scan of p."""
     k = len(p)
     depth = [0] * (k + 3)
     for rho in cls.forbidden:
@@ -348,11 +402,13 @@ def enumerate_class(
         raise LimitError(
             f"class {cls.name} has {known} members at rank {n}, over the cap {cap}"
         )
+    opened = _opened(cls, n)
     count = 0
 
-    def walk(p: Perm) -> Iterator[Perm]:
+    def walk(p: Perm, label: int) -> Iterator[Perm]:
         nonlocal count
-        if len(p) == n:
+        k = len(p)
+        if k == n:
             count += 1
             if count > cap:
                 raise LimitError(
@@ -360,10 +416,11 @@ def enumerate_class(
                 )
             yield p
             return
-        for c in _children(p, cls):
-            yield from walk(extend(p, c))
+        for c in _free(label, k):
+            yield from walk(tuple([v + (v >= c) for v in p]) + (c,),
+                            _relabel(label, c, opened[k]))
 
-    yield from walk((1,))
+    yield from walk((), 0)
 
 
 def perm_to_str(p: Sequence[int]) -> str:
@@ -374,8 +431,12 @@ def perm_to_str(p: Sequence[int]) -> str:
     >>> perm_to_str((10, 2, 1, 3, 4, 5, 6, 7, 8, 9))
     '10,2,1,3,4,5,6,7,8,9'
     """
-    perm = validate_permutation(p)
-    return ("" if len(perm) <= 9 else ",").join(str(v) for v in perm)
+    return _perm_str(validate_permutation(p))
+
+
+def _perm_str(p: Perm) -> str:
+    """perm_to_str without its check, for prefixes read off a tree."""
+    return ("" if len(p) <= 9 else ",").join(map(str, p))
 
 
 def perm_from_str(text: str) -> Perm:

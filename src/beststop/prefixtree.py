@@ -14,6 +14,14 @@ A virtual null node above the root represents the empty prefix, which is a
 legal trigger point ("accept the first candidate that is a running maximum")
 but never a strike point.
 
+build grows the tree depth first from the null node without rescanning a
+prefix.  Each open node carries its label from permutations: an int whose
+bit x is set when appending x would complete a forbidden pattern.  The
+children are the clear bits in ascending order, and a child's label follows
+from its parent's and the one entry it adds.  The leaves are made in their
+parent's loop, and their wins are added to the open nodes above them in
+one step per parent.
+
 frontier is the one walk to the first node on each path where a test holds:
 strategy scoring, strike-set completion, optimal sets and successors read it.
 """
@@ -29,25 +37,30 @@ from .errors import InvalidInputError, LimitError, NotFoundError
 from .permutations import (
     PatternClass,
     Perm,
-    _children,
-    extend,
+    _free,
+    _opened,
+    _perm_str,
+    _relabel,
     perm_to_str,
     prefix_flattening,
 )
 from .tallies import Tally
 
 # Trees are only materialized up to this rank and this many members (leaves)
-# unless the caller raises the caps.  A tree holds about 300 B per leaf (the
-# unrestricted class at rank 9, 362,880 leaves: 100 MiB of objects, 118 MiB
-# peak RSS), so the member cap keeps a build to about 0.3 GB.
+# unless the caller raises the caps.  A tree holds about 290 B per leaf (the
+# unrestricted class at rank 9, 362,880 leaves and 409,114 nodes: 99 MiB of
+# objects by tracemalloc, 117 MiB peak RSS in a fresh Python 3.11 process),
+# so the member cap keeps a build to about 0.3 GB.
 DEFAULT_MAX_RANK = 12
 DEFAULT_TREE_CAP = 1_000_000
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class TreeNode:
     """One prefix flattening.  total is its member count, shared by its
-    strike and trigger values; the win counts are stored as plain ints."""
+    strike and trigger values; the win counts are stored as plain ints.
+    Not frozen, which makes it four times cheaper to build; nothing assigns
+    to a node once build has made it."""
 
     prefix: Perm
     eligible: bool
@@ -134,45 +147,58 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
     strike_wins = [0] * (n + 1)
     trigger_wins = [0] * (n + 1)
     index: dict[Perm, TreeNode] = {}
+    opened = _opened(cls, n)
     seen = 0
 
-    def grow(p: Perm, top: int, second: int) -> int:
-        """Build the subtree at p, hang it under its parent unless it has no
-        members, and return its member count.  top and second are the sizes
-        at which p's last two left-to-right maxima arrived (second is 0 when
-        p has only one)."""
+    def grow(p: Perm, label: int, top: int, second: int) -> int:
+        """Build the children of p that have members, hang them in kids[k],
+        and return p's member count.  label is p's label (see permutations).
+        top and second are the sizes at which p's last two left-to-right
+        maxima arrived (0 where p has fewer)."""
         nonlocal seen
         k = len(p)
-        kids[k] = []
+        found = kids[k] = []
         strike_wins[k] = trigger_wins[k] = 0
-        if k == n:
-            seen += 1
+        free = _free(label, k)
+        if k + 1 == n:
+            # the children are the leaves; the value n arrives at size top
+            # in each but the new running maximum c = n, where it arrives
+            # last.  Rejecting at sizes second .. top-1 and taking the next
+            # running maximum lands exactly on it.
+            seen += len(free)
             if seen > cap:
                 raise LimitError(
                     f"tree for class {cls.name} at rank {n} exceeded cap {cap}"
                 )
-            total = 1
-            # the value n arrived at size top; rejecting at sizes
-            # second .. top-1 and taking the next running maximum lands
-            # exactly on it
-            strike_wins[top] += 1
+            for c in free:
+                q = tuple([v + (v >= c) for v in p]) + (c,)
+                leaf = index[q] = TreeNode(q, c == n, int(c == n), 0, 1, ())
+                found.append(leaf)
+            rises = free[-1:] == [n]
+            below = len(free) - rises
+            strike_wins[top] += below
             for s in range(second, top):
-                trigger_wins[s] += 1
-        else:
+                trigger_wins[s] += below
+            if rises:
+                for s in range(top, n):
+                    trigger_wins[s] += 1
+            return len(free)
+        total = 0
+        row = opened[k]
+        for c in free:
+            q = tuple([v + (v >= c) for v in p]) + (c,)
             # a child whose new entry is k+1 is a new running maximum
-            total = 0
-            for c in _children(p, cls):
-                q = extend(p, c)
-                total += grow(q, k + 1, top) if c > k else grow(q, top, second)
-        if total:
-            eligible = top == k
-            node = TreeNode(p, eligible, strike_wins[k] if eligible else 0,
-                            trigger_wins[k], total, tuple(kids[k]))
-            kids[k - 1].append(node)
-            index[p] = node
+            eligible = c > k
+            sub_label = _relabel(label, c, row)
+            sub = grow(q, sub_label, k + 1, top) if eligible else grow(q, sub_label, top, second)
+            if sub:
+                node = index[q] = TreeNode(q, eligible, strike_wins[k + 1] if eligible else 0,
+                                           trigger_wins[k + 1], sub, tuple(kids[k + 1]))
+                found.append(node)
+                total += sub
         return total
 
-    total = grow((1,), 1, 0)
+    total = grow((), 0, 0, 0)
     if total == 0:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
     null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))
@@ -246,7 +272,7 @@ def tree_to_dict(tree: PrefixTree, include_null: bool = False) -> dict:
 
     def render(node: TreeNode) -> dict:
         return {
-            "prefix": perm_to_str(node.prefix) if node.prefix else "null",
+            "prefix": _perm_str(node.prefix) if node.prefix else "null",
             "eligible": node.eligible,
             "strike": str(node.strike),
             "trigger": str(node.trigger),

@@ -38,6 +38,7 @@ from .errors import (
 from .permutations import (
     PatternClass,
     Perm,
+    _perm_str,
     is_eligible,
     pattern_class,
     perm_from_str,
@@ -103,7 +104,7 @@ class Strategy:
 def member_names(members: Iterable[Perm]) -> list[str]:
     """A set's members as descriptors name them, shortest first, in order."""
     ordered = sorted(members, key=lambda p: (len(p), p))
-    return ["null" if p == () else perm_to_str(p) for p in ordered]
+    return ["null" if p == () else _perm_str(p) for p in ordered]
 
 
 def members_str(names: Sequence[str]) -> str:

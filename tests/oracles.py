@@ -2,12 +2,19 @@
 
 Everything here recomputes quantities straight from the definitions with
 itertools, independently of the package internals, so the two sides can
-disagree loudly when one of them is wrong.
+disagree loudly when one of them is wrong.  The one exception is
+build_by_scan, the tree build that rescans every prefix with the package's
+own interval rule (itself checked against the definition) and is kept to
+check the labelled build node by node.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import comb
+
+from beststop.errors import InvalidInputError, LimitError
+from beststop.permutations import _children, extend
+from beststop.prefixtree import DEFAULT_MAX_RANK, DEFAULT_TREE_CAP, PrefixTree, TreeNode
 
 # name -> forbidden patterns, spelled out rather than imported
 FORBIDDEN = {
@@ -245,3 +252,62 @@ def below_by_words(rng, bound):
             value = (value << 64) | rng.next64()
         if value < limit:
             return value % bound
+
+
+def build_by_scan(cls, n, cap=DEFAULT_TREE_CAP):
+    """prefixtree.build as it was before the label: the children of every
+    prefix come from a fresh _children scan of it, and each leaf is grown
+    on its own.  Same tree, same node order, same refusals."""
+    if n < 1:
+        raise InvalidInputError(f"rank must be >= 1, got {n}")
+    if n > DEFAULT_MAX_RANK:
+        raise LimitError(
+            f"rank {n} exceeds the tree cap {DEFAULT_MAX_RANK}; "
+            "use the closed-form modules for deeper ranks"
+        )
+    known = cls.size(n)
+    if known is not None and known > cap:
+        raise LimitError(
+            f"class {cls.name} has {known} members at rank {n}, over the cap {cap}"
+        )
+
+    kids = [[] for _ in range(n + 1)]
+    strike_wins = [0] * (n + 1)
+    trigger_wins = [0] * (n + 1)
+    index = {}
+    seen = 0
+
+    def grow(p, top, second):
+        nonlocal seen
+        k = len(p)
+        kids[k] = []
+        strike_wins[k] = trigger_wins[k] = 0
+        if k == n:
+            seen += 1
+            if seen > cap:
+                raise LimitError(
+                    f"tree for class {cls.name} at rank {n} exceeded cap {cap}"
+                )
+            total = 1
+            strike_wins[top] += 1
+            for s in range(second, top):
+                trigger_wins[s] += 1
+        else:
+            total = 0
+            for c in _children(p, cls):
+                q = extend(p, c)
+                total += grow(q, k + 1, top) if c > k else grow(q, top, second)
+        if total:
+            eligible = top == k
+            node = TreeNode(p, eligible, strike_wins[k] if eligible else 0,
+                            trigger_wins[k], total, tuple(kids[k]))
+            kids[k - 1].append(node)
+            index[p] = node
+        return total
+
+    total = grow((1,), 1, 0)
+    if total == 0:
+        raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
+    null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))
+    index[()] = null
+    return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0], index=index)

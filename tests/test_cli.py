@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -32,6 +33,54 @@ def test_solve_tree(capsys):
     assert "optimal strike set {12,213,3124,3214,4123,4132,4213,4231,4312,4321}" in out
     assert "value = 11/24" in out
     assert "~0.458333" in out
+
+
+# sha256 of the stdout of `solve --class C --n 8 --mode M` (n = 7 for the
+# unrestricted class), recorded before the tree build carried labels and
+# before its set listings were printed without re-validation
+SOLVE_SHA256 = {
+    ("231", "strike"): "eb6f96f98f17afbc7eea125b0e5477588a7f8add879828aa5f0552b24eda851f",
+    ("231", "trigger"): "9b3327ac1c69e6b037ff6f701581b2092a6e9976cafcc32d64f9a46ea3f87907",
+    ("132", "strike"): "7bc17312186388a750bb98acfbfacb99577a8624d4e9c2d1a57958d05a899611",
+    ("132", "trigger"): "1839db21badc521c0ecc441e84f289ba8d45ab7d3515f81e7a6bc7cd1614f5f4",
+    ("321", "strike"): "3cbce2c81c6196f0c3f739e50f011fb9bf0e3e6d98136f3661848690c1d50c8e",
+    ("321", "trigger"): "929dcdf1928b8b1078ab2c75139e0d1f50b442a1993be0f8ad7881bc7bae03dc",
+    ("312", "strike"): "84f77566fda139d18cb4e19853c917207b87bee891a5ca17cc3634fc3ee360ef",
+    ("312", "trigger"): "d22ba408996b9ea9b6ce9b6932a9e1ce4e5624363395c69c91207422442587a7",
+    ("123", "strike"): "b86df16967b362d359f814993773e9d01a122c08ab60723b29449de5b4299680",
+    ("123", "trigger"): "bb8546de2c60c50f5099ffe4d58a888733df3acef32fb4ed39c848cc7c8beb77",
+    ("213", "strike"): "1846aac15a27ebdfe928960c396b020e71a507432ea79be56fe51d3e4324213d",
+    ("213", "trigger"): "f9423c7a6ef1be262175cac7e4b4cf7a1dfd30df736f459e43fa9a21534c9083",
+    ("none", "strike"): "95557011e384a7884004746b3972be921c76945281e7101d48e8b1b51569bbd3",
+    ("none", "trigger"): "0a1d25f79b53ee41c3d025ef0300d03def7791684b6ea029d8e1edc8c9c14cac",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(SOLVE_SHA256))
+def test_solve_output_pinned(capsys, name, mode):
+    n = "7" if name == "none" else "8"
+    code, out, err = run(capsys, "solve", "--class", name, "--n", n, "--mode", mode)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_SHA256[name, mode]
+
+
+def test_tree_prefixes_print_unchecked(capsys, monkeypatch):
+    # every prefix solve and tree print comes from the tree, so printing
+    # them never re-validates a permutation; the output is unchanged
+    import beststop.permutations
+
+    cmds = [("solve", "--class", "231", "--n", "6"),
+            ("solve", "--class", "none", "--n", "5", "--mode", "trigger", "--json"),
+            ("tree", "--class", "321", "--n", "4"),
+            ("tree", "--class", "321", "--n", "4", "--json"),
+            ("tree", "--class", "321", "--n", "4", "--prefix", "null", "--json")]
+    want = [run(capsys, *cmd) for cmd in cmds]
+
+    def refuse(*args):
+        raise AssertionError("printing re-validated a tree prefix")
+
+    monkeypatch.setattr(beststop.permutations, "validate_permutation", refuse)
+    assert [run(capsys, *cmd) for cmd in cmds] == want
 
 
 def test_solve_trigger_json(capsys):

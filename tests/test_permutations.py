@@ -276,7 +276,8 @@ def test_child_indices_matches_definition():
 
 def test_tree_walks_skip_the_checks(monkeypatch):
     # enumerate_class and build extend only prefixes they built, so they
-    # never validate, test membership or call the checked child_indices
+    # never validate, test membership or call the checked child_indices;
+    # they step each child's label from its parent's, so they never scan
     import beststop.permutations
     from beststop import build
 
@@ -286,6 +287,7 @@ def test_tree_walks_skip_the_checks(monkeypatch):
     monkeypatch.setattr(PatternClass, "is_member", refuse)
     monkeypatch.setattr(beststop.permutations, "validate_permutation", refuse)
     monkeypatch.setattr(beststop.permutations, "child_indices", refuse)
+    monkeypatch.setattr(beststop.permutations, "_spans", refuse)
     assert build(AV321, 6).total == 132
     assert len(list(enumerate_class(AV312, 6))) == 132
 

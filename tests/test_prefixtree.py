@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 from operator import attrgetter
 
@@ -31,6 +32,7 @@ from beststop import (
     tree_to_json,
     trigger_prob,
 )
+from beststop.permutations import _free, _opened, _relabel, child_indices
 from beststop.prefixtree import frontier
 
 SMALL = [(name, n) for name in CLASSES for n in range(2, 6)]
@@ -80,6 +82,52 @@ def test_pruned_trees_match_oracle(name, top):
         assert {(2, 1, 3), (2, 3, 1)} <= set(rank4.index)
         with pytest.raises(InvalidInputError):
             build(cls, 5)  # Av(123, 321) is empty from rank 5
+
+
+def _fields(node):
+    return (node.prefix, node.eligible, node.strike_wins, node.trigger_wins,
+            node.total, [c.prefix for c in node.children])
+
+
+def assert_same_build(cls, n, **kw):
+    """build and the scan-based oracle agree on every node, in the same
+    order, or refuse with the same error."""
+    try:
+        want = oracles.build_by_scan(cls, n, **kw)
+    except (InvalidInputError, LimitError) as e:
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            build(cls, n, **kw)
+        return
+    got = build(cls, n, **kw)
+    assert list(got.index) == list(want.index), (cls.name, n)
+    assert _fields(got.null) == _fields(want.null), (cls.name, n)
+    assert [_fields(a) for a in got.nodes()] == [_fields(b) for b in want.nodes()], (cls.name, n)
+
+
+def test_build_matches_scan_oracle():
+    for name, forbidden in oracles.FORBIDDEN.items():
+        for n in range(1, 9):
+            assert_same_build(PatternClass(name, forbidden), n)
+    pair = PatternClass("pair", oracles.FORBIDDEN["pair"])
+    for cls, n, cap in [(UNRESTRICTED, 0, 100), (UNRESTRICTED, 13, 100),
+                        (UNRESTRICTED, 10, 1_000_000), (UNRESTRICTED, 5, 100), (pair, 5, 10)]:
+        assert_same_build(cls, n, cap=cap)
+
+
+def test_label_children_match_child_indices():
+    # each node's label, stepped down the tree from the null node's 0,
+    # allows exactly the values child_indices finds by scanning its prefix
+    for name, forbidden in oracles.FORBIDDEN.items():
+        cls = PatternClass(name, forbidden)
+        n = 4 if name == "mono" else 8  # Av(123, 321) is empty from rank 5
+        opened = _opened(cls, n)
+        stack = [(build(cls, n).null, 0)]
+        while stack:
+            node, label = stack.pop()
+            k = len(node.prefix)
+            assert _free(label, k) == sorted(child_indices(node.prefix, cls)), (name, node.prefix)
+            for child in node.children:
+                stack.append((child, _relabel(label, child.prefix[-1], opened[k])))
 
 
 def test_eligibility_flags(tree_for):
@@ -285,8 +333,8 @@ def test_cached_tree_holds_at_most_the_member_cap(monkeypatch):
 
 def test_tree_bytes_per_node():
     # each node is a slots object and an index entry; its counts are plain
-    # ints (measured about 300 B per node, 460 B when every node held two
-    # Tally objects)
+    # ints (measured about 250 B per node; 295 B with the scan-based build
+    # of tests/oracles.py, 460 B when every node held two Tally objects)
     tracemalloc.start()
     try:
         tree = build(AV231, 9)
@@ -306,7 +354,7 @@ def test_build_limits(monkeypatch):
         raise AssertionError("build started growing the tree")
 
     with monkeypatch.context() as m:
-        m.setattr(beststop.prefixtree, "_children", no_growth)
+        m.setattr(beststop.prefixtree, "_free", no_growth)
         with pytest.raises(LimitError, match="3628800 members .* over the cap 1000000"):
             build(UNRESTRICTED, 10)
     with pytest.raises(LimitError):

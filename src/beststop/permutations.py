@@ -173,14 +173,12 @@ def _spans(perm: Sequence[int], pattern: Perm) -> Iterator[tuple[int, int, int]]
 
 # The label of a member p of size k is an int whose bit x (1 <= x <= k + 1)
 # is set when appending x would complete a forbidden pattern: the union of
-# _spans' intervals over every pattern.  The label of extend(p, c) follows
-# from p's with no scan.  Its earlier entries meet x as p's did, with p's
-# gap c split in two at the new entry, so the bits below c stay, bit c goes
-# to c and c + 1, and the bits above c move up one; the new entry adds the
-# one interval per pattern that _spans gives it (_opened).  The children of
-# p are the clear bits, in ascending order (_free).  West, Discrete Math.
-# 146 (1995); Barcucci, Del Lungo, Pergola and Pinzani, J. Difference Equ.
-# Appl. 5 (1999).
+# _spans' intervals over every pattern.  p's children are its clear bits.
+# extend(p, c) meets x as p did, with p's gap c split at the new entry, so
+# its label is p's with bit c copied to c + 1 and the bits above shifted up
+# one, plus the one interval per pattern that the new entry opens.  West,
+# Discrete Math. 146 (1995); Barcucci, Del Lungo, Pergola and Pinzani,
+# J. Difference Equ. Appl. 5 (1999).
 
 
 def _opened(cls: PatternClass, n: int) -> list[list[int]]:

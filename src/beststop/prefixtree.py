@@ -14,13 +14,9 @@ A virtual null node above the root represents the empty prefix, which is a
 legal trigger point ("accept the first candidate that is a running maximum")
 but never a strike point.
 
-build grows the tree depth first from the null node without rescanning a
-prefix.  Each open node carries its label from permutations: an int whose
-bit x is set when appending x would complete a forbidden pattern.  The
-children are the clear bits in ascending order, and a child's label follows
-from its parent's and the one entry it adds.  The leaves are made in their
-parent's loop, and their wins are added to the open nodes above them in
-one step per parent.
+build never rescans a prefix: each open node carries its label, the values
+whose appending would complete a forbidden pattern (see permutations), and
+the leaves are made in their parent's loop.
 
 frontier is the one walk to the first node on each path where a test holds:
 strategy scoring, strike-set completion, optimal sets and successors read it.

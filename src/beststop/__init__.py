@@ -28,7 +28,6 @@ from .bijections import (
     slide_max,
     verify_tree_isomorphism,
     west_correspondence,
-    west_table,
 )
 from .cache import cached_triangle, load_triangle, store_triangle
 from .closedform import (
@@ -86,8 +85,6 @@ from .permutations import (
     perm_from_str,
     perm_to_str,
     prefix_flattening,
-    reverse,
-    complement,
     validate_permutation,
     value_saturated_count,
 )
@@ -98,11 +95,9 @@ from .prefixtree import (
     build,
     cached_tree,
     completion,
-    strike_prob,
     successors,
     tree_to_dict,
     tree_to_json,
-    trigger_prob,
 )
 from .rng import SplitMix64
 from .strategy import (
@@ -118,16 +113,12 @@ from .strategy import (
     threshold_strategy,
 )
 from .tallies import (
-    ExactRational,
     Tally,
     ballot,
     catalan,
     cmp_as_rational,
     decimal_str,
-    mediant,
-    parse_tally,
     shifted_ballot,
-    tally_sum,
 )
 
 __version__ = "0.1.0"

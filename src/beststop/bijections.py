@@ -144,15 +144,6 @@ def west_correspondence(n: int) -> dict[Perm, Perm]:
     return mapping
 
 
-def west_table(n: int) -> tuple[tuple[Perm, Perm], ...]:
-    """The correspondence as rows sorted by the 321-avoiding side
-    (by size, then lexicographically), excluding the empty prefix."""
-    m = west_correspondence(n)
-    rows = [(a, b) for a, b in m.items() if a]
-    rows.sort(key=lambda r: (len(r[0]), r[0]))
-    return tuple(rows)
-
-
 @dataclass(frozen=True)
 class TreeIsomorphismReport:
     """Outcome of checking that two prefix trees carry the same game."""

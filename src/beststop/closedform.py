@@ -216,12 +216,6 @@ class ContinuationTriangle:
             raise DepthError(f"row {n} was not fully computed (band triangle)")
         return tuple(self.diags[n - k - 1][k - 1] for k in range(1, n))
 
-    def leftmost_optimal(self, n: int) -> int | None:
-        for k in range(1, n + 1):
-            if self.has(n, k) and self.is_optimal(n, k):
-                return k
-        return None
-
 
 def _best_along(
     mode: str, rules: FrozenRules | None, i: int, below: list[int]
@@ -308,16 +302,15 @@ class ThresholdTable:
             ) from None
 
 
-def optimal_boundary(t: ContinuationTriangle, max_i: int | None = None) -> ThresholdTable:
+def optimal_boundary(t: ContinuationTriangle) -> ThresholdTable:
     """Scan each diagonal of a true (unfrozen) triangle for its first
     optimal entry.  Once stopping is optimal at (N, k) it stays optimal at
     (N+1, k+1), so the first hit determines the whole diagonal.  The stop
     numerators are stepped down each diagonal, with no binomial per entry."""
     if t.frozen_rules is not None:
         raise InvalidInputError("optimal_boundary expects an unfrozen triangle")
-    limit = t.diag_limit if max_i is None else min(max_i, t.diag_limit)
     values: dict[int, int | None] = {}
-    for i in range(0, limit + 1):
+    for i in range(0, t.diag_limit + 1):
         values[i] = None
         below = t.diags[i - 1] if i else repeat(0, t.max_n)
         for k, e, x in zip(count(1), below, _diagonal_numerators(t.mode, i)):

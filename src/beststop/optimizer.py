@@ -58,6 +58,10 @@ def _optimize(tree: PrefixTree, use_trigger: bool) -> OptimalResult:
 
     start = tree.null if use_trigger else tree.root
     value = Tally(best(start), start.total)
+    # best's closure refers to best itself: dropping the name breaks that
+    # cycle, so a dropped result's dict and set go by reference counting
+    # rather than waiting for the cyclic collector
+    del best
 
     members = frozenset(node.prefix for node, _ in frontier(start, chosen.__contains__))
     return OptimalResult(

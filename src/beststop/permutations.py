@@ -80,15 +80,6 @@ def prefix_flattening(pi: Sequence[int], k: int) -> Perm:
     return flatten(pi[:k])
 
 
-def reverse(pi: Perm) -> Perm:
-    return pi[::-1]
-
-
-def complement(pi: Perm) -> Perm:
-    n = len(pi)
-    return tuple(n + 1 - v for v in pi)
-
-
 def ltr_maxima(pi: Sequence[int]) -> tuple[int, ...]:
     """Ascending positions of the left-to-right maxima.
 

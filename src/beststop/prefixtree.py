@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -43,10 +44,11 @@ from .permutations import (
 from .tallies import Tally
 
 # Trees are only materialized up to this rank and this many members (leaves)
-# unless the caller raises the caps.  A tree holds about 290 B per leaf (the
-# unrestricted class at rank 9, 362,880 leaves and 409,114 nodes: 99 MiB of
-# objects by tracemalloc, 117 MiB peak RSS in a fresh Python 3.11 process),
-# so the member cap keeps a build to about 0.3 GB.
+# unless the caller raises the caps.  A tree holds about 230 B per leaf (the
+# unrestricted class at rank 9, 362,880 leaves and 409,114 nodes: 79 MiB of
+# objects by tracemalloc, 96 MiB peak RSS in a fresh Python 3.11 process;
+# the Catalan classes at rank 12 take about 320 B per leaf), so the member
+# cap keeps a build to about 0.3 GB.  Reading index adds about 50 B a node.
 DEFAULT_MAX_RANK = 12
 DEFAULT_TREE_CAP = 1_000_000
 
@@ -73,11 +75,6 @@ class TreeNode:
     def trigger(self) -> Tally:
         return Tally(self.trigger_wins, self.total)
 
-    def is_leaf(self) -> bool:
-        # build prunes every subtree without members, so only the
-        # rank-N nodes are childless
-        return not self.children
-
 
 @dataclass(frozen=True)
 class StrikeSet:
@@ -93,11 +90,18 @@ class PrefixTree:
     rank: int
     null: TreeNode
     root: TreeNode
-    index: dict[Perm, TreeNode] = field(repr=False)
 
     @property
     def total(self) -> int:
         return self.root.total
+
+    @cached_property
+    def index(self) -> dict[Perm, TreeNode]:
+        """Every node by prefix, the null node under (); built on the
+        first read, so only point lookups pay for it."""
+        index = {(): self.null}
+        index.update((node.prefix, node) for node in self.nodes())
+        return index
 
     def node(self, p: Sequence[int]) -> TreeNode:
         key = tuple(p)
@@ -142,7 +146,6 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
     kids: list[list[TreeNode]] = [[] for _ in range(n + 1)]
     strike_wins = [0] * (n + 1)
     trigger_wins = [0] * (n + 1)
-    index: dict[Perm, TreeNode] = {}
     opened = _opened(cls, n)
     seen = 0
 
@@ -168,8 +171,7 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
                 )
             for c in free:
                 q = tuple([v + (v >= c) for v in p]) + (c,)
-                leaf = index[q] = TreeNode(q, c == n, int(c == n), 0, 1, ())
-                found.append(leaf)
+                found.append(TreeNode(q, c == n, int(c == n), 0, 1, ()))
             rises = free[-1:] == [n]
             below = len(free) - rises
             strike_wins[top] += below
@@ -188,9 +190,8 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
             sub_label = _relabel(label, c, row)
             sub = grow(q, sub_label, k + 1, top) if eligible else grow(q, sub_label, top, second)
             if sub:
-                node = index[q] = TreeNode(q, eligible, strike_wins[k + 1] if eligible else 0,
-                                           trigger_wins[k + 1], sub, tuple(kids[k + 1]))
-                found.append(node)
+                found.append(TreeNode(q, eligible, strike_wins[k + 1] if eligible else 0,
+                                      trigger_wins[k + 1], sub, tuple(kids[k + 1])))
                 total += sub
         return total
 
@@ -198,20 +199,7 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
     if total == 0:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
     null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))
-    index[()] = null
-    return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0], index=index)
-
-
-def strike_prob(tree: PrefixTree, p: Sequence[int]) -> Tally:
-    """Exact strike tally of the prefix p (absent prefixes raise NotFoundError)."""
-    return tree.node(p).strike
-
-
-def trigger_prob(tree: PrefixTree, p: Sequence[int] | None) -> Tally:
-    """Exact trigger tally of p; None or () names the null prefix."""
-    if p is None:
-        return tree.null.trigger
-    return tree.node(p).trigger
+    return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0])
 
 
 def frontier(start: TreeNode, hit: Callable[[TreeNode], bool]) -> Iterator[tuple[TreeNode, bool]]:
@@ -263,23 +251,23 @@ def completion(S: Iterable[Perm], tree: PrefixTree) -> StrikeSet:
     return StrikeSet(members=frozenset(node.prefix for node, _ in reached))
 
 
-def tree_to_dict(tree: PrefixTree, include_null: bool = False) -> dict:
+def tree_to_dict(tree: PrefixTree) -> dict:
     """JSON-ready nested representation of the tree."""
 
     def render(node: TreeNode) -> dict:
         return {
-            "prefix": _perm_str(node.prefix) if node.prefix else "null",
+            "prefix": _perm_str(node.prefix),
             "eligible": node.eligible,
             "strike": str(node.strike),
             "trigger": str(node.trigger),
             "children": [render(c) for c in node.children],
         }
 
-    return render(tree.null if include_null else tree.root)
+    return render(tree.root)
 
 
-def tree_to_json(tree: PrefixTree, include_null: bool = False) -> str:
-    return json.dumps(tree_to_dict(tree, include_null), indent=2)
+def tree_to_json(tree: PrefixTree) -> str:
+    return json.dumps(tree_to_dict(tree), indent=2)
 
 
 class TreeCacheInfo(NamedTuple):

@@ -54,9 +54,3 @@ class SplitMix64:
                 value = (value << 64) | self.next64()
             if value < limit:
                 return value % bound
-
-    def chance(self, num: int, den: int) -> bool:
-        """True with probability exactly num/den."""
-        if den <= 0 or not 0 <= num <= den:
-            raise InvalidInputError(f"chance expects 0 <= num <= den, got {num}/{den}")
-        return self.below(den) < num

@@ -103,7 +103,9 @@ class Strategy:
 
 def member_names(members: Iterable[Perm]) -> list[str]:
     """A set's members as descriptors name them, shortest first, in order."""
-    ordered = sorted(members, key=lambda p: (len(p), p))
+    # two stable sorts give the (size, prefix) order with no key tuples
+    ordered = sorted(members)
+    ordered.sort(key=len)
     return ["null" if p == () else _perm_str(p) for p in ordered]
 
 
@@ -200,12 +202,11 @@ def play(s: Strategy, pi: Sequence[int]) -> PlayTrace:
     return PlayTrace(n, False, tuple(decisions))
 
 
-def threshold_strategy(
-    mode: str, cls: PatternClass | str, n: int, depth: int | None = None
-) -> Strategy:
+def threshold_strategy(mode: str, cls: PatternClass | str, n: int) -> Strategy:
     """The saturated-count threshold strategy for the 321-avoiding game,
     or its transport along the tree correspondence for the 312-avoiding
-    game."""
+    game.  Its sigma table is at least 60 deep, so strategies of nearby
+    ranks share one table."""
     cl = pattern_class(cls)
     if cl.name not in ("321", "312"):
         raise InvalidInputError(
@@ -213,10 +214,7 @@ def threshold_strategy(
         )
     if mode not in ("strike", "trigger"):
         raise InvalidInputError(f"mode must be strike or trigger, got {mode!r}")
-    d = max(n, 60) if depth is None else depth
-    if d < n:
-        raise DepthError(f"threshold table depth {d} < rank {n}")
-    sigma = _cached_boundary(mode, d)
+    sigma = _cached_boundary(mode, max(n, 60))
     transport = None
     if cl.name == "312":
         from .bijections import west_correspondence

@@ -3,7 +3,7 @@
 A Tally is an unreduced pair (wins, total).  Tallies from sibling subtrees
 combine with the mediant, (a/b) (+) (c/d) = (a+c)/(b+d), which is how success
 counts aggregate over a partition of the sample space.  Tallies are never
-auto-reduced; reduction is a deliberate conversion to ExactRational.
+auto-reduced; reduction is a deliberate conversion to Fraction (as_rational).
 
 Also home to the Catalan / ballot / shifted-ballot number families that give
 the denominators (and closed-form numerators) throughout the package.
@@ -14,12 +14,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable
 
 from .errors import InvalidInputError
-
-# Reduced exact values are plain stdlib fractions.
-ExactRational = Fraction
 
 
 @dataclass(frozen=True)
@@ -48,29 +44,6 @@ class Tally:
         return f"{self.wins}/{self.total}"
 
 
-def mediant(x: Tally, y: Tally) -> Tally:
-    """Mediant sum of two tallies: numerators and denominators add.
-
-    >>> str(mediant(Tally(1, 2), Tally(1, 3)))
-    '2/5'
-    """
-    return Tally(x.wins + y.wins, x.total + y.total)
-
-
-def tally_sum(items: Iterable[Tally]) -> Tally:
-    """Mediant of a nonempty iterable of tallies."""
-    it = iter(items)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise InvalidInputError("tally_sum of an empty iterable") from None
-    wins, total = acc.wins, acc.total
-    for t in it:
-        wins += t.wins
-        total += t.total
-    return Tally(wins, total)
-
-
 def cmp_as_rational(x: Tally, y: Tally) -> int:
     """Compare two tallies as rationals by cross-multiplication.
 
@@ -86,18 +59,6 @@ def cmp_as_rational(x: Tally, y: Tally) -> int:
     if lhs > rhs:
         return 1
     return 0
-
-
-def parse_tally(text: str) -> Tally:
-    """Parse the textual form 'wins/total'."""
-    parts = text.split("/")
-    if len(parts) != 2:
-        raise InvalidInputError(f"expected 'wins/total', got {text!r}")
-    try:
-        wins, total = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InvalidInputError(f"expected 'wins/total', got {text!r}") from None
-    return Tally(wins, total)
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,8 +107,9 @@ def shifted_ballot(i: int, n: int, k: int) -> int:
     return ballot(m, k)
 
 
-def decimal_str(value: Fraction, places: int = 13) -> str:
-    """Truncated decimal rendering of an exact rational, for display only.
+def decimal_str(value: Fraction) -> str:
+    """Truncated decimal rendering of an exact rational to 13 places, for
+    display only.
 
     Trailing zeros are stripped (an exactly terminating value prints in
     full), so the output is approximate whenever digits were cut off.
@@ -155,13 +117,11 @@ def decimal_str(value: Fraction, places: int = 13) -> str:
     >>> decimal_str(Fraction(31, 64))
     '0.484375'
     """
-    if places < 1:
-        raise InvalidInputError(f"decimal_str expects places >= 1, got {places}")
     sign = "-" if value < 0 else ""
     mag = -value if value < 0 else value
     whole, rem = divmod(mag.numerator, mag.denominator)
-    scaled = rem * 10**places // mag.denominator
-    digits = f"{scaled:0{places}d}".rstrip("0")
+    scaled = rem * 10**13 // mag.denominator
+    digits = f"{scaled:013d}".rstrip("0")
     if not digits:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{digits}"

@@ -151,7 +151,7 @@ def random_eligible_antichain(tree, rng):
     picked = []
 
     def walk(node):
-        if node.eligible and rng.chance(1, 2):
+        if node.eligible and rng.below(2) < 1:
             picked.append(node.prefix)
             return
         for c in node.children:
@@ -274,7 +274,6 @@ def build_by_scan(cls, n, cap=DEFAULT_TREE_CAP):
     kids = [[] for _ in range(n + 1)]
     strike_wins = [0] * (n + 1)
     trigger_wins = [0] * (n + 1)
-    index = {}
     seen = 0
 
     def grow(p, top, second):
@@ -302,12 +301,10 @@ def build_by_scan(cls, n, cap=DEFAULT_TREE_CAP):
             node = TreeNode(p, eligible, strike_wins[k] if eligible else 0,
                             trigger_wins[k], total, tuple(kids[k]))
             kids[k - 1].append(node)
-            index[p] = node
         return total
 
     total = grow((1,), 1, 0)
     if total == 0:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
     null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))
-    index[()] = null
-    return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0], index=index)
+    return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0])

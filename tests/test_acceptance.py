@@ -250,7 +250,7 @@ def test_criterion_11_bijections(tree_for):
                 if not node.eligible:
                     continue
                 winners = oracles.winnable(node.prefix, members)
-                if node.is_leaf():
+                if not node.children:
                     assert successors(tree, node.prefix) == ()
                     assert winners == [node.prefix]
                     continue

@@ -14,7 +14,6 @@ from beststop import (
     slide_max,
     verify_tree_isomorphism,
     west_correspondence,
-    west_table,
 )
 
 # hand-checked 321 -> 312 correspondence rows for rank 4, sizes 3 and 4
@@ -160,15 +159,6 @@ def test_west_preserves_eligibility_and_new_max_children():
         if not a:
             continue
         assert (a[-1] == len(a)) == (b[-1] == len(b)), (a, b)
-
-
-def test_west_table_sorted():
-    rows = west_table(4)
-    assert rows[0] == ((1,), (1,))
-    assert [a for a, _ in rows] == sorted(
-        (a for a, _ in rows), key=lambda p: (len(p), p)
-    )
-    assert all(a for a, _ in rows)
 
 
 def test_verify_isomorphism_pairs():

@@ -89,13 +89,17 @@ def test_strike_triangle_golden_rows():
 
 def test_strike_boundary_positions():
     t = continuation_triangle("strike", 16)
+
+    def leftmost_optimal(n):
+        return next(k for k in range(1, n + 1) if t.is_optimal(n, k))
+
     # the first optimal stop on diagonals 1, 2, 3
     for n, k in [(2, 1), (6, 4), (12, 9)]:
         assert t.is_optimal(n, k)
-        assert t.leftmost_optimal(n) == k
+        assert leftmost_optimal(n) == k
         assert not t.is_optimal(n + 1, k)  # one row down, same column: too early
     want_leftmost = (1, 2, 3, 4, 4, 5, 6, 7, 8, 9, 9, 10, 11, 12, 13)
-    assert tuple(t.leftmost_optimal(n) for n in range(2, 17)) == want_leftmost
+    assert tuple(leftmost_optimal(n) for n in range(2, 17)) == want_leftmost
 
 
 def test_optimal_entries_form_suffix_intervals():
@@ -161,7 +165,7 @@ def test_entries_built_on_first_read():
     # only when something asks for it
     t = continuation_triangle("trigger", 30)
     optimal_boundary(t)
-    t.row(30), t.value(30, 1), t.has(30, 2), t.leftmost_optimal(30)
+    t.row(30), t.value(30, 1), t.has(30, 2), t.is_optimal(30, 1)
     assert "entries" not in vars(t)
     assert t.entries[30, 29] == t.entry(30, 29) == t.diags[0][28]
     assert "entries" in vars(t)
@@ -258,7 +262,7 @@ def test_sweep_matches_comb_oracle_property(mode, max_n, rules, max_diag):
 
 
 def test_sigma_table_errors():
-    table = optimal_boundary(continuation_triangle("strike", 20), max_i=5)
+    table = optimal_boundary(continuation_triangle("strike", 20, max_diag=5))
     with pytest.raises(InvalidInputError):
         table.get(-1)
     with pytest.raises(DepthError):

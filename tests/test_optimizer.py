@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import types
 from fractions import Fraction
 
 import oracles
@@ -74,7 +76,7 @@ def test_av231_catalan_ratio_and_deepest_canonical(tree_for):
         got = optimal_strike_set(tree)
         assert got.value == Tally(catalan(n - 1), catalan(n))
         # ties keep the deeper strategy, so the canonical set is all leaves
-        leaves = {node.prefix for node in tree.nodes() if node.is_leaf()}
+        leaves = {node.prefix for node in tree.nodes() if not node.children}
         assert got.strike_set.members == leaves
 
 
@@ -120,3 +122,21 @@ def test_trigger_per_node_values(tree_for):
         for k in range(1, n):
             prefix = tuple(range(1, k + 1))
             assert per_node[prefix].wins == t.entry(n, k), (n, k)
+
+
+def test_dropped_result_is_freed_by_reference_counting(tree_for):
+    # the induction's working dict and set must not sit in a reference
+    # cycle, or each dropped result waits for the cyclic collector
+    tree = tree_for("231", 6)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for optimize in (optimal_strike_set, optimal_trigger_set):
+            res = optimize(tree)
+            below = res.best_below
+            del res
+            cells = [r for r in gc.get_referrers(below) if isinstance(r, types.CellType)]
+            assert cells == [], optimize.__name__
+    finally:
+        if enabled:
+            gc.enable()

@@ -19,7 +19,6 @@ from beststop import (
     LimitError,
     PatternClass,
     child_indices,
-    complement,
     contains_pattern,
     enumerate_class,
     extend,
@@ -32,7 +31,6 @@ from beststop import (
     perm_from_str,
     perm_to_str,
     prefix_flattening,
-    reverse,
     validate_permutation,
     value_saturated_count,
 )
@@ -94,10 +92,6 @@ def test_prefix_flattening():
         prefix_flattening(w, 8)
 
 
-@given(perms)
-def test_reverse_complement_involutions(p):
-    assert reverse(reverse(p)) == p
-    assert complement(complement(p)) == p
 
 
 def test_ltr_maxima_matches_oracle():

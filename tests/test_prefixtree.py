@@ -25,12 +25,9 @@ from beststop import (
     completion,
     exact_success,
     pattern_class,
-    strike_prob,
     successors,
-    tally_sum,
     tree_to_dict,
     tree_to_json,
-    trigger_prob,
 )
 from beststop.permutations import _free, _opened, _relabel, child_indices
 from beststop.prefixtree import frontier
@@ -144,15 +141,29 @@ def test_structure(tree_for):
     assert tree.node((2, 1, 3)).prefix == (2, 1, 3)
     with pytest.raises(NotFoundError):
         tree.node((2, 3, 1))  # forbidden pattern, not in this tree
-    leaves = [node for node in tree.nodes() if node.is_leaf()]
+    leaves = [node for node in tree.nodes() if not node.children]
     assert len(leaves) == tree.total
 
 
 def test_prob_accessors(tree_for):
     tree = tree_for("321", 4)
-    assert str(strike_prob(tree, (1, 2))) == "3/9"
-    assert str(trigger_prob(tree, None)) == "1/14"
-    assert trigger_prob(tree, (1, 2)) == tree.node((1, 2)).trigger
+    assert str(tree.node((1, 2)).strike) == "3/9"
+    assert str(tree.null.trigger) == "1/14"
+    assert tree.node(()) is tree.null
+    trigger = tree.node((1, 2)).trigger
+    assert (trigger.wins, trigger.total) == oracles.trigger_tally((1, 2), oracles.members("321", 4))
+
+
+def test_index_built_on_first_read():
+    # build keeps no prefix index; the first point lookup makes it from
+    # the null node and nodes()
+    for name, n in [("231", 6), ("none", 4)]:
+        tree = build(pattern_class(name), n)
+        assert "index" not in vars(tree)
+        assert list(tree.index) == [()] + [node.prefix for node in tree.nodes()]
+        assert "index" in vars(tree)
+        assert tree.index[()] is tree.null
+        assert all(tree.node(node.prefix) is node for node in tree.nodes())
 
 
 def test_successors_match_definition(tree_for):
@@ -163,7 +174,7 @@ def test_successors_match_definition(tree_for):
     for name, n in [("321", 5), ("231", 5), ("none", 4)]:
         tree = tree_for(name, n)
         for node in tree.nodes():
-            if not node.eligible or node.is_leaf():
+            if not node.eligible or not node.children:
                 continue
             want = set()
             for other in tree.nodes():
@@ -175,7 +186,7 @@ def test_successors_match_definition(tree_for):
                     if is_eligible(prefix_flattening(q, j)):
                         longest = prefix_flattening(q, j)
                         break
-                if longest == node.prefix and (other.eligible or other.is_leaf()):
+                if longest == node.prefix and (other.eligible or not other.children):
                     want.add(q)
             got = {s.prefix for s in successors(tree, node.prefix)}
             assert got == want, (name, n, node.prefix)
@@ -197,12 +208,12 @@ def test_frontier_matches_definition():
             tree = build(cls, n)
             rng = SplitMix64(n)
             # an antichain of any nodes, drawn by coin flips down the tree
-            chain = {node for node, _ in frontier(tree.null, lambda node: rng.chance(1, 3))}
+            chain = {node for node, _ in frontier(tree.null, lambda node: rng.below(3) < 1)}
             for hit in (attrgetter("eligible"), chain.__contains__,
                         lambda node: False, lambda node: True):
                 for start in (tree.root, tree.null):
                     want = [(node, hit(node)) for node, above in preorder(start, hit)
-                            if not above and (hit(node) or node.is_leaf())]
+                            if not above and (hit(node) or not node.children)]
                     assert list(frontier(start, hit)) == want, (name, n, start.prefix)
 
 
@@ -213,14 +224,15 @@ def test_successors_rejects_ineligible(tree_for):
 
 def test_strike_mediant_over_successors(tree_for):
     # 231-avoiding: the strike tally of an eligible prefix is the mediant
-    # of its successors' strike tallies
+    # of its successors' strike tallies: wins and totals both add up
     for n in range(2, 7):
         tree = tree_for("231", n)
         for node in tree.nodes():
-            if not node.eligible or node.is_leaf():
+            if not node.eligible or not node.children:
                 continue
             parts = [s.strike for s in successors(tree, node.prefix)]
-            assert tally_sum(parts) == node.strike, (n, node.prefix)
+            mediant = Tally(sum(t.wins for t in parts), sum(t.total for t in parts))
+            assert mediant == node.strike, (n, node.prefix)
 
 
 def test_trigger_mediant_over_children(tree_for):
@@ -230,10 +242,11 @@ def test_trigger_mediant_over_children(tree_for):
     for n in range(2, 7):
         tree = tree_for("231", n)
         for node in [tree.null, *tree.nodes()]:
-            if not node.children or node.children[0].is_leaf():
+            if not node.children or not node.children[0].children:
                 continue
             parts = [c.trigger for c in node.children]
-            assert tally_sum(parts) == node.trigger, (n, node.prefix)
+            mediant = Tally(sum(t.wins for t in parts), sum(t.total for t in parts))
+            assert mediant == node.trigger, (n, node.prefix)
 
 
 def test_trigger_figure_231(tree_for):
@@ -250,7 +263,7 @@ def test_trigger_figure_231(tree_for):
         (3, 2, 1): "1/4",
     }
     for p, text in want.items():
-        assert str(trigger_prob(tree, p)) == text, p
+        assert str(tree.node(p).trigger) == text, p
 
 
 def test_completion(tree_for):
@@ -276,7 +289,7 @@ def test_evaluate_strike(tree_for):
     full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], tree)
     assert strike_value(full.members, "none", 4) == Tally(11, 24)
     # all leaves: win exactly when the best candidate is interviewed last
-    leaves = [node.prefix for node in tree.nodes() if node.is_leaf()]
+    leaves = [node.prefix for node in tree.nodes() if not node.children]
     assert strike_value(leaves, "none", 4) == Tally(6, 24)
     with pytest.raises(IncompleteStrategyError):
         strike_value([(1, 2)], "none", 4)  # not complete
@@ -303,8 +316,6 @@ def test_tree_to_dict(tree_for):
     assert d["prefix"] == "1"
     assert d["strike"] == "2/5"
     assert {c["prefix"] for c in d["children"]} == {"12", "21"}
-    withnull = tree_to_dict(tree, include_null=True)
-    assert withnull["prefix"] == "null"
     parsed = json.loads(tree_to_json(tree))
     assert parsed == d
 
@@ -332,9 +343,11 @@ def test_cached_tree_holds_at_most_the_member_cap(monkeypatch):
 
 
 def test_tree_bytes_per_node():
-    # each node is a slots object and an index entry; its counts are plain
-    # ints (measured about 250 B per node; 295 B with the scan-based build
-    # of tests/oracles.py, 460 B when every node held two Tally objects)
+    # each node is a slots object with its prefix and children tuples; its
+    # counts are plain ints and build fills no index (measured about 208 B
+    # per node; 250 B when build also filled the prefix index, 295 B with
+    # the scan-based build of tests/oracles.py, 460 B when every node held
+    # two Tally objects)
     tracemalloc.start()
     try:
         tree = build(AV231, 9)

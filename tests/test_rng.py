@@ -72,12 +72,13 @@ def test_below_stream_across_the_word_boundary():
 
 
 def test_chance_frequency():
+    # a num/den coin is below(den) < num
     r = SplitMix64(5)
-    hits = sum(r.chance(1, 3) for _ in range(30000))
+    hits = sum(r.below(3) < 1 for _ in range(30000))
     assert abs(hits / 30000 - 1 / 3) < 0.01
 
 
 def test_chance_degenerate():
     r = SplitMix64(5)
-    assert all(r.chance(1, 1) for _ in range(5))
-    assert not any(r.chance(0, 4) for _ in range(5))
+    assert all(r.below(1) < 1 for _ in range(5))
+    assert not any(r.below(4) < 0 for _ in range(5))

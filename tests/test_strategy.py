@@ -18,8 +18,10 @@ from beststop import (
     catalan,
     cmp_as_rational,
     completion,
+    continuation_triangle,
     enumerate_class,
     exact_success,
+    optimal_boundary,
     optimal_strike_set,
     optimal_trigger_set,
     parse_strategy,
@@ -140,7 +142,7 @@ def test_exact_success_matches_manual_loop():
     s = Strategy(kind="trigger", members=frozenset({(1, 2)}))
     got = exact_success(s, "321", 4)
     assert got.wins == oracles.trigger_tally((1, 2), oracles.members("321", 4))[0]
-    shallow = threshold_strategy("strike", "321", 5, depth=6).sigma
+    shallow = optimal_boundary(continuation_triangle("strike", 6))
     for mode in ("strike", "trigger"):
         with pytest.raises(DepthError):
             exact_success(Strategy(kind="threshold", mode=mode, sigma=shallow), "321", 7)
@@ -245,10 +247,8 @@ def test_rank_mismatch():
 
 
 def test_threshold_depth_errors():
-    with pytest.raises(DepthError):
-        threshold_strategy("strike", "321", 10, depth=8)
-    shallow = threshold_strategy("strike", "321", 5, depth=6)
-    unranked = Strategy(kind="threshold", mode="strike", sigma=shallow.sigma)
+    shallow = optimal_boundary(continuation_triangle("strike", 6))
+    unranked = Strategy(kind="threshold", mode="strike", sigma=shallow)
     with pytest.raises(DepthError):
         play(unranked, (1, 2, 3, 4, 5, 6, 7))
     with pytest.raises(InvalidInputError):
@@ -260,8 +260,10 @@ def test_threshold_depth_errors():
 @pytest.mark.parametrize("mode", ["strike", "trigger"])
 def test_threshold_table_as_deep_as_the_rank(mode):
     # sigma(n) is not computed at depth n; no prefix of a rank-n order needs it
-    exact = threshold_strategy(mode, "321", 5, depth=5)
-    deep = threshold_strategy(mode, "321", 5, depth=60)
+    sigma = optimal_boundary(continuation_triangle(mode, 5))
+    exact = Strategy(kind="threshold", mode=mode, sigma=sigma, rank=5)
+    deep = threshold_strategy(mode, "321", 5)
+    assert deep.sigma.depth == 60
     for pi in enumerate_class(pattern_class("321"), 5):
         assert play(exact, pi) == play(deep, pi), pi
     assert exact_success(exact, "321", 5) == exact_success(deep, "321", 5)

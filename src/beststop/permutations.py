@@ -8,16 +8,15 @@ player observes during the game, so most operations act on those.
 A class avoids one or more patterns of size 3 (or none at all).  Classes
 are enumerated through their generating tree: a member of rank k+1 is
 obtained from its rank-k prefix flattening by appending one new value c
-and shifting the old values >= c up by one.  One interval rule answers
-both questions asked of such a class: which values c a prefix allows
-(child_indices) and whether an order is a member (contains_pattern,
-PatternClass.is_member), so no candidate child is built or searched.  The
-tree walks (enumerate_class, prefixtree.build) never rescan a prefix: they
-carry each prefix's forbidden values down the tree as a bitmask label and
-update it per child from the one entry it adds.  For the single-pattern
-classes every member extends, so the tree of prefixes at rank N contains
-the whole class at every smaller rank and grows like the Catalan numbers
-rather than n!.
+and shifting the old values >= c up by one.  One bitmask label of a
+prefix's forbidden values, stepped from parent to child by the one entry
+the child adds, answers which values c a prefix allows (child_indices) and
+whether an order is a member (contains_pattern, PatternClass.is_member).
+The tree walks (enumerate_class, prefixtree.build) carry it down the tree
+and never rescan a prefix; a point query steps it along one order.  For
+the single-pattern classes every member extends, so the tree of prefixes
+at rank N contains the whole class at every smaller rank and grows like
+the Catalan numbers rather than n!.
 """
 from __future__ import annotations
 
@@ -127,78 +126,51 @@ def value_saturated_count(p: Sequence[int]) -> int:
 
 # --- pattern containment ---------------------------------------------------
 #
-# One interval scan (_spans) serves every size-3 pattern, for containment
-# and for the children of a prefix; other sizes get a subsequence search.
-
-
-def _spans(perm: Sequence[int], pattern: Perm) -> Iterator[tuple[int, int, int]]:
-    """Yield (j, first, last) for each entry v = perm[j] that has an earlier
-    partner u ordered like (a, b), where pattern = (a, b, r).
-
-    A value x after v, other than u and v, completes the pattern with them
-    exactly when first <= x <= last: [1, min(u, v)] for r = 1,
-    (min(u, v), max(u, v)] for r = 2 and (max(u, v), k + 1] for r = 3, with
-    k = len(perm).  This holds both for a later entry of perm and for a new
-    entry x appended with the values >= x shifted up.  Keeping the earlier
-    values sorted, each v needs only the partner whose interval contains all
-    the others, so a scan costs O(k log k).  _contains3 and child_indices
-    read the scan; the tree walks keep its union as a label instead (_opened).
-    """
-    a, b, r = pattern
-    rising = a < b
-    top = len(perm) + 1
-    seen: list[int] = []
-    for j, v in enumerate(perm):
-        pos = bisect_left(seen, v)
-        # an earlier partner u with (u < v) == rising exists
-        if pos > 0 if rising else pos < len(seen):
-            if r == 2:
-                u = seen[0] if rising else seen[-1]
-            else:
-                u = seen[pos - 1] if rising else seen[pos]
-            lo, hi = (u, v) if rising else (v, u)
-            first, last = ((1, lo), (lo + 1, hi), (hi + 1, top))[r - 1]
-            yield j, first, last
-        insort(seen, v)
-
-
 # The label of a member p of size k is an int whose bit x (1 <= x <= k + 1)
-# is set when appending x would complete a forbidden pattern: the union of
-# _spans' intervals over every pattern.  p's children are its clear bits.
-# extend(p, c) meets x as p did, with p's gap c split at the new entry, so
-# its label is p's with bit c copied to c + 1 and the bits above shifted up
-# one, plus the one interval per pattern that the new entry opens.  West,
-# Discrete Math. 146 (1995); Barcucci, Del Lungo, Pergola and Pinzani,
-# J. Difference Equ. Appl. 5 (1999).
+# is set when appending x, with the values >= x shifted up, would complete
+# a forbidden pattern; p's children are its clear bits.  For a pattern
+# (a, b, r) such an occurrence ends at x, and its first two entries u, v
+# (in that order) are ordered like a and b.  They complete it exactly when
+# x lies in [1, min(u, v)] for r = 1, (min(u, v), max(u, v)] for r = 2 or
+# (max(u, v), k + 1] for r = 3, and each v needs only the partner u whose
+# interval contains all the others.  extend(p, c) meets x as p did, with
+# p's gap c split at the new entry, so its label is p's with bit c copied
+# to c + 1 and the bits above shifted up one, plus the one interval per
+# pattern that the new entry opens (_opens).  The tree walks carry the
+# label down; a point query (_label) steps it along one permutation, which
+# contains a pattern exactly when one of its entries lands on a set bit.
+# West, Discrete Math. 146 (1995); Barcucci, Del Lungo, Pergola and
+# Pinzani, J. Difference Equ. Appl. 5 (1999).
+
+
+def _opens(forbidden: tuple[Perm, ...], k: int, c: int) -> int:
+    """The label bits that the new entry of extend(p, c) opens, for p of
+    size k and 1 <= c <= k + 1.
+
+    The earlier entries of extend(p, c) hold every value of 1..k+1 but c,
+    so the partner is fixed.  For (a, b, r) with a < b it exists when
+    c > 1 and is 1 for r = 2, else c - 1; with a > b it exists when
+    c < k + 1 and is k + 1 for r = 2, else c + 1.
+    """
+    bits = 0
+    for a, b, r in forbidden:
+        if a < b:
+            if c == 1:
+                continue
+            lo, hi = (1 if r == 2 else c - 1), c
+        else:
+            if c == k + 1:
+                continue
+            lo, hi = c, (k + 1 if r == 2 else c + 1)
+        first, last = ((1, lo), (lo + 1, hi), (hi + 1, k + 2))[r - 1]
+        bits |= (2 << last) - (1 << first)
+    return bits
 
 
 def _opened(cls: PatternClass, n: int) -> list[list[int]]:
-    """opened[k][c], for 0 <= k < n and 1 <= c <= k + 1: the label bits that
-    the new entry of extend(p, c) adds, for p of size k.
-
-    The earlier entries of extend(p, c) hold every value of 1..k+1 but c,
-    so the partner _spans picks is fixed.  For (a, b, r) with a < b it
-    exists when c > 1 and is 1 for r = 2, else c - 1; with a > b it exists
-    when c < k + 1 and is k + 1 for r = 2, else c + 1.
-    """
-    table = []
-    for k in range(n):
-        top = k + 2
-        row = [0] * top
-        for c in range(1, top):
-            for a, b, r in cls.forbidden:
-                if a < b:
-                    if c == 1:
-                        continue
-                    lo, hi = (1 if r == 2 else c - 1), c
-                else:
-                    if c == k + 1:
-                        continue
-                    lo, hi = c, (k + 1 if r == 2 else c + 1)
-                first, last = ((1, lo), (lo + 1, hi), (hi + 1, top))[r - 1]
-                row[c] |= (2 << last) - (1 << first)
-        table.append(row)
-    return table
+    """The tree walks' table: opened[k][c] = _opens(cls.forbidden, k, c)."""
+    return [[0] + [_opens(cls.forbidden, k, c) for c in range(1, k + 2)]
+            for k in range(n)]
 
 
 def _free(label: int, k: int) -> list[int]:
@@ -206,25 +178,25 @@ def _free(label: int, k: int) -> list[int]:
     return [c for c in range(1, k + 2) if not label >> c & 1]
 
 
-def _relabel(label: int, c: int, row: list[int]) -> int:
-    """The label of extend(p, c) from p's label and p's row of _opened."""
-    return (label & ((2 << c) - 1)) | (label >> c << (c + 1)) | row[c]
+def _relabel(label: int, c: int, opens: int) -> int:
+    """The label of extend(p, c) from p's label and the bits c opens."""
+    return (label & ((2 << c) - 1)) | (label >> c << (c + 1)) | opens
 
 
-def _contains3(perm: Perm, pattern: Perm) -> bool:
-    """True when a later entry lies in some span's interval.  The spans are
-    checked from the right against the later entries kept sorted, so the
-    test costs O(k log k) like the scan itself."""
-    later: list[int] = []
-    done = len(perm)
-    for j, first, last in reversed(list(_spans(perm, pattern))):
-        for x in perm[j + 1:done]:
-            insort(later, x)
-        done = j + 1
-        i = bisect_left(later, first)
-        if i < len(later) and later[i] <= last:
-            return True
-    return False
+def _label(perm: Perm, forbidden: tuple[Perm, ...]) -> int | None:
+    """The label of perm, stepped entry by entry from the empty prefix's 0,
+    or None at the first entry whose bit is already set (perm contains a
+    forbidden pattern).  Each entry's rank among those before it, its c,
+    is found in the earlier values kept sorted."""
+    label = 0
+    seen: list[int] = []
+    for k, v in enumerate(perm):
+        c = bisect_left(seen, v) + 1
+        if label >> c & 1:
+            return None
+        label = _relabel(label, c, _opens(forbidden, k, c))
+        insort(seen, v)
+    return label
 
 
 def _contains_general(pi: Perm, rho: Perm) -> bool:
@@ -253,7 +225,7 @@ def contains_pattern(pi: Sequence[int], rho: Sequence[int]) -> bool:
     r = validate_permutation(rho)
     if len(r) > len(p):
         return False
-    return _contains3(p, r) if len(r) == 3 else _contains_general(p, r)
+    return _label(p, (r,)) is None if len(r) == 3 else _contains_general(p, r)
 
 
 # --- pattern classes -------------------------------------------------------
@@ -264,8 +236,8 @@ class PatternClass:
     """A set of permutations avoiding every pattern in `forbidden`.
 
     Every forbidden pattern is a permutation of size 3, which is what the
-    interval rule relies on; several patterns may be combined, and an
-    empty tuple gives all permutations.
+    label relies on; several patterns may be combined, and an empty tuple
+    gives all permutations.
     """
 
     name: str
@@ -281,7 +253,7 @@ class PatternClass:
 
     def is_member(self, pi: Sequence[int]) -> bool:
         p = validate_permutation(pi)
-        return not any(_contains3(p, rho) for rho in self.forbidden)
+        return _label(p, self.forbidden) is not None
 
     def is_catalan(self) -> bool:
         return len(self.forbidden) == 1
@@ -335,31 +307,11 @@ def extend(p: Sequence[int], c: int) -> Perm:
     return tuple([v + (v >= c) for v in p]) + (c,)
 
 
-def _children(p: Sequence[int], cls: PatternClass) -> list[int]:
-    """child_indices in ascending order, without its checks: p must be a
-    member of cls (or empty).  A difference array over the values 1..k+1
-    takes the union of the forbidden intervals of every pattern: the clear
-    bits of p's label, found by a scan of p."""
-    k = len(p)
-    depth = [0] * (k + 3)
-    for rho in cls.forbidden:
-        for _, first, last in _spans(p, rho):
-            depth[first] += 1
-            depth[last + 1] -= 1
-    out, covered = [], 0
-    for c in range(1, k + 2):
-        covered += depth[c]
-        if covered == 0:
-            out.append(c)
-    return out
-
-
 def child_indices(p: Sequence[int], cls: PatternClass) -> set[int]:
     """Values c for which extend(p, c) stays inside cls.
 
     A new occurrence of a forbidden pattern must end at the new entry c,
-    so c is allowed unless it lies in one of the intervals _spans gives
-    for p and that pattern.
+    so c is allowed unless it is a set bit of p's label (see _label).
 
     >>> sorted(child_indices((2, 1, 3), AV321))
     [2, 3, 4]
@@ -371,9 +323,10 @@ def child_indices(p: Sequence[int], cls: PatternClass) -> set[int]:
     if len(p) == 0:
         return {1}
     perm = validate_permutation(p)
-    if not cls.is_member(perm):
+    label = _label(perm, cls.forbidden)
+    if label is None:
         raise InvalidInputError(f"{perm!r} is not a member of class {cls.name}")
-    return set(_children(perm, cls))
+    return set(_free(label, len(perm)))
 
 
 def enumerate_class(
@@ -407,7 +360,7 @@ def enumerate_class(
             return
         for c in _free(label, k):
             yield from walk(tuple([v + (v >= c) for v in p]) + (c,),
-                            _relabel(label, c, opened[k]))
+                            _relabel(label, c, opened[k][c]))
 
     yield from walk((), 0)
 

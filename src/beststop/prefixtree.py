@@ -187,7 +187,7 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
             q = tuple([v + (v >= c) for v in p]) + (c,)
             # a child whose new entry is k+1 is a new running maximum
             eligible = c > k
-            sub_label = _relabel(label, c, row)
+            sub_label = _relabel(label, c, row[c])
             sub = grow(q, sub_label, k + 1, top) if eligible else grow(q, sub_label, top, second)
             if sub:
                 found.append(TreeNode(q, eligible, strike_wins[k + 1] if eligible else 0,
@@ -196,6 +196,9 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
         return total
 
     total = grow((), 0, 0, 0)
+    # grow's closure holds grow itself and kids (so the root): dropping the
+    # name breaks that cycle, so a dropped tree goes by reference counting
+    del grow
     if total == 0:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
     null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))

@@ -3,17 +3,18 @@
 Everything here recomputes quantities straight from the definitions with
 itertools, independently of the package internals, so the two sides can
 disagree loudly when one of them is wrong.  The one exception is
-build_by_scan, the tree build that rescans every prefix with the package's
-own interval rule (itself checked against the definition) and is kept to
-check the labelled build node by node.
+build_by_scan, which mirrors prefixtree.build's node order and refusals to
+check the labelled build node by node; it rescans every prefix for its
+children with this module's own interval scan (spans, children_by_scan).
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from itertools import combinations, permutations, product
 from math import comb
 
 from beststop.errors import InvalidInputError, LimitError
-from beststop.permutations import _children, extend
+from beststop.permutations import extend
 from beststop.prefixtree import DEFAULT_MAX_RANK, DEFAULT_TREE_CAP, PrefixTree, TreeNode
 
 # name -> forbidden patterns, spelled out rather than imported
@@ -254,9 +255,47 @@ def below_by_words(rng, bound):
             return value % bound
 
 
+def spans(perm, pattern):
+    """Yield (first, last) for each entry v of perm that has an earlier
+    partner u ordered like (a, b), where pattern = (a, b, r).
+
+    A value x appended after v, with the values >= x shifted up, completes
+    the pattern with u and v exactly when first <= x <= last: [1, min(u, v)]
+    for r = 1, (min(u, v), max(u, v)] for r = 2 and (max(u, v), k + 1] for
+    r = 3, with k = len(perm).  Keeping the earlier values sorted, each v
+    needs only the partner whose interval contains all the others."""
+    a, b, r = pattern
+    rising = a < b
+    top = len(perm) + 1
+    seen = []
+    for v in perm:
+        pos = bisect_left(seen, v)
+        # an earlier partner u with (u < v) == rising exists
+        if pos > 0 if rising else pos < len(seen):
+            if r == 2:
+                u = seen[0] if rising else seen[-1]
+            else:
+                u = seen[pos - 1] if rising else seen[pos]
+            lo, hi = (u, v) if rising else (v, u)
+            yield ((1, lo), (lo + 1, hi), (hi + 1, top))[r - 1]
+        insort(seen, v)
+
+
+def children_by_scan(p, cls):
+    """The values c, ascending, for which extend(p, c) stays in cls, for a
+    member p (or the empty prefix): those outside every interval spans
+    gives for p and a forbidden pattern."""
+    k = len(p)
+    hit = set()
+    for rho in cls.forbidden:
+        for first, last in spans(p, rho):
+            hit.update(range(first, last + 1))
+    return [c for c in range(1, k + 2) if c not in hit]
+
+
 def build_by_scan(cls, n, cap=DEFAULT_TREE_CAP):
     """prefixtree.build as it was before the label: the children of every
-    prefix come from a fresh _children scan of it, and each leaf is grown
+    prefix come from a fresh children_by_scan of it, and each leaf is grown
     on its own.  Same tree, same node order, same refusals."""
     if n < 1:
         raise InvalidInputError(f"rank must be >= 1, got {n}")
@@ -293,7 +332,7 @@ def build_by_scan(cls, n, cap=DEFAULT_TREE_CAP):
                 trigger_wins[s] += 1
         else:
             total = 0
-            for c in _children(p, cls):
+            for c in children_by_scan(p, cls):
                 q = extend(p, c)
                 total += grow(q, k + 1, top) if c > k else grow(q, top, second)
         if total:

@@ -155,8 +155,8 @@ def test_contains_pattern_matches_oracle():
     )
 )
 def test_interval_scan_matches_oracle(p):
-    # containment and membership both read the interval scan behind the
-    # children of a prefix
+    # containment and membership both step the label behind the children
+    # of a prefix along p, checked here against the definition
     for rho in PATTERNS3:
         want = oracles.contains(p, rho)
         assert contains_pattern(p, rho) == want, (p, rho)
@@ -205,12 +205,13 @@ def test_class_sizes():
 
 
 def test_membership_matches_oracle():
-    for name in CLASSES:
-        cls = CLASSES[name]
+    # the two-pattern classes step a union label per entry
+    for name, forbidden in oracles.FORBIDDEN.items():
+        cls = PatternClass(name, forbidden)
         for n in range(1, 6):
             want = set(oracles.members(name, n))
             got = {w for w in all_perms(n) if cls.is_member(w)}
-            assert got == want
+            assert got == want, (name, n)
 
 
 def test_enumerate_class_matches_oracle():
@@ -271,7 +272,8 @@ def test_child_indices_matches_definition():
 def test_tree_walks_skip_the_checks(monkeypatch):
     # enumerate_class and build extend only prefixes they built, so they
     # never validate, test membership or call the checked child_indices;
-    # they step each child's label from its parent's, so they never scan
+    # they step each child's label from its parent's, so they never walk
+    # a prefix's label from the root
     import beststop.permutations
     from beststop import build
 
@@ -281,7 +283,7 @@ def test_tree_walks_skip_the_checks(monkeypatch):
     monkeypatch.setattr(PatternClass, "is_member", refuse)
     monkeypatch.setattr(beststop.permutations, "validate_permutation", refuse)
     monkeypatch.setattr(beststop.permutations, "child_indices", refuse)
-    monkeypatch.setattr(beststop.permutations, "_spans", refuse)
+    monkeypatch.setattr(beststop.permutations, "_label", refuse)
     assert build(AV321, 6).total == 132
     assert len(list(enumerate_class(AV312, 6))) == 132
 
@@ -289,6 +291,9 @@ def test_tree_walks_skip_the_checks(monkeypatch):
 def test_child_indices_rejects_non_member():
     with pytest.raises(InvalidInputError):
         child_indices((3, 2, 1), AV321)
+    # (1, 3, 2) avoids (2, 1, 3) but not (1, 3, 2)
+    with pytest.raises(InvalidInputError):
+        child_indices((1, 3, 2), PatternClass("pair", ((1, 3, 2), (2, 1, 3))))
     assert child_indices((), AV312) == {1}
 
 

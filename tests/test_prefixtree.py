@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import re
 import tracemalloc
@@ -113,7 +114,8 @@ def test_build_matches_scan_oracle():
 
 def test_label_children_match_child_indices():
     # each node's label, stepped down the tree from the null node's 0,
-    # allows exactly the values child_indices finds by scanning its prefix
+    # allows exactly the values child_indices finds by stepping the label
+    # along its prefix, and those the oracle's interval scan finds
     for name, forbidden in oracles.FORBIDDEN.items():
         cls = PatternClass(name, forbidden)
         n = 4 if name == "mono" else 8  # Av(123, 321) is empty from rank 5
@@ -123,8 +125,10 @@ def test_label_children_match_child_indices():
             node, label = stack.pop()
             k = len(node.prefix)
             assert _free(label, k) == sorted(child_indices(node.prefix, cls)), (name, node.prefix)
+            assert _free(label, k) == oracles.children_by_scan(node.prefix, cls), (name, node.prefix)
             for child in node.children:
-                stack.append((child, _relabel(label, child.prefix[-1], opened[k])))
+                c = child.prefix[-1]
+                stack.append((child, _relabel(label, c, opened[k][c])))
 
 
 def test_eligibility_flags(tree_for):
@@ -355,6 +359,22 @@ def test_tree_bytes_per_node():
     finally:
         tracemalloc.stop()
     assert peak / len(tree.index) <= 380
+
+
+def test_dropped_tree_is_freed_by_reference_counting():
+    # build's recursive closure must not keep a dropped tree alive until
+    # the cyclic collector runs
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tree = build(UNRESTRICTED, 8)
+        assert tree.total == 40320
+        del tree
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_build_limits(monkeypatch):

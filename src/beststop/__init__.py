@@ -8,7 +8,8 @@ restricts the interview order to a permutation class given by a single
 forbidden pattern of size three (or no restriction), and provides
 
   - exact win tallies for every observable prefix (prefixtree),
-  - optimal stopping sets by backwards induction (optimizer),
+  - optimal stopping sets by backward induction on the label DAG, with no
+    tree built (optimizer),
   - closed forms, recursion-based tallies, and the continuation triangle
     with its threshold boundaries (closedform),
   - playable strategies, exact evaluation, and simulation (strategy),

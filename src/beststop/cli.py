@@ -2,8 +2,9 @@
 
 Subcommands:
 
-  solve     optimal value (and strategy) for one game, by tree search or
-            closed form, or the exact value of a given strategy
+  solve     optimal value (and strategy) for one game, by backward
+            induction on the label DAG or by closed form, or the exact value
+            of a given strategy
   triangle  continuation-triangle tables: CSV entries, threshold tables,
             or single rows, with optional frozen boundaries and bands
   verify    self-contained cross-checks of the package's main results
@@ -45,13 +46,14 @@ from .errors import (
 from .optimizer import optimal_strike_set, optimal_trigger_set
 from .permutations import (
     CLASSES,
+    _label,
     _perm_str,
     enumerate_class,
     pattern_class,
     perm_from_str,
     perm_to_str,
 )
-from .prefixtree import cached_tree, completion, successors, tree_to_json
+from .prefixtree import _check_caps, cached_tree, completion, successors, tree_to_json
 from .strategy import Strategy, exact_success, member_names, members_str, parse_strategy, simulate
 from .tallies import Tally, ballot, cmp_as_rational, decimal_str
 
@@ -71,7 +73,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--class", dest="cls", required=True, choices=CLASS_CHOICES)
     ps.add_argument("--n", type=int, required=True, help="interview pool size")
     ps.add_argument("--mode", choices=("strike", "trigger"), default="strike")
-    ps.add_argument("--formula", action="store_true", help="use closed forms instead of the tree")
+    ps.add_argument("--formula", action="store_true", help="use closed forms instead of backward induction")
     ps.add_argument("--strategy", help="evaluate this strategy descriptor instead of optimizing")
     ps.add_argument("--json", action="store_true")
 
@@ -148,8 +150,9 @@ def _cmd_solve(args) -> int:
         descr, value = _solve_formula(cls.name, args.n, args.mode)
         head, fields = f"optimal strategy {descr}", {"strategy": descr}
     else:
-        tree = cached_tree(cls, args.n)
-        result = optimal_strike_set(tree) if args.mode == "strike" else optimal_trigger_set(tree)
+        _check_caps(cls, args.n)
+        optimize = optimal_strike_set if args.mode == "strike" else optimal_trigger_set
+        result = optimize(cls, args.n)
         names = member_names(result.strike_set.members)
         value = result.value
         head = f"optimal {args.mode} set {members_str(names)}"
@@ -225,20 +228,21 @@ def _cmd_triangle(args) -> int:
 
 
 def _verify_triangle(report) -> bool:
-    """Triangle sweep agrees with tree-optimizer continuation values."""
+    """The triangle sweep's entries agree with the optimizer's best values
+    below the increasing 321 prefixes, for every row up to 12 in both modes."""
     ok = True
+    cls = pattern_class("321")
     for mode in ("strike", "trigger"):
         t = continuation_triangle(mode, 12)
-        cls = pattern_class("321")
-        for n in range(2, 10):
-            tree = cached_tree(cls, n)
-            res = optimal_strike_set(tree) if mode == "strike" else optimal_trigger_set(tree)
+        optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
+        for n in range(2, 13):
+            below_at = optimize(cls, n).per_node_values
             for k in range(1, n):
                 inc = tuple(range(1, k + 1))
-                below = res.per_node_values.get(inc)
+                below = below_at.get((k, _label(inc, cls.forbidden)))
                 if below is None or below.wins != t.entry(n, k) or below.total != ballot(n, k):
                     report(f"triangle: ({n},{k}) {mode} sweep {t.entry(n,k)} "
-                           f"vs tree {below}")
+                           f"vs optimizer {below}")
                     ok = False
     return ok
 
@@ -270,7 +274,7 @@ def _check_formula(report, label: str, cls_name: str, formula) -> bool:
     ok = True
     for n in range(2, 9):
         descr, want = formula(n)
-        got = optimal_strike_set(cached_tree(cls, n)).value
+        got = optimal_strike_set(cls, n).value
         if cmp_as_rational(want, got) != 0:
             report(f"{label} n={n} optimizer {got} vs formula {want}")
             ok = False

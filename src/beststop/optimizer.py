@@ -1,82 +1,164 @@
-"""Backwards induction over a materialized prefix tree.
+"""Backward induction on the label DAG of a class's generating tree.
 
-Working upward from the leaves, a node's continuation value is the sum of
-its children's best win counts.  Every value at a node has that node's
-member count as its total, so stopping replaces the continuation exactly
-when the node's own wins are strictly larger (ties keep the deeper
-strategy), which makes the resulting strike set canonical: its frontier
-(prefixtree.frontier) of stopping nodes.  The pass keeps plain integer win
-counts; per_node_values turns them into tallies keyed by prefix only when
-it is read.
+A prefix's subtree depends only on its size k and its label (see
+permutations): the children are the label's clear bits, and each child's
+label is stepped from it by _relabel with bits that depend only on k and
+the child's value c.  So the generating tree is the unfolding of a far
+smaller graph whose states are the (k, label) pairs, the ECO view the label
+comes from (West, Discrete Math. 146 (1995); Barcucci, Del Lungo, Pergola
+and Pinzani, J. Difference Equ. Appl. 5 (1999)).  Every count over a
+subtree, and its optimum, is a function of the state.
+
+Each state holds its member total, z0 (the completions with no new running
+maximum) and z1 (those with exactly one).  Stopping at an eligible prefix
+wins z0: the top value is the one seen last.  Stopping at any other prefix
+wins nothing.  Rejecting and accepting the next running maximum (trigger)
+wins z1.  The sweep goes from rank n up, one dict per depth, and gives each
+state the sum of its children's best wins, its best below.  A prefix stops
+when its own wins are strictly larger (ties keep the deeper strategy),
+which makes the resulting set canonical: the first stopping prefix or leaf
+on each path.  Only own wins depend on eligibility, so the best below is
+kept per state.  States with no members are dropped, as the tree prunes
+them.
+
+The optimal set is listed on its first read, by walking prefixes down from
+the root (the null prefix for trigger) with their labels as prefixtree.build
+carries them, so a value alone costs only the sweep.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .prefixtree import PrefixTree, StrikeSet, TreeNode, frontier
-from .permutations import Perm
+from .errors import InvalidInputError, LimitError
+from .permutations import PatternClass, Perm, _free, _opened, _relabel
+from .prefixtree import DEFAULT_TREE_CAP, StrikeSet
 from .tallies import Tally
+
+# Ceiling on the states, (depth, label) pairs, that one sweep may visit,
+# since time is what fails.  132 and 312 have 2^(k-1) labels at depth k,
+# the other classes at most k: at rank 19, 524,288 states, each sweeps in
+# 2.7-3.8 s, peaking at 88 MiB in a fresh Python 3.11 process on a 2-vCPU
+# Xeon; rank 20 is refused after 3.0 s.
+DAG_STATE_CAP = 1_000_000
+
+# states[k][label] = (member total, z0, z1, best below)
+State = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
 class OptimalResult:
     """strike_set members are trigger prefixes (possibly the empty prefix)
-    when produced by optimal_trigger_set.  best_below holds, for each node
-    the induction visited, the best wins strictly below it (0 at a leaf)."""
+    when produced by optimal_trigger_set.  states holds, per depth, each
+    state's counts and best below, keyed by label."""
 
-    strike_set: StrikeSet
+    pattern_class: PatternClass
+    rank: int
+    trigger: bool
     value: Tally
-    best_below: dict[TreeNode, int] = field(repr=False)
+    states: list[dict[int, State]] = field(repr=False)
 
     @cached_property
-    def per_node_values(self) -> dict[Perm, Tally]:
-        """best_below as tallies over each node's members, keyed by prefix
-        (a leaf's is 0/1); built on the first read."""
-        return {node.prefix: Tally(wins, node.total) for node, wins in self.best_below.items()}
+    def per_node_values(self) -> dict[tuple[int, int], Tally]:
+        """Each state's best below as a tally over its members, keyed by
+        (k, label) (a leaf's is 0/1); built on the first read."""
+        return {(k, label): Tally(below, total)
+                for k, level in enumerate(self.states)
+                for label, (total, _, _, below) in level.items()}
+
+    @cached_property
+    def strike_set(self) -> StrikeSet:
+        """The first stopping prefix or leaf on each path, listed on the
+        first read.  Refused past the tree's member cap."""
+        cls, n, trigger, states = self.pattern_class, self.rank, self.trigger, self.states
+        if self.value.total > DEFAULT_TREE_CAP:
+            raise LimitError(f"class {cls.name} has {self.value.total} members at "
+                             f"rank {n}, over the cap {DEFAULT_TREE_CAP}")
+        opened = _opened(cls, n)
+        # moves[k][label]: the (c, child label) pairs of a state with members,
+        # found on the state's first visit
+        moves: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
+        members: list[Perm] = []
+        stack = [((), 0)] if trigger else [((1,), next(iter(states[1])))]
+        while stack:
+            p, label = stack.pop()
+            k = len(p)
+            if k == n:
+                members.append(p)
+                continue
+            _, z0, z1, below = states[k][label]
+            own = z1 if trigger else (z0 if p[-1] == k else 0)
+            if own > below:
+                members.append(p)
+                continue
+            step = moves[k].get(label)
+            if step is None:
+                row, deeper = opened[k], states[k + 1]
+                step = moves[k][label] = [(c, sub) for c in _free(label, k)
+                                          if (sub := _relabel(label, c, row[c])) in deeper]
+            if k + 1 == n:
+                # the children are leaves, so members
+                members.extend(tuple([v + (v >= c) for v in p]) + (c,) for c, _ in step)
+            else:
+                stack.extend((tuple([v + (v >= c) for v in p]) + (c,), sub) for c, sub in step)
+        return StrikeSet(members=frozenset(members))
 
 
-def _optimize(tree: PrefixTree, use_trigger: bool) -> OptimalResult:
-    best_below: dict[TreeNode, int] = {}
-    chosen: set[TreeNode] = set()
+def _optimize(cls: PatternClass, n: int, trigger: bool) -> OptimalResult:
+    if n < 1:
+        raise InvalidInputError(f"rank must be >= 1, got {n}")
+    opened = _opened(cls, n)
+    # the labels at each depth, down from the null prefix's 0
+    labels: list[list[int]] = [[0]]
+    seen = 1
+    for k in range(n):
+        row = opened[k]
+        found = {_relabel(label, c, row[c]) for label in labels[k] for c in _free(label, k)}
+        seen += len(found)
+        if seen > DAG_STATE_CAP:
+            raise LimitError(f"label DAG for class {cls.name} at rank {n} exceeded "
+                             f"the cap of {DAG_STATE_CAP} states")
+        labels.append(list(found))
 
-    def best(node: TreeNode) -> int:
-        """The best wins over the orders below node."""
-        own = node.trigger_wins if use_trigger else node.strike_wins
-        if not node.children:
-            # leaves stay in the strategy unless an ancestor absorbs them
-            best_below[node] = 0
-            return own
-        below = 0
-        for child in node.children:
-            below += best(child)
-        best_below[node] = below
-        if (use_trigger or node.eligible) and own > below:
-            chosen.add(node)
-            return own
-        return below
+    states: list[dict[int, State]] = [{} for _ in range(n + 1)]
+    states[n] = dict.fromkeys(labels[n], (1, 1, 0, 0))
+    for k in range(n - 1, -1 if trigger else 0, -1):
+        row, deeper, here = opened[k], states[k + 1], states[k]
+        for label in labels[k]:
+            total = z0 = z1 = below = 0
+            for c in _free(label, k):
+                child = deeper.get(_relabel(label, c, row[c]))
+                if child is None:
+                    continue
+                t, c0, c1, b = child
+                total += t
+                if c > k:
+                    # the child's new entry is a running maximum
+                    z1 += c0
+                    own = c1 if trigger else c0
+                else:
+                    z0 += c0
+                    z1 += c1
+                    own = c1 if trigger else 0
+                below += own if own > b else b
+            if total:
+                here[label] = (total, z0, z1, below)
 
-    start = tree.null if use_trigger else tree.root
-    value = Tally(best(start), start.total)
-    # best's closure refers to best itself: dropping the name breaks that
-    # cycle, so a dropped result's dict and set go by reference counting
-    # rather than waiting for the cyclic collector
-    del best
-
-    members = frozenset(node.prefix for node, _ in frontier(start, chosen.__contains__))
-    return OptimalResult(
-        strike_set=StrikeSet(members=members),
-        value=value,
-        best_below=best_below,
-    )
-
-
-def optimal_strike_set(tree: PrefixTree) -> OptimalResult:
-    """Best complete strike strategy; per_node_values maps each prefix to
-    the best value achievable strictly below it."""
-    return _optimize(tree, use_trigger=False)
+    start = states[0 if trigger else 1]
+    if not start:
+        raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
+    total, z0, z1, below = next(iter(start.values()))
+    own = z1 if trigger else z0
+    return OptimalResult(pattern_class=cls, rank=n, trigger=trigger,
+                         value=Tally(max(own, below), total), states=states)
 
 
-def optimal_trigger_set(tree: PrefixTree) -> OptimalResult:
+def optimal_strike_set(cls: PatternClass, n: int) -> OptimalResult:
+    """Best complete strike strategy for cls at rank n; per_node_values maps
+    each state to the best value achievable strictly below it."""
+    return _optimize(cls, n, trigger=False)
+
+
+def optimal_trigger_set(cls: PatternClass, n: int) -> OptimalResult:
     """Best complete trigger strategy; the empty prefix is a legal trigger."""
-    return _optimize(tree, use_trigger=True)
+    return _optimize(cls, n, trigger=True)

@@ -362,7 +362,13 @@ def enumerate_class(
             yield from walk(tuple([v + (v >= c) for v in p]) + (c,),
                             _relabel(label, c, opened[k][c]))
 
-    yield from walk((), 0)
+    try:
+        yield from walk((), 0)
+    finally:
+        # walk's closure holds walk itself: dropping the name breaks that
+        # cycle, so a finished, refused or abandoned enumeration goes by
+        # reference counting
+        del walk
 
 
 def perm_to_str(p: Sequence[int]) -> str:

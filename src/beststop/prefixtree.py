@@ -19,7 +19,9 @@ whose appending would complete a forbidden pattern (see permutations), and
 the leaves are made in their parent's loop.
 
 frontier is the one walk to the first node on each path where a test holds:
-strategy scoring, strike-set completion, optimal sets and successors read it.
+strategy scoring, strike-set completion and successors read it.  Optimal
+sets need no tree: optimizer solves on the label DAG and lists them with its
+own walk over prefixes.
 """
 from __future__ import annotations
 
@@ -122,12 +124,10 @@ class PrefixTree:
             stack.extend(reversed(n.children))
 
 
-def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
-    """Materialize the rank-n tree for cls with all tallies filled in.
-
-    Raises LimitError when n exceeds DEFAULT_MAX_RANK or the class size
-    exceeds cap.
-    """
+def _check_caps(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> None:
+    """Refuse a rank-n listing of cls past the tree's caps, before any work:
+    LimitError when n exceeds DEFAULT_MAX_RANK or the known class size
+    exceeds cap."""
     if n < 1:
         raise InvalidInputError(f"rank must be >= 1, got {n}")
     if n > DEFAULT_MAX_RANK:
@@ -140,6 +140,15 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
         raise LimitError(
             f"class {cls.name} has {known} members at rank {n}, over the cap {cap}"
         )
+
+
+def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
+    """Materialize the rank-n tree for cls with all tallies filled in.
+
+    Raises LimitError when n exceeds DEFAULT_MAX_RANK or the class size
+    exceeds cap.
+    """
+    _check_caps(cls, n, cap)
 
     # state of the open node of size s (size 0 is the null node): its
     # finished children and the wins of the leaves seen under it so far
@@ -195,10 +204,13 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
                 total += sub
         return total
 
-    total = grow((), 0, 0, 0)
-    # grow's closure holds grow itself and kids (so the root): dropping the
-    # name breaks that cycle, so a dropped tree goes by reference counting
-    del grow
+    try:
+        total = grow((), 0, 0, 0)
+    finally:
+        # grow's closure holds grow itself and kids (so the root): dropping
+        # the name breaks that cycle, so a dropped tree, or the part built
+        # before the member cap refused it, goes by reference counting
+        del grow
     if total == 0:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
     null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))

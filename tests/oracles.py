@@ -2,10 +2,12 @@
 
 Everything here recomputes quantities straight from the definitions with
 itertools, independently of the package internals, so the two sides can
-disagree loudly when one of them is wrong.  The one exception is
-build_by_scan, which mirrors prefixtree.build's node order and refusals to
-check the labelled build node by node; it rescans every prefix for its
-children with this module's own interval scan (spans, children_by_scan).
+disagree loudly when one of them is wrong.  Two exceptions read the
+package's trees: build_by_scan, which mirrors prefixtree.build's node order
+and refusals to check the labelled build node by node, rescanning every
+prefix for its children with this module's own interval scan (spans,
+children_by_scan); and optimize_tree, the backward induction on every node
+of a built tree that the label-DAG optimizer is checked against.
 """
 from __future__ import annotations
 
@@ -347,3 +349,38 @@ def build_by_scan(cls, n, cap=DEFAULT_TREE_CAP):
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
     null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))
     return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0])
+
+
+def optimize_tree(tree, use_trigger):
+    """The backward induction that optimizer runs on the label DAG, run on
+    every node of a built tree instead: (members, wins, best_below), with
+    best_below the best wins strictly below each node (0 at a leaf).  A node
+    stops when its own wins are strictly larger than its children's best
+    (ties keep the deeper strategy); members is the first stopping node or
+    leaf on each path."""
+    best_below = {}
+    chosen = set()
+
+    def best(node):
+        own = node.trigger_wins if use_trigger else node.strike_wins
+        if not node.children:
+            best_below[node] = 0
+            return own
+        below = sum(best(child) for child in node.children)
+        best_below[node] = below
+        if (use_trigger or node.eligible) and own > below:
+            chosen.add(node)
+            return own
+        return below
+
+    start = tree.null if use_trigger else tree.root
+    wins = best(start)
+    members = []
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node in chosen or not node.children:
+            members.append(node.prefix)
+        else:
+            stack.extend(node.children)
+    return frozenset(members), wins, best_below

@@ -79,7 +79,7 @@ FIGURE_321_RANK5 = {
 def test_criterion_01_unrestricted_rank4(tree_for):
     with budget(1.0):
         tree = tree_for("none", 4)
-        res = optimal_strike_set(tree)
+        res = optimal_strike_set(pattern_class("none"), 4)
         assert (res.value.wins, res.value.total) == (11, 24)
         core = {(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)}
         assert res.strike_set.members == completion(core, tree).members
@@ -96,7 +96,7 @@ def test_criterion_02_av231_catalan_ratio(tree_for):
         for n in range(2, 10):
             tree = tree_for("231", n)
             want = Tally(catalan(n - 1), catalan(n))
-            got = optimal_strike_set(tree).value
+            got = optimal_strike_set(pattern_class("231"), n).value
             assert (got.wins, got.total) == (want.wins, want.total), n
             rng = SplitMix64(2026)
             for _ in range(100):
@@ -144,14 +144,14 @@ def test_criterion_04_triangle_rows_and_base_diagonals():
                 assert band.entry(n, n - 2) == 2 * n - 3, n
 
 
-def test_criterion_05_threshold_equals_optimum(tree_for):
+def test_criterion_05_threshold_equals_optimum():
     with budget(60.0):
         t = continuation_triangle("strike", 9)
         for n in range(2, 10):
             s = threshold_strategy("strike", "321", n)
             played = exact_success(s, "321", n)
             assert (played.wins, played.total) == (t.entry(n, 1), ballot(n, 1)), n
-            best = optimal_strike_set(tree_for("321", n)).value
+            best = optimal_strike_set(pattern_class("321"), n).value
             assert (best.wins, best.total) == (played.wins, played.total), n
 
 
@@ -210,24 +210,24 @@ def test_criterion_09_positional_av321():
         assert decimal_str(Fraction(31, 64)) == "0.484375"
 
 
-def test_criterion_10_av123_av213_closed_forms(tree_for):
+def test_criterion_10_av123_av213_closed_forms():
     with budget(30.0):
         for n in range(2, 9):
             want123 = Tally(ballot(n, 2), catalan(n))
-            got123 = optimal_strike_set(tree_for("123", n)).value
+            got123 = optimal_strike_set(pattern_class("123"), n).value
             assert cmp_as_rational(got123, want123) == 0, n
             descr, formula = optimal_success_123(n)
             assert (formula.wins, formula.total) == (want123.wins, want123.total)
 
             want213 = Tally(catalan(n - 1), catalan(n))
-            got213 = optimal_strike_set(tree_for("213", n)).value
+            got213 = optimal_strike_set(pattern_class("213"), n).value
             assert cmp_as_rational(got213, want213) == 0, n
             descr, formula = optimal_success_213(n)
             assert descr == "strike:{1}"
             assert (formula.wins, formula.total) == (want213.wins, want213.total)
         assert (
-            optimal_strike_set(tree_for("123", 4)).value.wins,
-            optimal_strike_set(tree_for("123", 4)).value.total,
+            optimal_strike_set(pattern_class("123"), 4).value.wins,
+            optimal_strike_set(pattern_class("123"), 4).value.total,
         ) == (9, 14)
         assert decimal_str(Fraction(3, 4)) == "0.75"
         assert decimal_str(Fraction(1, 4)) == "0.25"

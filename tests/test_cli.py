@@ -83,6 +83,25 @@ def test_tree_prefixes_print_unchecked(capsys, monkeypatch):
     assert [run(capsys, *cmd) for cmd in cmds] == want
 
 
+def test_solve_builds_no_tree(capsys, monkeypatch):
+    # solve and verify triangle read the label DAG; a refused rank or size
+    # is still refused before any sweep
+    import beststop.prefixtree
+
+    def refuse(*args):
+        raise AssertionError("a tree was read")
+
+    monkeypatch.setattr(beststop.prefixtree, "build", refuse)
+    monkeypatch.setattr(beststop.cli, "cached_tree", refuse)
+    for name in sorted(beststop.cli.CLASSES):
+        for mode in ("strike", "trigger"):
+            code, out, err = run(capsys, "solve", "--class", name, "--n", "6", "--mode", mode)
+            assert (code, err) == (0, ""), (name, mode)
+    assert run(capsys, "verify", "triangle") == (0, "ok   triangle\n", "")
+    code, out, err = run(capsys, "solve", "--class", "none", "--n", "10")
+    assert (code, out) == (2, "") and "cap" in err
+
+
 def test_solve_trigger_json(capsys):
     code, out, _ = run(capsys, "solve", "--class", "none", "--n", "4",
                        "--mode", "trigger", "--json")

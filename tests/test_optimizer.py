@@ -1,18 +1,30 @@
 from __future__ import annotations
 
 import gc
-import types
 from fractions import Fraction
+
+import pytest
 
 import oracles
 from beststop import (
+    AV312,
+    AV321,
     CLASSES,
+    InvalidInputError,
+    LimitError,
+    PatternClass,
     Tally,
+    build,
     catalan,
     continuation_triangle,
     optimal_strike_set,
+    optimal_success_123,
+    optimal_success_213,
+    optimal_success_231,
     optimal_trigger_set,
+    pattern_class,
 )
+from beststop.permutations import _label
 
 # exhaustive antichain enumeration is exponential: the unrestricted tree
 # already has 24 million complete antichains at rank 5
@@ -33,7 +45,7 @@ def set_value(members, tree, use_trigger):
 def test_strike_optimum_is_exhaustive_max(tree_for):
     for name, n in SMALL:
         tree = tree_for(name, n)
-        got = optimal_strike_set(tree)
+        got = optimal_strike_set(pattern_class(name), n)
         values = [
             set_value(s, tree, use_trigger=False)
             for s in oracles.complete_antichains(tree)
@@ -45,7 +57,7 @@ def test_strike_optimum_is_exhaustive_max(tree_for):
 def test_trigger_optimum_is_exhaustive_max(tree_for):
     for name, n in SMALL:
         tree = tree_for(name, n)
-        got = optimal_trigger_set(tree)
+        got = optimal_trigger_set(pattern_class(name), n)
         candidates = [frozenset(((),))] + oracles.complete_antichains(tree)
         values = [set_value(s, tree, use_trigger=True) for s in candidates]
         assert got.value.as_rational() == max(values), (name, n)
@@ -53,27 +65,23 @@ def test_trigger_optimum_is_exhaustive_max(tree_for):
 
 
 def test_unrestricted_n4():
-    from beststop import build, pattern_class
-
-    tree = build(pattern_class("none"), 4)
-    strike = optimal_strike_set(tree)
+    strike = optimal_strike_set(pattern_class("none"), 4)
     assert strike.value == Tally(11, 24)
-    trigger = optimal_trigger_set(tree)
+    trigger = optimal_trigger_set(pattern_class("none"), 4)
     assert trigger.value == Tally(11, 24)
     # the classic cutoff rule: pass on the first candidate, take the next
     assert trigger.strike_set.members == {(1,)}
 
 
-def test_av321_n5_both_modes(tree_for):
-    tree = tree_for("321", 5)
-    assert optimal_strike_set(tree).value == Tally(23, 42)
-    assert optimal_trigger_set(tree).value == Tally(23, 42)
+def test_av321_n5_both_modes():
+    assert optimal_strike_set(AV321, 5).value == Tally(23, 42)
+    assert optimal_trigger_set(AV321, 5).value == Tally(23, 42)
 
 
 def test_av231_catalan_ratio_and_deepest_canonical(tree_for):
     for n in range(2, 8):
         tree = tree_for("231", n)
-        got = optimal_strike_set(tree)
+        got = optimal_strike_set(pattern_class("231"), n)
         assert got.value == Tally(catalan(n - 1), catalan(n))
         # ties keep the deeper strategy, so the canonical set is all leaves
         leaves = {node.prefix for node in tree.nodes() if not node.children}
@@ -102,41 +110,109 @@ def test_av231_all_trigger_sets_equal(tree_for):
                 assert total == catalan(n - 1), (n, s)
 
 
-def test_per_node_values_match_continuation_triangle(tree_for):
+def increasing_state(k):
+    # per_node_values is keyed by state: (size, label) of the prefix 12..k
+    return k, _label(tuple(range(1, k + 1)), AV321.forbidden)
+
+
+def test_per_node_values_match_continuation_triangle():
     from beststop import ballot
 
-    t = continuation_triangle("strike", 9)
-    for n in range(2, 8):
-        tree = tree_for("321", n)
-        per_node = optimal_strike_set(tree).per_node_values
+    t = continuation_triangle("strike", 12)
+    for n in range(2, 13):
+        per_node = optimal_strike_set(AV321, n).per_node_values
         for k in range(1, n):
-            prefix = tuple(range(1, k + 1))
-            assert per_node[prefix] == Tally(t.entry(n, k), ballot(n, k)), (n, k)
+            assert per_node[increasing_state(k)] == Tally(t.entry(n, k), ballot(n, k)), (n, k)
 
 
-def test_trigger_per_node_values(tree_for):
-    t = continuation_triangle("trigger", 9)
-    for n in range(2, 8):
-        tree = tree_for("321", n)
-        per_node = optimal_trigger_set(tree).per_node_values
+def test_trigger_per_node_values():
+    t = continuation_triangle("trigger", 12)
+    for n in range(2, 13):
+        per_node = optimal_trigger_set(AV321, n).per_node_values
         for k in range(1, n):
-            prefix = tuple(range(1, k + 1))
-            assert per_node[prefix].wins == t.entry(n, k), (n, k)
+            assert per_node[increasing_state(k)].wins == t.entry(n, k), (n, k)
 
 
-def test_dropped_result_is_freed_by_reference_counting(tree_for):
-    # the induction's working dict and set must not sit in a reference
-    # cycle, or each dropped result waits for the cyclic collector
-    tree = tree_for("231", 6)
+def test_dropped_result_is_freed_by_reference_counting():
+    # the sweep's per-depth dicts and the listing walk must not sit in a
+    # reference cycle, or each dropped result waits for the cyclic collector
+    gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         for optimize in (optimal_strike_set, optimal_trigger_set):
-            res = optimize(tree)
-            below = res.best_below
+            res = optimize(AV312, 8)
+            assert len(res.strike_set.members) > 0
+            assert res.per_node_values
             del res
-            cells = [r for r in gc.get_referrers(below) if isinstance(r, types.CellType)]
-            assert cells == [], optimize.__name__
+            assert gc.collect() == 0, optimize.__name__
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(oracles.FORBIDDEN))
+def test_dag_matches_tree_oracle(name):
+    # the label DAG against backward induction on every node of the built
+    # tree: the same member set and value, and each node's best below is
+    # its state's; classes with no members at a rank are refused by both
+    cls = PatternClass(name, oracles.FORBIDDEN[name])
+    for n in range(1, 8 if name == "none" else 10):
+        try:
+            tree = build(cls, n)
+        except InvalidInputError:
+            for optimize in (optimal_strike_set, optimal_trigger_set):
+                with pytest.raises(InvalidInputError):
+                    optimize(cls, n)
+            continue
+        for use_trigger, optimize in ((False, optimal_strike_set), (True, optimal_trigger_set)):
+            members, wins, best_below = oracles.optimize_tree(tree, use_trigger)
+            res = optimize(cls, n)
+            assert res.value == Tally(wins, tree.total), (name, n, use_trigger)
+            assert res.strike_set.members == members, (name, n, use_trigger)
+            per_state = res.per_node_values
+            for node, below in best_below.items():
+                label = _label(node.prefix, cls.forbidden) if node.prefix else 0
+                state = per_state[len(node.prefix), label]
+                assert state == Tally(below, node.total), (name, n, use_trigger, node.prefix)
+
+
+def test_values_past_the_tree_cap_match_closed_forms():
+    # no tree is built, so the ranks run past the tree's cap of 12
+    for n in range(2, 31):
+        assert optimal_strike_set(pattern_class("231"), n).value == optimal_success_231(n), n
+        assert optimal_strike_set(pattern_class("123"), n).value == optimal_success_123(n)[1], n
+        assert optimal_strike_set(pattern_class("213"), n).value == optimal_success_213(n)[1], n
+        want = continuation_triangle("strike", n).value(n, 1)
+        assert optimal_strike_set(AV321, n).value == want, n
+    # the West correspondence carries the 321 game to the 312 game
+    for n in range(1, 13):
+        for optimize in (optimal_strike_set, optimal_trigger_set):
+            assert optimize(AV312, n).value == optimize(AV321, n).value, (n, optimize.__name__)
+
+
+def test_state_counts():
+    # n(n+1)/2 states at rank n for 231, 321, 123 and 213, 2^n - 1 for 132
+    # and 312, one a depth for the unrestricted class
+    assert len(optimal_strike_set(pattern_class("231"), 10).per_node_values) == 55
+    assert len(optimal_strike_set(AV312, 10).per_node_values) == 1023
+    assert len(optimal_strike_set(pattern_class("none"), 8).per_node_values) == 8
+    # trigger mode adds the null prefix's state
+    assert len(optimal_trigger_set(pattern_class("none"), 8).per_node_values) == 9
+
+
+def test_caps(monkeypatch):
+    import beststop.optimizer
+
+    # listing the set is refused past the tree's member cap, the value is not
+    res = optimal_strike_set(pattern_class("231"), 15)
+    assert res.value == optimal_success_231(15)
+    with pytest.raises(LimitError, match="over the cap"):
+        res.strike_set
+    # the sweep is refused past its cap in states, counted as it goes
+    monkeypatch.setattr(beststop.optimizer, "DAG_STATE_CAP", 1023)
+    assert optimal_strike_set(AV312, 9).value.total == catalan(9)
+    with pytest.raises(LimitError, match="cap of 1023 states"):
+        optimal_strike_set(AV312, 10)
+    with pytest.raises(InvalidInputError):
+        optimal_strike_set(AV312, 0)

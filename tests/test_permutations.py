@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from itertools import permutations
 
 import pytest
@@ -27,6 +28,7 @@ from beststop import (
     is_eligible,
     is_permutation,
     ltr_maxima,
+    optimal_strike_set,
     pattern_class,
     perm_from_str,
     perm_to_str,
@@ -286,6 +288,28 @@ def test_tree_walks_skip_the_checks(monkeypatch):
     monkeypatch.setattr(beststop.permutations, "_label", refuse)
     assert build(AV321, 6).total == 132
     assert len(list(enumerate_class(AV312, 6))) == 132
+    assert len(optimal_strike_set(AV312, 6).strike_set.members) == 76
+
+
+def test_enumeration_is_freed_by_reference_counting():
+    # walk's closure refers to walk itself; a finished enumeration, and one
+    # its cap refused, must not leave that cycle to the cyclic collector
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert len(list(enumerate_class(AV321, 8))) == 1430
+        assert gc.collect() == 0
+        try:
+            list(enumerate_class(PatternClass("pair", oracles.FORBIDDEN["pair"]), 9, cap=10))
+        except LimitError:
+            pass
+        else:
+            raise AssertionError("the cap did not refuse the enumeration")
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_child_indices_rejects_non_member():

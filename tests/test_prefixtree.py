@@ -377,6 +377,25 @@ def test_dropped_tree_is_freed_by_reference_counting():
             gc.enable()
 
 
+def test_refused_build_is_freed_by_reference_counting():
+    # the part of a tree built before the member cap refused it goes by
+    # reference counting too
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            build(PatternClass("pair", oracles.FORBIDDEN["pair"]), 12, cap=1000)
+        except LimitError:
+            pass
+        else:
+            raise AssertionError("the member cap did not refuse the build")
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_build_limits(monkeypatch):
     with pytest.raises(LimitError):
         build(UNRESTRICTED, 13)

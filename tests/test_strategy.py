@@ -187,23 +187,23 @@ def test_trigger_accept_checked_before_arming():
 
 
 @pytest.mark.parametrize("mode", ["strike", "trigger"])
-def test_threshold_matches_optimum_321(tree_for, mode):
+def test_threshold_matches_optimum_321(mode):
     for n in range(2, 9):
         s = threshold_strategy(mode, "321", n)
         got = exact_success(s, "321", n)
-        tree = tree_for("321", n)
-        best = optimal_strike_set(tree) if mode == "strike" else optimal_trigger_set(tree)
+        optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
+        best = optimize(pattern_class("321"), n)
         assert cmp_as_rational(got, best.value) == 0, (mode, n)
 
 
 @pytest.mark.parametrize("mode", ["strike", "trigger"])
-def test_threshold_transports_to_312(tree_for, mode):
+def test_threshold_transports_to_312(mode):
     for n in range(2, 8):
         s = threshold_strategy(mode, "312", n)
         assert s.transport is not None
         got = exact_success(s, "312", n)
-        tree = tree_for("312", n)
-        best = optimal_strike_set(tree) if mode == "strike" else optimal_trigger_set(tree)
+        optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
+        best = optimize(pattern_class("312"), n)
         assert cmp_as_rational(got, best.value) == 0, (mode, n)
 
 

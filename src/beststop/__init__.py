@@ -61,7 +61,7 @@ from .errors import (
     NotFoundError,
     UsageError,
 )
-from .optimizer import OptimalResult, optimal_strike_set, optimal_trigger_set
+from .optimizer import OptimalResult, completion, optimal_strike_set, optimal_trigger_set
 from .permutations import (
     AV123,
     AV132,
@@ -81,13 +81,11 @@ from .permutations import (
     has_inversion,
     is_eligible,
     is_permutation,
-    ltr_maxima,
     pattern_class,
     perm_from_str,
     perm_to_str,
     prefix_flattening,
     validate_permutation,
-    value_saturated_count,
 )
 from .prefixtree import (
     PrefixTree,
@@ -95,7 +93,6 @@ from .prefixtree import (
     TreeNode,
     build,
     cached_tree,
-    completion,
     successors,
     tree_to_dict,
     tree_to_json,

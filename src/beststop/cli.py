@@ -43,7 +43,7 @@ from .errors import (
     LimitError,
     UsageError,
 )
-from .optimizer import optimal_strike_set, optimal_trigger_set
+from .optimizer import completion, optimal_strike_set, optimal_trigger_set
 from .permutations import (
     CLASSES,
     _label,
@@ -53,7 +53,7 @@ from .permutations import (
     perm_from_str,
     perm_to_str,
 )
-from .prefixtree import _check_caps, cached_tree, completion, successors, tree_to_json
+from .prefixtree import _check_caps, cached_tree, successors, tree_to_json
 from .strategy import Strategy, exact_success, member_names, members_str, parse_strategy, simulate
 from .tallies import Tally, ballot, cmp_as_rational, decimal_str
 
@@ -132,7 +132,7 @@ def _given_strategy(text: str, cls, n: int) -> Strategy:
     last candidate."""
     s = parse_strategy(text, cls, n)
     if s.kind == "strike":
-        full = completion(s.members, cached_tree(cls, n))
+        full = completion(s.members, cls, n)
         s = Strategy(kind="strike", members=full.members, rank=n)
     return s
 

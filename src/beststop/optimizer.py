@@ -23,16 +23,19 @@ them.
 
 The optimal set is listed on its first read, by walking prefixes down from
 the root (the null prefix for trigger) with their labels as prefixtree.build
-carries them, so a value alone costs only the sweep.
+carries them, so a value alone costs only the sweep.  Strike-set completion
+and strategy scoring read the same walk, first_hits, under the tree's caps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
-from .errors import InvalidInputError, LimitError
-from .permutations import PatternClass, Perm, _free, _opened, _relabel
-from .prefixtree import DEFAULT_TREE_CAP, StrikeSet
+from .errors import InvalidInputError, LimitError, NotFoundError
+from .permutations import (PatternClass, Perm, _free, _label, _opened, _relabel, is_permutation,
+                           pattern_class, perm_to_str, prefix_flattening)
+from .prefixtree import DEFAULT_TREE_CAP, StrikeSet, _check_caps
 from .tallies import Tally
 
 # Ceiling on the states, (depth, label) pairs, that one sweep may visit,
@@ -70,38 +73,57 @@ class OptimalResult:
     def strike_set(self) -> StrikeSet:
         """The first stopping prefix or leaf on each path, listed on the
         first read.  Refused past the tree's member cap."""
-        cls, n, trigger, states = self.pattern_class, self.rank, self.trigger, self.states
-        if self.value.total > DEFAULT_TREE_CAP:
-            raise LimitError(f"class {cls.name} has {self.value.total} members at "
-                             f"rank {n}, over the cap {DEFAULT_TREE_CAP}")
-        opened = _opened(cls, n)
-        # moves[k][label]: the (c, child label) pairs of a state with members,
-        # found on the state's first visit
-        moves: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
-        members: list[Perm] = []
-        stack = [((), 0)] if trigger else [((1,), next(iter(states[1])))]
-        while stack:
-            p, label = stack.pop()
-            k = len(p)
-            if k == n:
-                members.append(p)
-                continue
+        states, trigger = self.states, self.trigger
+
+        def stops(p: Perm, k: int, label: int, eligible: bool) -> bool:
             _, z0, z1, below = states[k][label]
-            own = z1 if trigger else (z0 if p[-1] == k else 0)
-            if own > below:
-                members.append(p)
-                continue
-            step = moves[k].get(label)
-            if step is None:
-                row, deeper = opened[k], states[k + 1]
-                step = moves[k][label] = [(c, sub) for c in _free(label, k)
-                                          if (sub := _relabel(label, c, row[c])) in deeper]
-            if k + 1 == n:
-                # the children are leaves, so members
-                members.extend(tuple([v + (v >= c) for v in p]) + (c,) for c, _ in step)
+            return (z1 if trigger else z0 if eligible else 0) > below
+
+        return StrikeSet(members=frozenset(p for p, _, _, _, _ in self.first_hits(stops)))
+
+    def moves(self, acts: Callable[[int, int, bool], bool] | None = None
+              ) -> list[dict[int, tuple]]:
+        """Per depth, each state's children with members, c ascending, as
+        (c, child label, child member total, child's moves, eligible, acts
+        there): the child's eligibility, and whether acts(k, label,
+        eligible) holds at it, k being its size (False without acts)."""
+        n, states = self.rank, self.states
+        opened = _opened(self.pattern_class, n)
+        moves = [{} for _ in range(n)] + [dict.fromkeys(states[n], ())]
+        for k in range(n - 1, -1, -1):
+            row, deeper, kids = opened[k], states[k + 1], moves[k + 1]
+            for label in states[k]:
+                moves[k][label] = tuple(
+                    (c, sub, deeper[sub][0], kids[sub], c > k,
+                     acts is not None and acts(k + 1, sub, c > k))
+                    for c in _free(label, k) if (sub := _relabel(label, c, row[c])) in deeper)
+        return moves
+
+    def first_hits(self, hit: Callable[[Perm | None, int, int, bool], bool], carry: bool = True
+                   ) -> Iterator[tuple[Perm | None, int, int, bool, bool]]:
+        """(p, k, label, eligible, hit there) of the first prefix on each path
+        where hit(p, k, label, eligible) holds, or of the path's leaf: from
+        the null prefix (trigger) or the root, depth-first with children in
+        ascending value, as prefixtree.frontier goes.  p is None unless
+        carry.  Refused past the tree's member cap."""
+        n = self.rank
+        if self.value.total > DEFAULT_TREE_CAP:
+            raise LimitError(f"class {self.pattern_class.name} has {self.value.total} members "
+                             f"at rank {n}, over the cap {DEFAULT_TREE_CAP}")
+        k = 0 if self.trigger else 1  # the root (1,) is a candidate, the null prefix not
+        label = next(iter(self.states[k]))
+        p = (1,) if k else ()
+        stack = [(p if carry else None, k, label, k == 1, self.moves()[k][label])]
+        while stack:
+            p, k, label, eligible, node = stack.pop()
+            if hit(p, k, label, eligible):
+                yield p, k, label, eligible, True
+            elif k == n:
+                yield p, k, label, eligible, False
             else:
-                stack.extend((tuple([v + (v >= c) for v in p]) + (c,), sub) for c, sub in step)
-        return StrikeSet(members=frozenset(members))
+                stack.extend([(None if p is None else tuple([v + (v >= c) for v in p]) + (c,),
+                               k + 1, sub, eligible, kids)
+                              for c, sub, _, kids, eligible, _ in reversed(node)])
 
 
 def _optimize(cls: PatternClass, n: int, trigger: bool) -> OptimalResult:
@@ -151,6 +173,33 @@ def _optimize(cls: PatternClass, n: int, trigger: bool) -> OptimalResult:
     own = z1 if trigger else z0
     return OptimalResult(pattern_class=cls, rank=n, trigger=trigger,
                          value=Tally(max(own, below), total), states=states)
+
+
+def _walkable(cls: PatternClass, n: int, trigger: bool = False) -> OptimalResult:
+    """The sweep the walks read for the rank-n tree, refused past its caps."""
+    _check_caps(cls, n)
+    return _optimize(cls, n, trigger)
+
+
+def completion(S: Iterable[Perm], cls: PatternClass | str, n: int) -> StrikeSet:
+    """Extend the antichain S of prefixes in the rank-n game of cls to a
+    complete one, its frontier: S and every rank-n member not already
+    covered by a member of S."""
+    cl = pattern_class(cls)
+    res = _walkable(cl, n)
+    base = {tuple(p) for p in S}
+    for p in base:
+        # a member's label names its state, which has members if p does
+        if not (len(p) <= n and is_permutation(p) and _label(p, cl.forbidden) in res.states[len(p)]):
+            raise NotFoundError(f"prefix {p!r} is not a node of the rank-{n} "
+                                f"tree for class {cl.name}")
+    members = frozenset(p for p, _, _, _, _ in res.first_hits(lambda p, k, label, el: p in base))
+    # a member of S the walk passed by lies below another
+    for b in (b for b in base if b not in members):
+        a = next(a for j in range(1, len(b)) if (a := prefix_flattening(b, j)) in base)
+        raise InvalidInputError(f"not an antichain: {perm_to_str(a)} is a prefix "
+                                f"flattening of {perm_to_str(b)}")
+    return StrikeSet(members=members)
 
 
 def optimal_strike_set(cls: PatternClass, n: int) -> OptimalResult:

@@ -79,21 +79,6 @@ def prefix_flattening(pi: Sequence[int], k: int) -> Perm:
     return flatten(pi[:k])
 
 
-def ltr_maxima(pi: Sequence[int]) -> tuple[int, ...]:
-    """Ascending positions of the left-to-right maxima.
-
-    >>> ltr_maxima((2, 5, 1, 6, 3, 7, 4))
-    (1, 2, 4, 6)
-    """
-    best = 0
-    out: list[int] = []
-    for i, v in enumerate(pi, start=1):
-        if v > best:
-            out.append(i)
-            best = v
-    return tuple(out)
-
-
 def is_eligible(p: Sequence[int]) -> bool:
     """A prefix is eligible when its last entry is a left-to-right maximum,
     i.e. the flattened prefix ends in its own maximum."""
@@ -103,25 +88,6 @@ def is_eligible(p: Sequence[int]) -> bool:
 def has_inversion(p: Sequence[int]) -> bool:
     """True unless p is increasing."""
     return any(p[i] > p[i + 1] for i in range(len(p) - 1))
-
-
-def value_saturated_count(p: Sequence[int]) -> int:
-    """Largest i such that the top i values k, k-1, ..., k-i+1 of the
-    rank-k prefix are all left-to-right maxima (0 if even value k is not).
-
-    Equals len(p) exactly when p is increasing.
-
-    >>> value_saturated_count((1, 3, 2, 4))
-    2
-    >>> value_saturated_count((2, 3, 1, 4))
-    3
-    """
-    k = len(p)
-    vals = {p[i - 1] for i in ltr_maxima(p)}
-    i = 0
-    while i < k and (k - i) in vals:
-        i += 1
-    return i
 
 
 # --- pattern containment ---------------------------------------------------

@@ -18,10 +18,10 @@ build never rescans a prefix: each open node carries its label, the values
 whose appending would complete a forbidden pattern (see permutations), and
 the leaves are made in their parent's loop.
 
-frontier is the one walk to the first node on each path where a test holds:
-strategy scoring, strike-set completion and successors read it.  Optimal
-sets need no tree: optimizer solves on the label DAG and lists them with its
-own walk over prefixes.
+frontier walks to the first node on each path where a test holds; successors
+reads it.  Optimal sets, strategy scoring and strike-set completion need no
+tree: they read the optimizer's sweep of the label DAG and its walk over
+prefixes.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInputError, LimitError, NotFoundError
 from .permutations import (
@@ -40,8 +40,6 @@ from .permutations import (
     _opened,
     _perm_str,
     _relabel,
-    perm_to_str,
-    prefix_flattening,
 )
 from .tallies import Tally
 
@@ -243,29 +241,6 @@ def successors(tree: PrefixTree, p: Sequence[int]) -> tuple[TreeNode, ...]:
                  for first, _ in frontier(child, attrgetter("eligible")))
 
 
-def _check_antichain(members: Iterable[Perm]) -> None:
-    ms = set(members)
-    for b in ms:
-        for j in range(1, len(b)):
-            a = prefix_flattening(b, j)
-            if a in ms:
-                raise InvalidInputError(
-                    f"not an antichain: {perm_to_str(a)} is a prefix "
-                    f"flattening of {perm_to_str(b)}"
-                )
-
-
-def completion(S: Iterable[Perm], tree: PrefixTree) -> StrikeSet:
-    """Extend the antichain S to a complete one, its frontier: S and every
-    rank-N leaf not already covered by a member of S."""
-    base = {tuple(p) for p in S}
-    for p in base:
-        tree.node(p)  # raises NotFoundError for strays
-    _check_antichain(base)
-    reached = frontier(tree.root, lambda node: node.prefix in base)
-    return StrikeSet(members=frozenset(node.prefix for node, _ in reached))
-
-
 def tree_to_dict(tree: PrefixTree) -> dict:
     """JSON-ready nested representation of the tree."""
 
@@ -303,7 +278,7 @@ class _TreeCache:
         self.hits = self.misses = 0
 
     def __call__(self, cls: PatternClass, n: int) -> PrefixTree:
-        """Shared, memoized build for repeated lookups (scoring, sampling, tests)."""
+        """Shared, memoized build for repeated lookups (`tree`, `verify`, tests)."""
         key = (cls, n)
         if key in self.trees:
             self.hits += 1

@@ -13,13 +13,14 @@ at a time, and decides when to stop.  Four kinds are supported:
 
 Strategies never look ahead: one rule decides, from the prefix seen so far,
 whether a strategy acts there (strike kinds accept, the others arm).  play
-applies it prefix by prefix to one order.  exact_success and simulate find
-where the strategy first acts with one lookup, prefixtree.frontier under
-the rule: the one sums those nodes' win counts, the other walks random
-root-to-leaf paths and decides each trial as its path is drawn.  A trial
-wins when the strategy accepts the path's last eligible node: a strike
-kind at an eligible acting node with no eligible node after it, a kind
-that arms when exactly one eligible node follows the arming node.
+applies it prefix by prefix to one order.  exact_success and simulate read
+the optimizer's sweep of the label DAG, with no tree: the one sums the win
+counts where the strategy first acts, found by the optimizer's walk over
+prefixes, the other walks random root-to-leaf paths and decides each trial
+as its path is drawn.  A trial wins when the strategy accepts the path's
+last eligible prefix: a strike kind at an eligible acting prefix with no
+eligible prefix after it, a kind that arms when exactly one eligible prefix
+follows the arming one.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .closedform import ThresholdTable, continuation_triangle, optimal_boundary
 from .errors import (
@@ -35,19 +36,20 @@ from .errors import (
     IncompleteStrategyError,
     InvalidInputError,
 )
+from .optimizer import OptimalResult, _walkable
 from .permutations import (
     PatternClass,
     Perm,
+    _label,
     _perm_str,
+    extend,
     is_eligible,
     pattern_class,
     perm_from_str,
     perm_to_str,
     prefix_flattening,
     validate_permutation,
-    value_saturated_count,
 )
-from .prefixtree import PrefixTree, TreeNode, cached_tree, frontier
 from .rng import SplitMix64
 from .tallies import Tally
 
@@ -64,9 +66,9 @@ class Strategy:
                 the start
     positional  position: how many entries to let pass before accepting
                 the next candidate (0 accepts the first entry)
-    threshold   mode ("strike" or "trigger"), sigma, and optionally
-                transport, a prefix relabeling applied before the
-                saturated-count statistic is read off
+    threshold   mode ("strike" or "trigger"), sigma, and pattern_class,
+                the class whose game it plays: it reads the saturated
+                count off a prefix's label in that class
     """
 
     kind: str
@@ -74,7 +76,7 @@ class Strategy:
     position: int | None = None
     mode: str | None = None
     sigma: ThresholdTable | None = None
-    transport: Mapping[Perm, Perm] | None = None
+    pattern_class: PatternClass | None = None
     rank: int | None = None
 
     def __post_init__(self) -> None:
@@ -84,8 +86,9 @@ class Strategy:
             raise InvalidInputError(f"a {self.kind} strategy needs members")
         if self.kind == "positional" and (self.position is None or self.position < 0):
             raise InvalidInputError("a positional strategy needs position >= 0")
-        if self.kind == "threshold" and (self.mode not in ("strike", "trigger") or self.sigma is None):
-            raise InvalidInputError("a threshold strategy needs mode and sigma")
+        if self.kind == "threshold" and (self.mode not in ("strike", "trigger")
+                                         or self.sigma is None or self.pattern_class is None):
+            raise InvalidInputError("a threshold strategy needs mode, sigma and pattern_class")
 
     def describe(self) -> str:
         if self.kind == "strike" or self.kind == "trigger":
@@ -132,62 +135,71 @@ class PlayTrace:
     decisions: tuple[Decision, ...]
 
 
-def _check_rank(s: Strategy, n: int) -> None:
+def _check_rank(s: Strategy, cl: PatternClass | None, n: int) -> None:
+    """Refuse a strategy built for another rank or, given cl, another class."""
     if s.rank is not None and s.rank != n:
         raise InvalidInputError(f"strategy was built for rank {s.rank}, not rank {n}")
+    if cl is not None and s.pattern_class not in (None, cl):
+        raise InvalidInputError(
+            f"strategy was built for class {s.pattern_class.name}, not class {cl.name}"
+        )
     if s.kind == "threshold" and s.sigma.depth < n:
         raise DepthError(f"threshold table depth {s.sigma.depth} < rank {n}")
 
 
-def _fires(s: Strategy, prefix: Perm, eligible: bool, n: int) -> bool:
-    """Does s act on this prefix of a rank-n order?  Strike kinds accept
-    there (a threshold only on a candidate); the others arm."""
+def _fires(s: Strategy, n: int, k: int, label: int | None, eligible: bool,
+           prefix: Perm | None) -> bool:
+    """Does s act on this size-k prefix of a rank-n order?  Strike kinds
+    accept there (a threshold only on a candidate); the others arm.  A set
+    reads the prefix itself, a threshold only the prefix's label in its
+    class, the others neither."""
     if s.kind == "positional":
-        return len(prefix) == s.position
+        return k == s.position
     if s.kind != "threshold":
         return prefix in s.members
-    if not prefix:
+    if not k:
         # the empty prefix saturates no value and every sigma entry is a
         # column >= 1, so a threshold never fires there (sigma(n) may lie
         # past the table's depth)
         return False
-    bound = s.sigma.get(n - len(prefix))
+    bound = s.sigma.get(n - k)
     if bound is None or (s.mode == "strike" and not eligible):
         # an unresolved bound (None) exceeds every count reachable at a
         # rank within the table's depth
         return False
-    if s.transport is not None:
-        try:
-            prefix = s.transport[prefix]
-        except KeyError:
-            raise InvalidInputError(
-                f"prefix {prefix!r} is outside this strategy's transport map"
-            ) from None
-    return value_saturated_count(prefix) >= bound
+    # the saturated count is the free sites, the label's clear bits, less
+    # one: so in Av(321), and West's isomorphism onto Av(312) keeps every
+    # prefix's child count (West, Discrete Math. 146 (1995))
+    return k - label.bit_count() >= bound
 
 
 def play(s: Strategy, pi: Sequence[int]) -> PlayTrace:
     """Run the strategy over one full interview order.
 
-    The order is scanned left to right; only flattened prefixes are ever
-    consulted.  A strike-kind strategy whose rule never fires on an order
-    raises IncompleteStrategyError; trigger kinds that never accept lose
-    by forced stop at the last position.
+    The order is scanned left to right; only flattened prefixes (and, for a
+    threshold, their labels in its class) are ever consulted.  A strike-kind
+    strategy whose rule never fires on an order raises
+    IncompleteStrategyError; trigger kinds that never accept lose by forced
+    stop at the last position.
     """
     order = validate_permutation(pi)
     n = len(order)
     if n == 0:
         raise InvalidInputError("cannot play the empty order")
-    _check_rank(s, n)
+    _check_rank(s, None, n)
+    cl = s.pattern_class
+    if cl is not None and not cl.is_member(order):
+        raise InvalidInputError(f"{perm_to_str(order)} is not in class {cl.name}")
     decisions: list[Decision] = []
     armed = False
     # kinds that arm read the empty prefix too: it may already arm them
     for k in range(1 if s.strikes else 0, n + 1):
         prefix = prefix_flattening(order, k) if k else ()
         eligible = is_eligible(prefix)
+        label = None if cl is None else _label(prefix, cl.forbidden)
         if armed:
             action = "accept" if eligible else "pass"
-        elif _fires(s, prefix, eligible, n):
+        elif _fires(s, n, k, label, eligible, prefix):
             action = "accept" if s.strikes else "arm"
             armed = True
         else:
@@ -203,8 +215,7 @@ def play(s: Strategy, pi: Sequence[int]) -> PlayTrace:
 
 
 def threshold_strategy(mode: str, cls: PatternClass | str, n: int) -> Strategy:
-    """The saturated-count threshold strategy for the 321-avoiding game,
-    or its transport along the tree correspondence for the 312-avoiding
+    """The saturated-count threshold strategy for the 321- or 312-avoiding
     game.  Its sigma table is at least 60 deep, so strategies of nearby
     ranks share one table."""
     cl = pattern_class(cls)
@@ -215,14 +226,7 @@ def threshold_strategy(mode: str, cls: PatternClass | str, n: int) -> Strategy:
     if mode not in ("strike", "trigger"):
         raise InvalidInputError(f"mode must be strike or trigger, got {mode!r}")
     sigma = _cached_boundary(mode, max(n, 60))
-    transport = None
-    if cl.name == "312":
-        from .bijections import west_correspondence
-
-        transport = {b: a for a, b in west_correspondence(n).items()}
-    return Strategy(
-        kind="threshold", mode=mode, sigma=sigma, transport=transport, rank=n
-    )
+    return Strategy(kind="threshold", mode=mode, sigma=sigma, pattern_class=cl, rank=n)
 
 
 @lru_cache(maxsize=None)
@@ -230,61 +234,57 @@ def _cached_boundary(mode: str, depth: int) -> ThresholdTable:
     return optimal_boundary(continuation_triangle(mode, depth))
 
 
-def _acting(s: Strategy, cls: PatternClass | str, n: int) -> tuple[PrefixTree, set[TreeNode]]:
-    """The rank-n tree of cls and the nodes where s first acts on it: the
-    first node its rule fires on along each path from the root (from the
-    null prefix, for kinds that arm).  A strike set raises
-    IncompleteStrategyError at its first uncovered leaf."""
-    cl = pattern_class(cls)
-    _check_rank(s, n)
-    tree = cached_tree(cl, n)
-    acting = set()
-    start = tree.root if s.strikes else tree.null
-    for node, fired in frontier(start, lambda node: _fires(s, node.prefix, node.eligible, n)):
-        if fired:
-            acting.add(node)
-        elif s.kind == "strike":
-            raise IncompleteStrategyError(
-                f"strike set never fired on {perm_to_str(node.prefix)}; the set does not cover it"
-            )
-    return tree, acting
-
-
 def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
-    """Exact success tally over every order in the class, read off the
-    prefix tree: the strike wins (trigger wins, for kinds that arm) of
-    every node where the strategy first acts.
+    """Exact success tally over every order in the class: the strike wins
+    (trigger wins, for kinds that arm) of every prefix where the strategy
+    first acts, read off the optimizer's states.  A strike set raises
+    IncompleteStrategyError at its first uncovered leaf.
 
     >>> print(exact_success(threshold_strategy("strike", "321", 5), "321", 5))
     23/42
     """
-    tree, acting = _acting(s, cls, n)
-    wins = sum(node.strike_wins if s.strikes else node.trigger_wins for node in acting)
-    return Tally(wins, tree.total)
+    cl = pattern_class(cls)
+    _check_rank(s, cl, n)
+    res = _walkable(cl, n, trigger=not s.strikes)
+    hits = res.first_hits(lambda p, k, label, eligible: _fires(s, n, k, label, eligible, p),
+                          carry=s.members is not None)
+    wins = 0
+    for p, k, label, eligible, fired in hits:
+        if fired:
+            _, z0, z1, _ = res.states[k][label]
+            wins += (z0 if eligible else 0) if s.strikes else z1
+        elif s.kind == "strike":
+            raise IncompleteStrategyError(
+                f"strike set never fired on {perm_to_str(p)}; the set does not cover it"
+            )
+    return Tally(wins, res.value.total)
 
 
-def _walk(tree: PrefixTree, rng: SplitMix64) -> Iterator[TreeNode]:
-    """A uniform path from the root to a leaf, node by node: each child is
-    taken with probability proportional to its member count."""
-    node = tree.root
-    yield node
-    while node.children:
-        r = rng.below(node.total)
-        for child in node.children:
-            r -= child.total
+def _walk(moves: list[dict[int, tuple]], rng: SplitMix64) -> Iterator[tuple]:
+    """A uniform path from the root to a leaf, as the move (see
+    OptimalResult.moves) to each prefix, the root's first: each child is
+    taken with probability proportional to its member count.  moves is a
+    trigger sweep's, whose null prefix has the root as its one child."""
+    (move,), = moves[0].values()
+    while True:
+        yield move
+        _, _, total, node, _, _ = move
+        if not node:
+            return
+        r = rng.below(total)
+        for move in node:
+            r -= move[2]
             if r < 0:
                 break
-        node = child
-        yield node
 
 
 def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
-    """Draw one order uniformly from the class by walking the prefix tree,
+    """Draw one order uniformly from the class by walking its prefixes,
     weighting each child by its completion count."""
-    cl = pattern_class(cls)
-    for node in _walk(cached_tree(cl, n), rng):
-        pass
-    return node.prefix
+    p: Perm = ()
+    for c, *_ in _walk(_walkable(pattern_class(cls), n, trigger=True).moves(), rng):
+        p = extend(p, c)
+    return p
 
 
 @dataclass(frozen=True)
@@ -307,21 +307,34 @@ def simulate(
     uniformly random orders from the class."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    tree, acting = _acting(s, cls, n)
+    cl = pattern_class(cls)
+    _check_rank(s, cl, n)
+    if s.kind == "strike":
+        exact_success(s, cl, n)  # refuses an incomplete set before any draw
+    res = _walkable(cl, n, trigger=True)
     rng = SplitMix64(seed)
-    # once the strategy acts, seen counts the eligible nodes from the acting
-    # node on (after it, for kinds that arm); a strike at an ineligible node
-    # has lost, so it starts past 1.  A trial wins when seen ends at 1.
-    armed = 0 if tree.null in acting else None
+    # a set acts on the prefix, carried for it alone; the other kinds act
+    # on the state, so the moves are marked where they do
+    members = s.members
+    moves = res.moves(None if members is not None else
+                      lambda k, label, eligible: _fires(s, n, k, label, eligible, None))
+    # once the strategy acts, seen counts the eligible prefixes from the
+    # acting one on (after it, for kinds that arm); a strike at an
+    # ineligible prefix has lost, so it starts past 1.  A trial wins when
+    # seen ends at 1.
+    armed = None if s.strikes or not _fires(s, n, 0, 0, False, ()) else 0
     strikes = s.strikes
     wins = 0
     for _ in range(trials):
-        seen = armed
-        for node in _walk(tree, rng):
+        seen, p = armed, ()
+        for c, _, _, _, eligible, acts in _walk(moves, rng):
+            if members is not None:
+                p = extend(p, c)
+                acts = p in members
             if seen is not None:
-                seen += node.eligible
-            elif node in acting:
-                seen = (1 if node.eligible else 2) if strikes else 0
+                seen += eligible
+            elif acts:
+                seen = (1 if eligible else 2) if strikes else 0
         wins += seen == 1
     est = Fraction(wins, trials)
     p = wins / trials

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from beststop.errors import InvalidInputError, LimitError
-from beststop.permutations import extend
+from beststop.permutations import PatternClass, extend
 from beststop.prefixtree import DEFAULT_MAX_RANK, DEFAULT_TREE_CAP, PrefixTree, TreeNode
 
 # name -> forbidden patterns, spelled out rather than imported
@@ -70,6 +70,16 @@ def ltr_max_positions(w):
             out.append(i)
             best = v
     return out
+
+
+def value_saturated_count(p):
+    """The count the threshold strategy stops on: the largest i such that
+    the top i values of p are all left-to-right maxima."""
+    tops = {p[j - 1] for j in ltr_max_positions(p)}
+    i = 0
+    while i < len(p) and len(p) - i in tops:
+        i += 1
+    return i
 
 
 def strike_tally(p, all_members):
@@ -164,14 +174,15 @@ def random_eligible_antichain(tree, rng):
     return picked
 
 
-def west_pairs(n):
+def west_pairs(n, children=None):
     """The 321 -> 312 generating-tree pairing built level by level from the
     definition: the children of a prefix are its one-entry extensions that
     avoid the pattern, sorted by the new entry's value, and the lists are
     paired largest-with-largest (the new maximum) and the rest in reverse
-    order."""
+    order.  children(p, patt) lists them; by default each extension is
+    checked with contains."""
 
-    def children(p, patt):
+    def contained(p, patt):
         k = len(p)
         out = []
         for c in range(1, k + 2):
@@ -180,6 +191,7 @@ def west_pairs(n):
                 out.append(q)
         return out
 
+    children = children or contained
     mapping = {(): ()}
     frontier = [((), ())]
     for _ in range(n):
@@ -194,6 +206,39 @@ def west_pairs(n):
                 nxt.append((ca[t], cb[u]))
         frontier = nxt
     return mapping
+
+
+def west_transport(n):
+    """Each 312-avoiding prefix of size <= n sent to its West partner among
+    the 321-avoiding ones: west_pairs inverted, with the children listed by
+    children_by_scan, which reaches rank 10 in seconds."""
+
+    def scanned(p, patt):
+        return [extend(p, c) for c in children_by_scan(p, PatternClass("scan", (patt,)))]
+
+    return {b: a for a, b in west_pairs(n, scanned).items()}
+
+
+def threshold_wins(orders, mode, sigma, count):
+    """Wins over orders of the threshold rule that reads count(prefix) as
+    the saturated count: at the first prefix, of size k >= 1, where
+    count reaches sigma(n - k) (on a candidate only, for strike), stop
+    (strike) or take the next running maximum (trigger)."""
+    wins = 0
+    for w in orders:
+        n = len(w)
+        for k in range(1, n + 1):
+            p = flat(w[:k])
+            bound = sigma.get(n - k)
+            if bound is None or (mode == "strike" and p[-1] != k) or count(p) < bound:
+                continue
+            if mode == "strike":
+                wins += w[k - 1] == n
+            else:
+                later = [j for j in ltr_max_positions(w) if j > k]
+                wins += bool(later) and w[later[0] - 1] == n
+            break
+    return wins
 
 
 def triangle_by_comb(mode, max_n, frozen_rules=None, max_diag=None):

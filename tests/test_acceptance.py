@@ -82,7 +82,7 @@ def test_criterion_01_unrestricted_rank4(tree_for):
         res = optimal_strike_set(pattern_class("none"), 4)
         assert (res.value.wins, res.value.total) == (11, 24)
         core = {(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)}
-        assert res.strike_set.members == completion(core, tree).members
+        assert res.strike_set.members == completion(core, "none", 4).members
         # exhaustive sweep over all complete antichains confirms maximality
         best = max(
             exact_success(Strategy(kind="strike", members=a, rank=4), "none", 4).wins
@@ -101,7 +101,7 @@ def test_criterion_02_av231_catalan_ratio(tree_for):
             rng = SplitMix64(2026)
             for _ in range(100):
                 antichain = oracles.random_eligible_antichain(tree, rng)
-                full = completion(antichain, tree).members
+                full = completion(antichain, "231", n).members
                 v = exact_success(Strategy(kind="strike", members=full, rank=n), "231", n)
                 assert (v.wins, v.total) == (want.wins, want.total), (n, antichain)
             members = list(enumerate_class(pattern_class("231"), n))

@@ -102,6 +102,31 @@ def test_solve_builds_no_tree(capsys, monkeypatch):
     assert (code, out) == (2, "") and "cap" in err
 
 
+def test_strategy_commands_build_no_tree(capsys, monkeypatch):
+    # scoring and simulating a strategy read the label DAG: the benchmark's
+    # strategy command lines, at a small rank, build no tree and read no
+    # West pairing
+    from beststop.prefixtree import cached_tree
+
+    def refuse(*args):
+        raise AssertionError("the West pairing was read")
+
+    monkeypatch.setattr(beststop.bijections, "west_correspondence", refuse)
+    cached_tree.cache_clear()
+    for argv in (
+        ["solve", "--class", "321", "--n", "6", "--strategy", "threshold:strike"],
+        ["solve", "--class", "312", "--n", "6", "--strategy", "threshold:trigger"],
+        ["solve", "--class", "231", "--n", "6", "--strategy", "strike:{1}"],
+        ["simulate", "--class", "321", "--n", "6", "--strategy", "threshold:strike",
+         "--trials", "500", "--seed", "1"],
+        ["simulate", "--class", "312", "--n", "6", "--strategy", "threshold:trigger",
+         "--trials", "500", "--seed", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    assert cached_tree.cache_info().misses == 0
+
+
 def test_solve_trigger_json(capsys):
     code, out, _ = run(capsys, "solve", "--class", "none", "--n", "4",
                        "--mode", "trigger", "--json")
@@ -155,13 +180,14 @@ def test_solve_errors(capsys):
 
 def test_tree_caps_exit_2(capsys):
     # 10! orders are over the tree's member cap and rank 13 is over its rank
-    # cap; every command that reads the tree refuses before building it
+    # cap; solve and the strategy commands keep the tree's caps on the label
+    # DAG and refuse before any sweep
     for argv in (
         ["solve", "--class", "none", "--n", "10"],
         ["solve", "--class", "none", "--n", "10", "--strategy", "positional:3"],
         ["simulate", "--class", "none", "--n", "10", "--strategy", "positional:3"],
         ["solve", "--class", "321", "--n", "13", "--strategy", "positional:3"],
-        # a 312 threshold strategy also reads the 321 tree for its transport
+        # a 312 threshold strategy reads no tree, but keeps the tree's caps
         ["solve", "--class", "312", "--n", "13", "--strategy", "threshold:trigger"],
         ["simulate", "--class", "312", "--n", "13", "--strategy", "threshold:trigger"],
     ):

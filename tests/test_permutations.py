@@ -27,15 +27,14 @@ from beststop import (
     has_inversion,
     is_eligible,
     is_permutation,
-    ltr_maxima,
     optimal_strike_set,
     pattern_class,
     perm_from_str,
     perm_to_str,
     prefix_flattening,
     validate_permutation,
-    value_saturated_count,
 )
+from oracles import value_saturated_count
 
 perms = st.integers(min_value=1, max_value=9).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -94,12 +93,6 @@ def test_prefix_flattening():
         prefix_flattening(w, 8)
 
 
-
-
-def test_ltr_maxima_matches_oracle():
-    for n in range(1, 7):
-        for w in all_perms(n):
-            assert list(ltr_maxima(w)) == oracles.ltr_max_positions(w)
 
 
 def test_is_eligible():

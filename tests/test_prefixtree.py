@@ -270,9 +270,8 @@ def test_trigger_figure_231(tree_for):
         assert str(tree.node(p).trigger) == text, p
 
 
-def test_completion(tree_for):
-    tree = tree_for("none", 4)
-    full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], tree)
+def test_completion():
+    full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], "none", 4)
     added = full.members - {(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)}
     assert added == {
         (4, 1, 2, 3),
@@ -283,14 +282,14 @@ def test_completion(tree_for):
         (4, 3, 2, 1),
     }
     with pytest.raises(NotFoundError):
-        completion([(9, 1, 2)], tree)  # wrong rank, not a node
+        completion([(9, 1, 2)], "none", 4)  # wrong rank, not a node
     with pytest.raises(InvalidInputError):
-        completion([(1, 2), (1, 2, 3, 4)], tree)  # nested pair
+        completion([(1, 2), (1, 2, 3, 4)], "none", 4)  # nested pair
 
 
 def test_evaluate_strike(tree_for):
     tree = tree_for("none", 4)
-    full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], tree)
+    full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], "none", 4)
     assert strike_value(full.members, "none", 4) == Tally(11, 24)
     # all leaves: win exactly when the best candidate is interviewed last
     leaves = [node.prefix for node in tree.nodes() if not node.children]
@@ -307,7 +306,7 @@ def test_random_completions_partition(tree_for):
         tree = tree_for(name, n)
         for _ in range(20):
             base = oracles.random_eligible_antichain(tree, rng)
-            full = completion(base, tree).members
+            full = completion(base, name, n).members
             value = strike_value(full, name, n)
             assert value.total == tree.total
             # the members' subtrees cover every order exactly once

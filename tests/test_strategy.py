@@ -7,6 +7,8 @@ import pytest
 import beststop.strategy
 import oracles
 from beststop import (
+    AV312,
+    AV321,
     DepthError,
     IncompleteStrategyError,
     InvalidInputError,
@@ -31,6 +33,7 @@ from beststop import (
     simulate,
     threshold_strategy,
 )
+from beststop.permutations import _label, is_eligible
 
 
 def test_play_strike_trace():
@@ -101,24 +104,16 @@ def test_positional_zero_equals_null_trigger():
             )
 
 
-def direct_threshold(mode, n):
-    """The 321 threshold rule read off the observed prefix itself, with no
-    transport: on the 312 game, a negative control."""
-    sigma = threshold_strategy(mode, "321", n).sigma
-    return Strategy(kind="threshold", mode=mode, sigma=sigma, rank=n)
-
-
 def sweep_strategies(cls, n, tree):
     """The strategies the exact scorer is checked on at rank n."""
     out = [Strategy(kind="positional", position=k, rank=n) for k in range(n + 1)]
     out.append(parse_strategy("trigger:{null}", cls, n))
     out.append(Strategy(kind="trigger", members=frozenset({(1,), (1, 2)}), rank=n))
     base = oracles.random_eligible_antichain(tree, SplitMix64(n))
-    out.append(Strategy(kind="strike", members=completion(base, tree).members, rank=n))
+    out.append(Strategy(kind="strike", members=completion(base, cls, n).members, rank=n))
     if cls.name in ("321", "312"):
         for mode in ("strike", "trigger"):
             out.append(threshold_strategy(mode, cls, n))
-            out.append(direct_threshold(mode, n))
     return out
 
 
@@ -144,8 +139,9 @@ def test_exact_success_matches_manual_loop():
     assert got.wins == oracles.trigger_tally((1, 2), oracles.members("321", 4))[0]
     shallow = optimal_boundary(continuation_triangle("strike", 6))
     for mode in ("strike", "trigger"):
+        s = Strategy(kind="threshold", mode=mode, sigma=shallow, pattern_class=AV321)
         with pytest.raises(DepthError):
-            exact_success(Strategy(kind="threshold", mode=mode, sigma=shallow), "321", 7)
+            exact_success(s, "321", 7)
 
 
 def test_simulate_matches_play_on_the_same_draws(monkeypatch):
@@ -164,7 +160,7 @@ def test_simulate_matches_play_on_the_same_draws(monkeypatch):
                 assert got.wins == want, (name, n, s.describe())
     # an incomplete strike set is refused before any draw, at the leaf
     # exact_success names
-    def no_draw(tree, rng):
+    def no_draw(*args):
         raise AssertionError("simulate drew a path")
 
     monkeypatch.setattr(beststop.strategy, "_walk", no_draw)
@@ -188,39 +184,64 @@ def test_trigger_accept_checked_before_arming():
 
 @pytest.mark.parametrize("mode", ["strike", "trigger"])
 def test_threshold_matches_optimum_321(mode):
-    for n in range(2, 9):
-        s = threshold_strategy(mode, "321", n)
-        got = exact_success(s, "321", n)
-        optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
-        best = optimize(pattern_class("321"), n)
-        assert cmp_as_rational(got, best.value) == 0, (mode, n)
+    # the paper's main theorem: the threshold rule is optimal
+    optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
+    for n in range(2, 12):
+        got = exact_success(threshold_strategy(mode, "321", n), "321", n)
+        assert cmp_as_rational(got, optimize(AV321, n).value) == 0, (mode, n)
+        if n == 10:
+            assert (got.wins, got.total) == (8833, 16796)
+
+
+def test_saturated_count_is_free_sites_less_one_321():
+    # the count a threshold reads off a prefix's label
+    for k in range(1, 10):
+        for p in enumerate_class(AV321, k):
+            assert oracles.value_saturated_count(p) == k - _label(p, AV321.forbidden).bit_count(), p
 
 
 @pytest.mark.parametrize("mode", ["strike", "trigger"])
 def test_threshold_transports_to_312(mode):
-    for n in range(2, 8):
+    # on every 312 prefix up to rank 10, the label rule decides as the
+    # saturated count of the prefix's West partner in Av(321) does; and the
+    # rule is optimal on the 312 game too
+    moved = {p: oracles.value_saturated_count(q) for p, q in oracles.west_transport(10).items()}
+    labels = {p: _label(p, AV312.forbidden) for p in moved}
+    for n in range(1, 11):
         s = threshold_strategy(mode, "312", n)
-        assert s.transport is not None
-        got = exact_success(s, "312", n)
-        optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
-        best = optimize(pattern_class("312"), n)
-        assert cmp_as_rational(got, best.value) == 0, (mode, n)
+        for p, count in moved.items():
+            k = len(p)
+            if not 1 <= k <= n:
+                continue
+            bound = s.sigma.get(n - k)
+            eligible = is_eligible(p)
+            want = bound is not None and (mode == "trigger" or eligible) and count >= bound
+            assert beststop.strategy._fires(s, n, k, labels[p], eligible, None) == want, (n, p)
+    optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
+    for n in range(2, 12):
+        got = exact_success(threshold_strategy(mode, "312", n), "312", n)
+        assert cmp_as_rational(got, optimize(AV312, n).value) == 0, (mode, n)
+        if n == 10:
+            assert (got.wins, got.total) == (8833, 16796)
 
 
 def test_direct_statistic_eventually_suboptimal():
-    # reading the saturated count off the raw 312-avoiding prefix, without
-    # the relabeling, agrees with the optimum through rank 6 and then falls
-    # behind
-    for n in range(2, 7):
-        s = direct_threshold("strike", n)
-        assert s.transport is None
-        got = exact_success(s, "312", n)
-        want = exact_success(threshold_strategy("strike", "312", n), "312", n)
-        assert cmp_as_rational(got, want) == 0, n
-    direct = exact_success(direct_threshold("strike", 7), "312", 7)
-    best = exact_success(threshold_strategy("strike", "312", 7), "312", 7)
-    assert (direct.wins, direct.total) == (224, 429)
-    assert (best.wins, best.total) == (229, 429)
+    # reading the saturated count off the raw 312-avoiding prefix, rather
+    # than off its West partner, agrees with the optimum through rank 6 and
+    # then falls behind
+    transport = oracles.west_transport(7)
+    for n in range(2, 8):
+        orders = oracles.members("312", n)
+        sigma = threshold_strategy("strike", "312", n).sigma
+        direct = oracles.threshold_wins(orders, "strike", sigma, oracles.value_saturated_count)
+        moved = oracles.threshold_wins(orders, "strike", sigma,
+                                       lambda p: oracles.value_saturated_count(transport[p]))
+        got = exact_success(threshold_strategy("strike", "312", n), "312", n)
+        assert (got.wins, got.total) == (moved, len(orders)), n
+        if n < 7:
+            assert direct == moved, n
+    assert (direct, len(orders)) == (224, 429)
+    assert (got.wins, got.total) == (229, 429)
 
 
 def test_strategy_validation():
@@ -244,11 +265,18 @@ def test_rank_mismatch():
         exact_success(s, "231", 5)
     with pytest.raises(InvalidInputError):
         play(s, ())
+    # a threshold scored on another class than its own
+    for own, other in (("321", "312"), ("312", "321")):
+        s = threshold_strategy("strike", own, 7)
+        with pytest.raises(InvalidInputError, match=f"built for class {own}, not class {other}"):
+            exact_success(s, other, 7)
+        with pytest.raises(InvalidInputError, match=f"built for class {own}, not class {other}"):
+            simulate(s, other, 7, trials=10)
 
 
 def test_threshold_depth_errors():
     shallow = optimal_boundary(continuation_triangle("strike", 6))
-    unranked = Strategy(kind="threshold", mode="strike", sigma=shallow)
+    unranked = Strategy(kind="threshold", mode="strike", sigma=shallow, pattern_class=AV321)
     with pytest.raises(DepthError):
         play(unranked, (1, 2, 3, 4, 5, 6, 7))
     with pytest.raises(InvalidInputError):
@@ -261,7 +289,7 @@ def test_threshold_depth_errors():
 def test_threshold_table_as_deep_as_the_rank(mode):
     # sigma(n) is not computed at depth n; no prefix of a rank-n order needs it
     sigma = optimal_boundary(continuation_triangle(mode, 5))
-    exact = Strategy(kind="threshold", mode=mode, sigma=sigma, rank=5)
+    exact = Strategy(kind="threshold", mode=mode, sigma=sigma, pattern_class=AV321, rank=5)
     deep = threshold_strategy(mode, "321", 5)
     assert deep.sigma.depth == 60
     for pi in enumerate_class(pattern_class("321"), 5):
@@ -274,7 +302,7 @@ def test_threshold_table_as_deep_as_the_rank(mode):
 def test_transport_rejects_foreign_prefix():
     s = threshold_strategy("strike", "312", 4)
     with pytest.raises(InvalidInputError):
-        play(s, (3, 1, 2, 4))  # contains the forbidden pattern, off the map
+        play(s, (3, 1, 2, 4))  # contains the forbidden pattern, outside the class
 
 
 def test_parse_strategy_forms():

@@ -61,7 +61,8 @@ from .errors import (
     NotFoundError,
     UsageError,
 )
-from .optimizer import OptimalResult, completion, optimal_strike_set, optimal_trigger_set
+from .optimizer import (OptimalResult, StrikeSet, completion, optimal_strike_set,
+                        optimal_trigger_set)
 from .permutations import (
     AV123,
     AV132,
@@ -89,7 +90,6 @@ from .permutations import (
 )
 from .prefixtree import (
     PrefixTree,
-    StrikeSet,
     TreeNode,
     build,
     cached_tree,

@@ -43,7 +43,7 @@ from .errors import (
     LimitError,
     UsageError,
 )
-from .optimizer import completion, optimal_strike_set, optimal_trigger_set
+from .optimizer import _check_caps, completion, optimal_strike_set, optimal_trigger_set
 from .permutations import (
     CLASSES,
     _label,
@@ -53,7 +53,7 @@ from .permutations import (
     perm_from_str,
     perm_to_str,
 )
-from .prefixtree import _check_caps, cached_tree, successors, tree_to_json
+from .prefixtree import cached_tree, successors, tree_to_json
 from .strategy import Strategy, exact_success, member_names, members_str, parse_strategy, simulate
 from .tallies import Tally, ballot, cmp_as_rational, decimal_str
 
@@ -109,9 +109,20 @@ def _build_parser() -> _Parser:
 # --- solve ------------------------------------------------------------------
 
 
+# Every closed form's value has catalan(n) as its denominator, and 7,152 is
+# the largest n whose catalan(n) has at most 4,300 digits, the most that
+# CPython turns into a string by default; past it the value could not be
+# printed, so the rank is refused before any work.
+FORMULA_MAX_RANK = 7152
+
+
 def _solve_formula(name: str, n: int, mode: str) -> tuple[str, Tally]:
     if mode != "strike":
         raise InvalidInputError("--formula covers the strike game; drop --mode trigger")
+    if name == "none":
+        raise InvalidInputError("no closed form for the unrestricted game; omit --formula")
+    if n > FORMULA_MAX_RANK:
+        raise LimitError(f"rank {n} exceeds the closed-form cap {FORMULA_MAX_RANK}")
     if name in ("231", "132"):
         return "strike:{1}", optimal_success_231(n)
     if name == "213":
@@ -120,10 +131,8 @@ def _solve_formula(name: str, n: int, mode: str) -> tuple[str, Tally]:
         if n == 1:
             return "strike:{1}", Tally(1, 1)
         return optimal_success_123(n)
-    if name in ("321", "312"):
-        t = continuation_triangle("strike", max(n, 2))
-        return "threshold:strike", t.value(n, 1)
-    raise InvalidInputError("no closed form for the unrestricted game; omit --formula")
+    t = continuation_triangle("strike", max(n, 2))
+    return "threshold:strike", t.value(n, 1)
 
 
 def _given_strategy(text: str, cls, n: int) -> Strategy:

@@ -21,10 +21,11 @@ on each path.  Only own wins depend on eligibility, so the best below is
 kept per state.  States with no members are dropped, as the tree prunes
 them.
 
-The optimal set is listed on its first read, by walking prefixes down from
-the root (the null prefix for trigger) with their labels as prefixtree.build
-carries them, so a value alone costs only the sweep.  Strike-set completion
-and strategy scoring read the same walk, first_hits, under the tree's caps.
+The optimal set is listed on its first read, by walking the sweep's moves
+down from the root (the null prefix for trigger), so a value alone costs
+only the sweep.  Strike-set completion and strategy scoring read the same
+walk, first_hits, under the tree's caps, and prefixtree.build unfolds the
+trigger sweep's states along the same moves into the materialized tree.
 """
 from __future__ import annotations
 
@@ -35,8 +36,17 @@ from typing import Callable, Iterable, Iterator
 from .errors import InvalidInputError, LimitError, NotFoundError
 from .permutations import (PatternClass, Perm, _free, _label, _opened, _relabel, is_permutation,
                            pattern_class, perm_to_str, prefix_flattening)
-from .prefixtree import DEFAULT_TREE_CAP, StrikeSet, _check_caps
 from .tallies import Tally
+
+# Trees are only materialized up to this rank and this many members (leaves)
+# unless the caller raises the caps.  A tree holds about 230 B per leaf (the
+# unrestricted class at rank 9, 362,880 leaves and 409,114 nodes: 79 MiB of
+# objects by tracemalloc, 97 MiB peak RSS in a fresh Python 3.11 process;
+# the Catalan classes at rank 12 peak at 324-335 B per leaf, the sweep's
+# states included), so the member cap keeps a build to about 0.3 GB.
+# Reading index adds about 50 B a node.  The walks keep the same caps.
+DEFAULT_MAX_RANK = 12
+DEFAULT_TREE_CAP = 1_000_000
 
 # Ceiling on the states, (depth, label) pairs, that one sweep may visit,
 # since time is what fails.  132 and 312 have 2^(k-1) labels at depth k,
@@ -47,6 +57,32 @@ DAG_STATE_CAP = 1_000_000
 
 # states[k][label] = (member total, z0, z1, best below)
 State = tuple[int, int, int, int]
+
+
+@dataclass(frozen=True)
+class StrikeSet:
+    """A complete antichain of prefixes: every member of the class meets
+    exactly one element of the set along its prefix chain."""
+
+    members: frozenset[Perm]
+
+
+def _check_caps(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> None:
+    """Refuse a rank-n listing of cls past the tree's caps, before any work:
+    LimitError when n exceeds DEFAULT_MAX_RANK or the known class size
+    exceeds cap."""
+    if n < 1:
+        raise InvalidInputError(f"rank must be >= 1, got {n}")
+    if n > DEFAULT_MAX_RANK:
+        raise LimitError(
+            f"rank {n} exceeds the tree cap {DEFAULT_MAX_RANK}; "
+            "use the closed-form modules for deeper ranks"
+        )
+    known = cls.size(n)
+    if known is not None and known > cap:
+        raise LimitError(
+            f"class {cls.name} has {known} members at rank {n}, over the cap {cap}"
+        )
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ and shifting the old values >= c up by one.  One bitmask label of a
 prefix's forbidden values, stepped from parent to child by the one entry
 the child adds, answers which values c a prefix allows (child_indices) and
 whether an order is a member (contains_pattern, PatternClass.is_member).
-The tree walks (enumerate_class, prefixtree.build) carry it down the tree
-and never rescan a prefix; a point query steps it along one order.  For
-the single-pattern classes every member extends, so the tree of prefixes
-at rank N contains the whole class at every smaller rank and grows like
-the Catalan numbers rather than n!.
+enumerate_class carries it down the tree and the optimizer's sweep steps
+it across the label DAG, never rescanning a prefix; a point query steps
+it along one order.  For the single-pattern classes every member extends,
+so the tree of prefixes at rank N contains the whole class at every
+smaller rank and grows like the Catalan numbers rather than n!.
 """
 from __future__ import annotations
 

@@ -14,9 +14,10 @@ A virtual null node above the root represents the empty prefix, which is a
 legal trigger point ("accept the first candidate that is a running maximum")
 but never a strike point.
 
-build never rescans a prefix: each open node carries its label, the values
-whose appending would complete a forbidden pattern (see permutations), and
-the leaves are made in their parent's loop.
+build reads the tallies off the optimizer's trigger sweep of the label DAG:
+a node is its state's member total, z0 (its strike wins when eligible) and
+z1 (its trigger wins), and its children are the state's moves, so one rule
+counts the wins of the tree and of the optimizer.
 
 frontier walks to the first node on each path where a test holds; successors
 reads it.  Optimal sets, strategy scoring and strike-set completion need no
@@ -33,24 +34,10 @@ from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInputError, LimitError, NotFoundError
-from .permutations import (
-    PatternClass,
-    Perm,
-    _free,
-    _opened,
-    _perm_str,
-    _relabel,
-)
+from .optimizer import (DEFAULT_MAX_RANK, DEFAULT_TREE_CAP, State, _check_caps,
+                        optimal_trigger_set)
+from .permutations import PatternClass, Perm, _perm_str
 from .tallies import Tally
-
-# Trees are only materialized up to this rank and this many members (leaves)
-# unless the caller raises the caps.  A tree holds about 230 B per leaf (the
-# unrestricted class at rank 9, 362,880 leaves and 409,114 nodes: 79 MiB of
-# objects by tracemalloc, 96 MiB peak RSS in a fresh Python 3.11 process;
-# the Catalan classes at rank 12 take about 320 B per leaf), so the member
-# cap keeps a build to about 0.3 GB.  Reading index adds about 50 B a node.
-DEFAULT_MAX_RANK = 12
-DEFAULT_TREE_CAP = 1_000_000
 
 
 @dataclass(eq=False, slots=True)
@@ -74,14 +61,6 @@ class TreeNode:
     @property
     def trigger(self) -> Tally:
         return Tally(self.trigger_wins, self.total)
-
-
-@dataclass(frozen=True)
-class StrikeSet:
-    """A complete antichain of prefixes: every member of the class meets
-    exactly one element of the set along its prefix chain."""
-
-    members: frozenset[Perm]
 
 
 @dataclass(eq=False)
@@ -122,97 +101,28 @@ class PrefixTree:
             stack.extend(reversed(n.children))
 
 
-def _check_caps(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> None:
-    """Refuse a rank-n listing of cls past the tree's caps, before any work:
-    LimitError when n exceeds DEFAULT_MAX_RANK or the known class size
-    exceeds cap."""
-    if n < 1:
-        raise InvalidInputError(f"rank must be >= 1, got {n}")
-    if n > DEFAULT_MAX_RANK:
-        raise LimitError(
-            f"rank {n} exceeds the tree cap {DEFAULT_MAX_RANK}; "
-            "use the closed-form modules for deeper ranks"
-        )
-    known = cls.size(n)
-    if known is not None and known > cap:
-        raise LimitError(
-            f"class {cls.name} has {known} members at rank {n}, over the cap {cap}"
-        )
-
-
 def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
     """Materialize the rank-n tree for cls with all tallies filled in.
 
     Raises LimitError when n exceeds DEFAULT_MAX_RANK or the class size
-    exceeds cap.
+    exceeds cap, before any node is made.
     """
     _check_caps(cls, n, cap)
-
-    # state of the open node of size s (size 0 is the null node): its
-    # finished children and the wins of the leaves seen under it so far
-    kids: list[list[TreeNode]] = [[] for _ in range(n + 1)]
-    strike_wins = [0] * (n + 1)
-    trigger_wins = [0] * (n + 1)
-    opened = _opened(cls, n)
-    seen = 0
-
-    def grow(p: Perm, label: int, top: int, second: int) -> int:
-        """Build the children of p that have members, hang them in kids[k],
-        and return p's member count.  label is p's label (see permutations).
-        top and second are the sizes at which p's last two left-to-right
-        maxima arrived (0 where p has fewer)."""
-        nonlocal seen
-        k = len(p)
-        found = kids[k] = []
-        strike_wins[k] = trigger_wins[k] = 0
-        free = _free(label, k)
-        if k + 1 == n:
-            # the children are the leaves; the value n arrives at size top
-            # in each but the new running maximum c = n, where it arrives
-            # last.  Rejecting at sizes second .. top-1 and taking the next
-            # running maximum lands exactly on it.
-            seen += len(free)
-            if seen > cap:
-                raise LimitError(
-                    f"tree for class {cls.name} at rank {n} exceeded cap {cap}"
-                )
-            for c in free:
-                q = tuple([v + (v >= c) for v in p]) + (c,)
-                found.append(TreeNode(q, c == n, int(c == n), 0, 1, ()))
-            rises = free[-1:] == [n]
-            below = len(free) - rises
-            strike_wins[top] += below
-            for s in range(second, top):
-                trigger_wins[s] += below
-            if rises:
-                for s in range(top, n):
-                    trigger_wins[s] += 1
-            return len(free)
-        total = 0
-        row = opened[k]
-        for c in free:
-            q = tuple([v + (v >= c) for v in p]) + (c,)
-            # a child whose new entry is k+1 is a new running maximum
-            eligible = c > k
-            sub_label = _relabel(label, c, row[c])
-            sub = grow(q, sub_label, k + 1, top) if eligible else grow(q, sub_label, top, second)
-            if sub:
-                found.append(TreeNode(q, eligible, strike_wins[k + 1] if eligible else 0,
-                                      trigger_wins[k + 1], sub, tuple(kids[k + 1])))
-                total += sub
-        return total
-
-    try:
-        total = grow((), 0, 0, 0)
-    finally:
-        # grow's closure holds grow itself and kids (so the root): dropping
-        # the name breaks that cycle, so a dropped tree, or the part built
-        # before the member cap refused it, goes by reference counting
-        del grow
-    if total == 0:
-        raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
-    null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))
+    res = optimal_trigger_set(cls, n)
+    if res.value.total > cap:
+        raise LimitError(f"tree for class {cls.name} at rank {n} exceeded cap {cap}")
+    null = _node(res.states, (), False, 0, res.moves()[0][0])
     return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0])
+
+
+def _node(states: list[dict[int, State]], p: Perm, eligible: bool, label: int,
+          moves: tuple) -> TreeNode:
+    """The node of prefix p, whose state is (len(p), label) with these
+    moves, and every node below it."""
+    total, z0, z1, _ = states[len(p)][label]
+    return TreeNode(p, eligible, z0 if eligible else 0, z1, total, tuple(
+        [_node(states, tuple([v + (v >= c) for v in p]) + (c,), el, sub, kids)
+         for c, sub, _, kids, el, _ in moves]))
 
 
 def frontier(start: TreeNode, hit: Callable[[TreeNode], bool]) -> Iterator[tuple[TreeNode, bool]]:

@@ -64,6 +64,45 @@ def test_solve_output_pinned(capsys, name, mode):
     assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_SHA256[name, mode]
 
 
+# sha256 of the stdout of `tree --class C --n 6` (n = 5 for the unrestricted
+# class): the whole tree as text and with --json, and `--prefix P` at one
+# eligible node with children, which prints its successors; recorded while
+# build still counted the wins itself, before it read the label-DAG sweep
+TREE_SHA256 = {
+    ("123", "text"): "e6cbad5d112669228fb83afbce332c2f712b72629f8ac2288921d1c71e314cbb",
+    ("123", "json"): "b168a0be152b99c90fd32557e46f7120f1e2234bc6cf55373acfbec2975c2410",
+    ("123", "213"): "211a86c9398d294378b98335787209c91657c33e18470c6c602ec8402cdde483",
+    ("132", "text"): "163031d11a845f4de6ce65286711da0b4592926558da762846e2209c2dfd34c8",
+    ("132", "json"): "d8be218375fdf95cb48b085d641a0ce7bc8a70b1dad0cf47d57b595e5b6b1361",
+    ("132", "213"): "527ad5d58556b0e019f1daf604238e8a7b3db0ab2c470473e47b7ff3928f1560",
+    ("213", "text"): "158b7050b996d6a2a1a0ed302fbb130f5f45a59f8819a52cae7d89031195462d",
+    ("213", "json"): "8632b0ef4f2047577697ef8eca809fce35c1f5caf17abd2ed70c105f7eb1bfcc",
+    ("213", "123"): "893f0e792a2573c1bbf7816cd26cc1386d093e407a2a4e7979c3c37e3dfc11b0",
+    ("231", "text"): "6adef83e5a35fbb910d1dc54d8fac238b157bdc5266fc9eb7984974cb96d1c93",
+    ("231", "json"): "8bbfb07facc505670d65f3fa02a78df5da302b16328dff9aeb83fbc251e21a4a",
+    ("231", "213"): "38413229646d60de1f2ca342b02ae31523bb013f21bce2cddd34ea59061282b2",
+    ("312", "text"): "610ab096fb2660a3d350ad1c6d6b3e7238a5c36b697dca2d21d14d77ed36392a",
+    ("312", "json"): "fc71ea953e93b176890c9844a2d4330bf442dd174fdf9228ad556e28b26b04bc",
+    ("312", "213"): "77f94118ca7993e069d0e51516d8709a3b2ad175c75142005074cc4ed93795e3",
+    ("321", "text"): "46f014da1fa16ec3016e331b64a8ce73c7a0becac47114015ffdc8e24db2fb1e",
+    ("321", "json"): "a6644e57c4c7508a1edf5c95568ae64bd9311450cd08ad3bee1abec3b1652edb",
+    ("321", "213"): "b7b4edf4af37ac573fd2852f6eedd166cffd3403283ae8ee32bea031e3f32200",
+    ("none", "text"): "3983361f35f7119cc023d9dadd45221262b18277a6994f6cfa099fd8e1bdadf2",
+    ("none", "json"): "2711cd491685d1d90914daf287522705229a97b05ad3d183d5f7f4230efd235c",
+    ("none", "213"): "2a1c852583be287ee4853dc4a4f504d8ad8b2281d6342a96c95bb6ae3852ec29",
+}
+
+
+@pytest.mark.parametrize("name, view", sorted(TREE_SHA256))
+def test_tree_output_pinned(capsys, name, view):
+    argv = ["tree", "--class", name, "--n", "5" if name == "none" else "6"]
+    argv += {"text": [], "json": ["--json"]}.get(view, ["--prefix", view])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert view in ("text", "json") or "\nsuccessors: " in out
+    assert hashlib.sha256(out.encode()).hexdigest() == TREE_SHA256[name, view]
+
+
 def test_tree_prefixes_print_unchecked(capsys, monkeypatch):
     # every prefix solve and tree print comes from the tree, so printing
     # them never re-validates a permutation; the output is unchanged
@@ -153,6 +192,20 @@ def test_solve_formula(capsys):
         code, out, _ = run(capsys, "solve", "--class", name, "--n", "1", "--formula")
         assert code == 0
         assert out == "optimal strategy strike:{1}\nvalue = 1/1 (~1)\n"
+
+
+def test_solve_formula_rank_cap(capsys):
+    # catalan(n), the closed forms' denominator, prints up to rank 7152;
+    # past it the rank is refused with exit 2 before any work
+    for name in ("231", "132", "213", "123"):
+        for extra in ([], ["--json"]):
+            argv = ["solve", "--class", name, "--formula", *extra, "--n"]
+            code, out, err = run(capsys, *argv, "7152")
+            assert (code, err) == (0, ""), name
+            assert "/" in out
+            code, out, err = run(capsys, *argv, "7153")
+            assert (code, out) == (2, ""), name
+            assert "cap" in err, name
 
 
 def test_solve_given_strategy_completes_strike_sets(capsys):

@@ -347,10 +347,11 @@ def test_cached_tree_holds_at_most_the_member_cap(monkeypatch):
 
 def test_tree_bytes_per_node():
     # each node is a slots object with its prefix and children tuples; its
-    # counts are plain ints and build fills no index (measured about 208 B
-    # per node; 250 B when build also filled the prefix index, 295 B with
-    # the scan-based build of tests/oracles.py, 460 B when every node held
-    # two Tally objects)
+    # counts are plain ints and build fills no index (measured about 211 B
+    # per node at the peak, the label-DAG sweep build reads included; 206 B
+    # when build counted the wins itself, 250 B when it also filled the
+    # prefix index, 295 B with the scan-based build of tests/oracles.py,
+    # 460 B when every node held two Tally objects)
     tracemalloc.start()
     try:
         tree = build(AV231, 9)
@@ -361,8 +362,8 @@ def test_tree_bytes_per_node():
 
 
 def test_dropped_tree_is_freed_by_reference_counting():
-    # build's recursive closure must not keep a dropped tree alive until
-    # the cyclic collector runs
+    # nothing build leaves behind may keep a dropped tree alive until the
+    # cyclic collector runs
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -377,8 +378,8 @@ def test_dropped_tree_is_freed_by_reference_counting():
 
 
 def test_refused_build_is_freed_by_reference_counting():
-    # the part of a tree built before the member cap refused it goes by
-    # reference counting too
+    # the sweep of a build the member cap refused goes by reference
+    # counting too
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -398,23 +399,39 @@ def test_refused_build_is_freed_by_reference_counting():
 def test_build_limits(monkeypatch):
     with pytest.raises(LimitError):
         build(UNRESTRICTED, 13)
-    # 10! members are over the default member cap: refused before any node
+    # 10! members are over the default member cap: refused before any
+    # sweep or node
+    import beststop.optimizer
     import beststop.prefixtree
 
     def no_growth(*args):
-        raise AssertionError("build started growing the tree")
+        raise AssertionError("build started sweeping or growing the tree")
 
     with monkeypatch.context() as m:
-        m.setattr(beststop.prefixtree, "_free", no_growth)
+        m.setattr(beststop.optimizer, "_free", no_growth)
+        m.setattr(beststop.prefixtree, "_node", no_growth)
         with pytest.raises(LimitError, match="3628800 members .* over the cap 1000000"):
             build(UNRESTRICTED, 10)
     with pytest.raises(LimitError):
         build(UNRESTRICTED, 5, cap=100)
     with pytest.raises(InvalidInputError):
         build(UNRESTRICTED, 0)
-    # unknown-size classes hit the cap mid-build
+    # unknown-size classes are refused once the sweep has counted them
     from beststop import PatternClass
 
     lazy = PatternClass("pair", ((1, 3, 2), (2, 1, 3)))
     with pytest.raises(LimitError):
         build(lazy, 5, cap=10)
+
+
+def test_unknown_size_refusal_makes_no_node(monkeypatch):
+    # the sweep counts the members of a class of unknown size, so the member
+    # cap refuses it before any node is made
+    import beststop.prefixtree
+
+    def no_node(*args):
+        raise AssertionError("build made a node")
+
+    monkeypatch.setattr(beststop.prefixtree, "_node", no_node)
+    with pytest.raises(LimitError, match="tree for class pair at rank 12 exceeded cap 1000$"):
+        build(PatternClass("pair", oracles.FORBIDDEN["pair"]), 12, cap=1000)

@@ -92,7 +92,6 @@ from .prefixtree import (
     PrefixTree,
     TreeNode,
     build,
-    cached_tree,
     successors,
     tree_to_dict,
     tree_to_json,

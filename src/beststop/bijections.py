@@ -13,9 +13,10 @@ Three maps carry one game to another:
 
 For 321 versus 312 the trees are isomorphic but no single relabeling of
 prefixes realizes the isomorphism; west_correspondence reads the node
-pairing off the two cached prefix trees instead, matching sorted child
-lists in reverse order except that the new-maximum child always pairs
-with the new-maximum child.
+pairing off the two prefix trees instead, matching sorted child lists in
+reverse order except that the new-maximum child always pairs with the
+new-maximum child.  verify_tree_isomorphism builds each of its two trees
+once and hands them to the pairing it checks.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ from typing import Sequence
 
 from .errors import DomainError, InvalidInputError, NotFoundError
 from .permutations import (
-    AV312,
-    AV321,
     PatternClass,
     Perm,
     contains_pattern,
@@ -34,7 +33,7 @@ from .permutations import (
     pattern_class,
     validate_permutation,
 )
-from .prefixtree import PrefixTree, TreeNode, cached_tree
+from .prefixtree import PrefixTree, TreeNode, build
 
 
 def _flat(seq: Sequence[int]) -> Perm:
@@ -124,13 +123,20 @@ def convert_132_to_231(p: Sequence[int]) -> Perm:
     return left + (n,) + tuple(v + m for v in right)
 
 
-def west_correspondence(n: int) -> dict[Perm, Perm]:
+def west_correspondence(t321: PrefixTree, t312: PrefixTree) -> dict[Perm, Perm]:
     """The tree isomorphism from 321-avoiding to 312-avoiding prefixes of
-    size <= n, read off the two rank-n trees: sorted child lists are paired
-    largest-with-largest (both are the new-maximum extension) and the rest
-    in reverse order."""
+    size up to the trees' common rank, read off the two trees: sorted child
+    lists are paired largest-with-largest (both are the new-maximum
+    extension) and the rest in reverse order."""
+    if (t321.pattern_class.name, t312.pattern_class.name) != ("321", "312"):
+        raise InvalidInputError(
+            f"west_correspondence needs the 321 and 312 trees, got "
+            f"{t321.pattern_class.name} and {t312.pattern_class.name}"
+        )
+    if t321.rank != t312.rank:
+        raise InvalidInputError(f"tree ranks differ: {t321.rank} vs {t312.rank}")
     mapping: dict[Perm, Perm] = {}
-    stack = [(cached_tree(AV321, n).null, cached_tree(AV312, n).null)]
+    stack = [(t321.null, t312.null)]
     while stack:
         a, b = stack.pop()
         mapping[a.prefix] = b.prefix
@@ -205,8 +211,8 @@ def verify_tree_isomorphism(
     pair = (ca.name, cb.name)
     if pair not in _UPSILON_PAIRS | _WEST_PAIRS and n > 6:
         raise InvalidInputError("search method is limited to rank <= 6")
-    ta = cached_tree(ca, n)
-    tb = cached_tree(cb, n)
+    ta = build(ca, n)
+    tb = build(cb, n)
 
     if pair in _UPSILON_PAIRS:
         method = "upsilon"
@@ -214,9 +220,10 @@ def verify_tree_isomorphism(
         s_ok, v_ok, miss = _pair_by_map(ta, tb, fn)
     elif pair in _WEST_PAIRS:
         method = "west"
-        raw = west_correspondence(n)
-        if ca.name == "312":
-            raw = {v: k for k, v in raw.items()}
+        if ca.name == "321":
+            raw = west_correspondence(ta, tb)
+        else:
+            raw = {v: k for k, v in west_correspondence(tb, ta).items()}
         s_ok, v_ok, miss = _pair_by_map(ta, tb, raw.get)
     else:
         method = "search"

@@ -53,7 +53,7 @@ from .permutations import (
     perm_from_str,
     perm_to_str,
 )
-from .prefixtree import cached_tree, successors, tree_to_json
+from .prefixtree import build, successors, tree_to_json
 from .strategy import Strategy, exact_success, member_names, members_str, parse_strategy, simulate
 from .tallies import Tally, ballot, cmp_as_rational, decimal_str
 
@@ -261,7 +261,7 @@ def _verify_figures_321(report) -> bool:
     cls = pattern_class("321")
     ok = True
     for n in range(2, 8):
-        tree = cached_tree(cls, n)
+        tree = build(cls, n)
         for node in tree.nodes():
             s = strike_prob_321(node.prefix, n)
             if s != node.strike:
@@ -424,8 +424,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_tree(args) -> int:
     cls = pattern_class(args.cls)
-    tree = cached_tree(cls, args.n)
-    if args.prefix:
+    tree = build(cls, args.n)
+    if args.prefix is not None:
         p = () if args.prefix == "null" else perm_from_str(args.prefix)
         node = tree.node(p)
         name = "null" if p == () else _perm_str(p)

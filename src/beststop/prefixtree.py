@@ -22,20 +22,20 @@ counts the wins of the tree and of the optimizer.
 frontier walks to the first node on each path where a test holds; successors
 reads it.  Optimal sets, strategy scoring and strike-set completion need no
 tree: they read the optimizer's sweep of the label DAG and its walk over
-prefixes.
+prefixes.  No tree is cached: each reader (the tree command, the figures
+check, an isomorphism check) calls build once per tree it reads.
 """
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidInputError, LimitError, NotFoundError
-from .optimizer import (DEFAULT_MAX_RANK, DEFAULT_TREE_CAP, State, _check_caps,
-                        optimal_trigger_set)
+from .optimizer import DEFAULT_TREE_CAP, State, _check_caps, optimal_trigger_set
 from .permutations import PatternClass, Perm, _perm_str
 from .tallies import Tally
 
@@ -170,45 +170,6 @@ def tree_to_json(tree: PrefixTree) -> str:
     return json.dumps(tree_to_dict(tree), indent=2)
 
 
-class TreeCacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    trees: int
-    members: int
-
-
-class _TreeCache:
-    """Built trees by (class, rank), least recently used first.  The trees
-    held have at most DEFAULT_TREE_CAP members in all, the memory one
-    capped build may take: storing a tree evicts the least recently used
-    ones until the rest fit."""
-
-    def __init__(self) -> None:
-        self.trees: OrderedDict[tuple[PatternClass, int], PrefixTree] = OrderedDict()
-        self.hits = self.misses = 0
-
-    def __call__(self, cls: PatternClass, n: int) -> PrefixTree:
-        """Shared, memoized build for repeated lookups (`tree`, `verify`, tests)."""
-        key = (cls, n)
-        if key in self.trees:
-            self.hits += 1
-            self.trees.move_to_end(key)
-            return self.trees[key]
-        self.misses += 1
-        tree = self.trees[key] = build(cls, n)
-        while self.members() > DEFAULT_TREE_CAP:
-            self.trees.popitem(last=False)
-        return tree
-
-    def members(self) -> int:
-        return sum(t.total for t in self.trees.values())
-
-    def cache_info(self) -> TreeCacheInfo:
-        return TreeCacheInfo(self.hits, self.misses, len(self.trees), self.members())
-
-    def cache_clear(self) -> None:
-        self.trees.clear()
-        self.hits = self.misses = 0
-
-
-cached_tree = _TreeCache()
+# perfbench/worker.py reads cached_tree.cache_info().hits and .misses for two
+# per-layer metrics.  No tree is cached, so both read 0 until they retire.
+cached_tree = SimpleNamespace(cache_info=lambda: SimpleNamespace(hits=0, misses=0))

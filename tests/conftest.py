@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from beststop import cached_tree, pattern_class
+from beststop import build, pattern_class
 
 
 @pytest.fixture(scope="session")
 def tree_for():
-    """Shared tree builder: tree_for(name, n) is cached_tree(pattern_class(name), n)."""
+    """Tree builder by class name: tree_for(name, n) is build(pattern_class(name), n),
+    a fresh tree on every call."""
 
     def get(name, n):
-        return cached_tree(pattern_class(name), n)
+        return build(pattern_class(name), n)
 
     return get

@@ -16,8 +16,9 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from beststop.errors import InvalidInputError, LimitError
+from beststop.optimizer import DEFAULT_MAX_RANK, DEFAULT_TREE_CAP
 from beststop.permutations import PatternClass, extend
-from beststop.prefixtree import DEFAULT_MAX_RANK, DEFAULT_TREE_CAP, PrefixTree, TreeNode
+from beststop.prefixtree import PrefixTree, TreeNode
 
 # name -> forbidden patterns, spelled out rather than imported
 FORBIDDEN = {

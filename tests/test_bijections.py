@@ -4,8 +4,11 @@ import pytest
 
 import oracles
 from beststop import (
+    AV312,
+    AV321,
     DomainError,
     InvalidInputError,
+    build,
     contains_pattern,
     convert_132_to_231,
     convert_231_to_132,
@@ -38,6 +41,11 @@ WEST4 = {
     (3, 4, 1, 2): (1, 4, 3, 2),
     (4, 1, 2, 3): (4, 3, 2, 1),
 }
+
+
+def west(n):
+    """The rank-n West pairing, read off freshly built 321 and 312 trees."""
+    return west_correspondence(build(AV321, n), build(AV312, n))
 
 
 def test_slide_max_examples():
@@ -125,7 +133,7 @@ def test_upsilon_preserves_winnability():
 
 
 def test_west_correspondence_rank4_table():
-    m = west_correspondence(4)
+    m = west(4)
     for a, b in WEST4.items():
         assert m[a] == b, a
     assert m[()] == ()
@@ -136,12 +144,12 @@ def test_west_correspondence_rank4_table():
 
 def test_west_correspondence_matches_child_rule_oracle():
     for n in range(1, 9):
-        assert west_correspondence(n) == oracles.west_pairs(n), n
+        assert west(n) == oracles.west_pairs(n), n
 
 
 def test_west_correspondence_is_a_bijection():
     for n in range(1, 7):
-        m = west_correspondence(n)
+        m = west(n)
         src = [p for p in m if p]
         dst = set(m[p] for p in src)
         assert len(dst) == len(src)
@@ -153,8 +161,18 @@ def test_west_correspondence_is_a_bijection():
             assert {m[p] for p in group} == set(oracles.members("312", r)), r
 
 
+def test_west_correspondence_refuses_other_trees():
+    t321, t312 = build(AV321, 4), build(AV312, 4)
+    with pytest.raises(InvalidInputError, match="needs the 321 and 312 trees"):
+        west_correspondence(t312, t321)
+    with pytest.raises(InvalidInputError, match="needs the 321 and 312 trees"):
+        west_correspondence(t321, t321)
+    with pytest.raises(InvalidInputError, match="tree ranks differ: 4 vs 5"):
+        west_correspondence(t321, build(AV312, 5))
+
+
 def test_west_preserves_eligibility_and_new_max_children():
-    m = west_correspondence(6)
+    m = west(6)
     for a, b in m.items():
         if not a:
             continue

@@ -122,16 +122,21 @@ def test_tree_prefixes_print_unchecked(capsys, monkeypatch):
     assert [run(capsys, *cmd) for cmd in cmds] == want
 
 
-def test_solve_builds_no_tree(capsys, monkeypatch):
-    # solve and verify triangle read the label DAG; a refused rank or size
-    # is still refused before any sweep
+def refuse_build(monkeypatch):
+    """Make build raise at every module that looks it up."""
     import beststop.prefixtree
 
     def refuse(*args):
-        raise AssertionError("a tree was read")
+        raise AssertionError("a tree was built")
 
-    monkeypatch.setattr(beststop.prefixtree, "build", refuse)
-    monkeypatch.setattr(beststop.cli, "cached_tree", refuse)
+    for module in (beststop.prefixtree, beststop.bijections, beststop.cli):
+        monkeypatch.setattr(module, "build", refuse)
+
+
+def test_solve_builds_no_tree(capsys, monkeypatch):
+    # solve and verify triangle read the label DAG; a refused rank or size
+    # is still refused before any sweep
+    refuse_build(monkeypatch)
     for name in sorted(beststop.cli.CLASSES):
         for mode in ("strike", "trigger"):
             code, out, err = run(capsys, "solve", "--class", name, "--n", "6", "--mode", mode)
@@ -145,13 +150,11 @@ def test_strategy_commands_build_no_tree(capsys, monkeypatch):
     # scoring and simulating a strategy read the label DAG: the benchmark's
     # strategy command lines, at a small rank, build no tree and read no
     # West pairing
-    from beststop.prefixtree import cached_tree
-
     def refuse(*args):
         raise AssertionError("the West pairing was read")
 
+    refuse_build(monkeypatch)
     monkeypatch.setattr(beststop.bijections, "west_correspondence", refuse)
-    cached_tree.cache_clear()
     for argv in (
         ["solve", "--class", "321", "--n", "6", "--strategy", "threshold:strike"],
         ["solve", "--class", "312", "--n", "6", "--strategy", "threshold:trigger"],
@@ -163,7 +166,26 @@ def test_strategy_commands_build_no_tree(capsys, monkeypatch):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
-    assert cached_tree.cache_info().misses == 0
+
+
+def test_verify_builds_each_tree_once(capsys, monkeypatch):
+    # each isomorphism check builds its two trees once, and the West
+    # pairing reads the same two trees: one build per (class, rank)
+    import beststop.prefixtree
+
+    built = []
+    real = beststop.prefixtree.build
+
+    def counted(cls, n, *args):
+        built.append((cls.name, n))
+        return real(cls, n, *args)
+
+    for module in (beststop.prefixtree, beststop.bijections, beststop.cli):
+        monkeypatch.setattr(module, "build", counted)
+    code, out, err = run(capsys, "verify", "west", "upsilon")
+    assert (code, out, err) == (0, "ok   west\nok   upsilon\n", "")
+    assert sorted(built) == sorted(
+        (name, n) for name in ("321", "312", "231", "132") for n in range(2, 8))
 
 
 def test_solve_trigger_json(capsys):
@@ -443,6 +465,13 @@ def test_tree_display(capsys):
     code, _, err = run(capsys, "tree", "--class", "231", "--n", "4",
                        "--prefix", "231")
     assert code == 1
+
+
+def test_tree_refuses_an_empty_prefix(capsys):
+    # an empty --prefix names no node: it is refused, not read as "no
+    # prefix given", which would print the whole tree
+    assert run(capsys, "tree", "--class", "231", "--n", "4", "--prefix", "") == \
+        (1, "", "error: empty permutation string\n")
 
 
 def test_verify_all_targets(capsys):

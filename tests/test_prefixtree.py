@@ -22,7 +22,6 @@ from beststop import (
     Strategy,
     Tally,
     build,
-    cached_tree,
     completion,
     exact_success,
     pattern_class,
@@ -321,28 +320,6 @@ def test_tree_to_dict(tree_for):
     assert {c["prefix"] for c in d["children"]} == {"12", "21"}
     parsed = json.loads(tree_to_json(tree))
     assert parsed == d
-
-
-def test_cached_tree_identity():
-    a = cached_tree(AV231, 4)
-    assert cached_tree(AV231, 4) is a
-
-
-def test_cached_tree_holds_at_most_the_member_cap(monkeypatch):
-    import beststop.prefixtree
-
-    monkeypatch.setattr(beststop.prefixtree, "DEFAULT_TREE_CAP", 100)
-    cached_tree.cache_clear()
-    # 14, 42 and 24 members fit; 231 is then used again, so 321 is the
-    # least recently used tree when 132 arrives, and the unrestricted one
-    # when 123 does
-    for name, n in [("231", 4), ("321", 5), ("none", 4), ("231", 4), ("132", 5), ("123", 5)]:
-        tree = cached_tree(pattern_class(name), n)
-        assert cached_tree.cache_info().members <= 100
-        assert cached_tree(pattern_class(name), n) is tree
-    assert cached_tree.cache_info() == (7, 5, 3, 98)
-    cached_tree(pattern_class("321"), 5)
-    assert cached_tree.cache_info().misses == 6
 
 
 def test_tree_bytes_per_node():

@@ -12,6 +12,7 @@ import pytest
 
 import beststop.bijections
 import beststop.cli
+import beststop.prefixtree
 from beststop.cli import main
 from beststop.strategy import member_names, parse_strategy
 
@@ -122,21 +123,20 @@ def test_tree_prefixes_print_unchecked(capsys, monkeypatch):
     assert [run(capsys, *cmd) for cmd in cmds] == want
 
 
-def refuse_build(monkeypatch):
-    """Make build raise at every module that looks it up."""
-    import beststop.prefixtree
-
-    def refuse(*args):
-        raise AssertionError("a tree was built")
-
+def patch_build(monkeypatch, replacement):
+    """Put replacement in place of build at every module that looks it up."""
     for module in (beststop.prefixtree, beststop.bijections, beststop.cli):
-        monkeypatch.setattr(module, "build", refuse)
+        monkeypatch.setattr(module, "build", replacement)
+
+
+def refuse_build(*args):
+    raise AssertionError("a tree was built")
 
 
 def test_solve_builds_no_tree(capsys, monkeypatch):
     # solve and verify triangle read the label DAG; a refused rank or size
     # is still refused before any sweep
-    refuse_build(monkeypatch)
+    patch_build(monkeypatch, refuse_build)
     for name in sorted(beststop.cli.CLASSES):
         for mode in ("strike", "trigger"):
             code, out, err = run(capsys, "solve", "--class", name, "--n", "6", "--mode", mode)
@@ -153,7 +153,7 @@ def test_strategy_commands_build_no_tree(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the West pairing was read")
 
-    refuse_build(monkeypatch)
+    patch_build(monkeypatch, refuse_build)
     monkeypatch.setattr(beststop.bijections, "west_correspondence", refuse)
     for argv in (
         ["solve", "--class", "321", "--n", "6", "--strategy", "threshold:strike"],
@@ -171,8 +171,6 @@ def test_strategy_commands_build_no_tree(capsys, monkeypatch):
 def test_verify_builds_each_tree_once(capsys, monkeypatch):
     # each isomorphism check builds its two trees once, and the West
     # pairing reads the same two trees: one build per (class, rank)
-    import beststop.prefixtree
-
     built = []
     real = beststop.prefixtree.build
 
@@ -180,8 +178,7 @@ def test_verify_builds_each_tree_once(capsys, monkeypatch):
         built.append((cls.name, n))
         return real(cls, n, *args)
 
-    for module in (beststop.prefixtree, beststop.bijections, beststop.cli):
-        monkeypatch.setattr(module, "build", counted)
+    patch_build(monkeypatch, counted)
     code, out, err = run(capsys, "verify", "west", "upsilon")
     assert (code, out, err) == (0, "ok   west\nok   upsilon\n", "")
     assert sorted(built) == sorted(

@@ -62,7 +62,7 @@ from .errors import (
     UsageError,
 )
 from .optimizer import (OptimalResult, StrikeSet, completion, optimal_strike_set,
-                        optimal_trigger_set)
+                        optimal_trigger_set, successors)
 from .permutations import (
     AV123,
     AV132,
@@ -92,7 +92,6 @@ from .prefixtree import (
     PrefixTree,
     TreeNode,
     build,
-    successors,
     tree_to_dict,
     tree_to_json,
 )

@@ -43,17 +43,19 @@ from .errors import (
     LimitError,
     UsageError,
 )
-from .optimizer import _check_caps, completion, optimal_strike_set, optimal_trigger_set
+from .optimizer import (_check_caps, _successors, _walkable, completion, optimal_strike_set,
+                        optimal_trigger_set)
 from .permutations import (
     CLASSES,
-    _label,
     _perm_str,
     enumerate_class,
+    extend,
+    is_eligible,
     pattern_class,
     perm_from_str,
     perm_to_str,
 )
-from .prefixtree import build, successors, tree_to_json
+from .prefixtree import build, tree_to_json
 from .strategy import Strategy, exact_success, member_names, members_str, parse_strategy, simulate
 from .tallies import Tally, ballot, cmp_as_rational, decimal_str
 
@@ -245,11 +247,10 @@ def _verify_triangle(report) -> bool:
         t = continuation_triangle(mode, 12)
         optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
         for n in range(2, 13):
-            below_at = optimize(cls, n).per_node_values
+            res = optimize(cls, n)
             for k in range(1, n):
-                inc = tuple(range(1, k + 1))
-                below = below_at.get((k, _label(inc, cls.forbidden)))
-                if below is None or below.wins != t.entry(n, k) or below.total != ballot(n, k):
+                below = res.per_node_values[res.state(tuple(range(1, k + 1)))]
+                if below.wins != t.entry(n, k) or below.total != ballot(n, k):
                     report(f"triangle: ({n},{k}) {mode} sweep {t.entry(n,k)} "
                            f"vs optimizer {below}")
                     ok = False
@@ -424,24 +425,26 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_tree(args) -> int:
     cls = pattern_class(args.cls)
-    tree = build(cls, args.n)
     if args.prefix is not None:
         p = () if args.prefix == "null" else perm_from_str(args.prefix)
-        node = tree.node(p)
+        res = _walkable(cls, args.n, trigger=True)
+        k, label = res.state(p)
+        total, z0, z1, _ = res.states[k][label]
+        eligible = is_eligible(p)
+        strike, trigger = Tally(z0 if eligible else 0, total), Tally(z1, total)
         name = "null" if p == () else _perm_str(p)
         if args.json:
             print(json.dumps({
-                "prefix": name, "eligible": node.eligible,
-                "strike": str(node.strike), "trigger": str(node.trigger),
-                "children": [_perm_str(c.prefix) for c in node.children],
+                "prefix": name, "eligible": eligible,
+                "strike": str(strike), "trigger": str(trigger),
+                "children": [_perm_str(extend(p, c)) for c, *_ in res.moves()[k][label]],
             }, indent=2))
         else:
-            print(f"node {name}: eligible={node.eligible} "
-                  f"strike={node.strike} trigger={node.trigger}")
-            if p and len(p) < args.n and node.eligible:
-                succ = successors(tree, p)
-                print("successors: " + ", ".join(_perm_str(s.prefix) for s in succ))
+            print(f"node {name}: eligible={eligible} strike={strike} trigger={trigger}")
+            if eligible and k < args.n:
+                print("successors: " + ", ".join(_perm_str(q) for q in _successors(res, p)))
         return 0
+    tree = build(cls, args.n)
     if args.json:
         print(tree_to_json(tree))
     else:

@@ -11,7 +11,7 @@ class InvalidInputError(BestStopError):
 
 
 class NotFoundError(BestStopError):
-    """A requested prefix is not a node of the materialized tree."""
+    """A requested prefix is not a node of the game's prefix tree."""
 
 
 class LimitError(BestStopError):

@@ -23,9 +23,10 @@ them.
 
 The optimal set is listed on its first read, by walking the sweep's moves
 down from the root (the null prefix for trigger), so a value alone costs
-only the sweep.  Strike-set completion and strategy scoring read the same
-walk, first_hits, under the tree's caps, and prefixtree.build unfolds the
-trigger sweep's states along the same moves into the materialized tree.
+only the sweep.  Strike-set completion, strategy scoring and successors read
+the same walk, first_hits, from the root, the null prefix or any prefix p
+(state finds p's (k, label)), under the tree's caps; prefixtree.build unfolds
+the trigger sweep's states along the same moves into the materialized tree.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidInputError, LimitError, NotFoundError
-from .permutations import (PatternClass, Perm, _free, _label, _opened, _relabel, is_permutation,
-                           pattern_class, perm_to_str, prefix_flattening)
+from .permutations import (PatternClass, Perm, _free, _label, _opened, _relabel, is_eligible,
+                           is_permutation, pattern_class, perm_to_str, prefix_flattening)
 from .tallies import Tally
 
 # Trees are only materialized up to this rank and this many members (leaves)
@@ -44,7 +45,8 @@ from .tallies import Tally
 # objects by tracemalloc, 97 MiB peak RSS in a fresh Python 3.11 process;
 # the Catalan classes at rank 12 peak at 324-335 B per leaf, the sweep's
 # states included), so the member cap keeps a build to about 0.3 GB.
-# Reading index adds about 50 B a node.  The walks keep the same caps.
+# Reading index, as an isomorphism check does, adds about 50 B a node.  The
+# walks keep the same caps.
 DEFAULT_MAX_RANK = 12
 DEFAULT_TREE_CAP = 1_000_000
 
@@ -135,21 +137,33 @@ class OptimalResult:
                     for c in _free(label, k) if (sub := _relabel(label, c, row[c])) in deeper)
         return moves
 
-    def first_hits(self, hit: Callable[[Perm | None, int, int, bool], bool], carry: bool = True
+    def state(self, p: Perm) -> tuple[int, int]:
+        """(k, label), the state of the size-k prefix p.  NotFoundError unless
+        p is a node of the rank-n tree (the null prefix is one in a trigger sweep)."""
+        k = len(p)
+        # a member's label names its state, which has members if p does
+        if k <= self.rank and (k == 0 or is_permutation(p)) and (
+                label := _label(p, self.pattern_class.forbidden)) in self.states[k]:
+            return k, label
+        raise NotFoundError(f"prefix {p!r} is not a node of the rank-{self.rank} "
+                            f"tree for class {self.pattern_class.name}")
+
+    def first_hits(self, hit: Callable[[Perm | None, int, int, bool], bool], carry: bool = True,
+                   start: Perm | None = None
                    ) -> Iterator[tuple[Perm | None, int, int, bool, bool]]:
         """(p, k, label, eligible, hit there) of the first prefix on each path
-        where hit(p, k, label, eligible) holds, or of the path's leaf: from
-        the null prefix (trigger) or the root, depth-first with children in
-        ascending value, as prefixtree.frontier goes.  p is None unless
-        carry.  Refused past the tree's member cap."""
+        at or below start, a node (see state) that defaults to the null prefix
+        (trigger) or the root, where hit(p, k, label, eligible) holds, or of
+        the path's leaf: depth-first with children in ascending value.  p is
+        None unless carry.  Refused past the tree's member cap."""
         n = self.rank
         if self.value.total > DEFAULT_TREE_CAP:
             raise LimitError(f"class {self.pattern_class.name} has {self.value.total} members "
                              f"at rank {n}, over the cap {DEFAULT_TREE_CAP}")
-        k = 0 if self.trigger else 1  # the root (1,) is a candidate, the null prefix not
-        label = next(iter(self.states[k]))
-        p = (1,) if k else ()
-        stack = [(p if carry else None, k, label, k == 1, self.moves()[k][label])]
+        if start is None:
+            start = () if self.trigger else (1,)  # the root is a candidate, the null prefix not
+        k, label = self.state(start)
+        stack = [(start if carry else None, k, label, is_eligible(start), self.moves()[k][label])]
         while stack:
             p, k, label, eligible, node = stack.pop()
             if hit(p, k, label, eligible):
@@ -219,16 +233,12 @@ def _walkable(cls: PatternClass, n: int, trigger: bool = False) -> OptimalResult
 
 def completion(S: Iterable[Perm], cls: PatternClass | str, n: int) -> StrikeSet:
     """Extend the antichain S of prefixes in the rank-n game of cls to a
-    complete one, its frontier: S and every rank-n member not already
-    covered by a member of S."""
-    cl = pattern_class(cls)
-    res = _walkable(cl, n)
+    complete one: S and every rank-n member not already covered by a member
+    of S."""
+    res = _walkable(pattern_class(cls), n)
     base = {tuple(p) for p in S}
     for p in base:
-        # a member's label names its state, which has members if p does
-        if not (len(p) <= n and is_permutation(p) and _label(p, cl.forbidden) in res.states[len(p)]):
-            raise NotFoundError(f"prefix {p!r} is not a node of the rank-{n} "
-                                f"tree for class {cl.name}")
+        res.state(p)
     members = frozenset(p for p, _, _, _, _ in res.first_hits(lambda p, k, label, el: p in base))
     # a member of S the walk passed by lies below another
     for b in (b for b in base if b not in members):
@@ -236,6 +246,29 @@ def completion(S: Iterable[Perm], cls: PatternClass | str, n: int) -> StrikeSet:
         raise InvalidInputError(f"not an antichain: {perm_to_str(a)} is a prefix "
                                 f"flattening of {perm_to_str(b)}")
     return StrikeSet(members=members)
+
+
+def successors(cls: PatternClass | str, n: int, p: Perm) -> tuple[Perm, ...]:
+    """The prefixes a player who rejects at the eligible prefix p of the
+    rank-n game of cls moves on to: its minimal eligible strict descendants,
+    plus any rank-n descendants reached without passing one (covering those
+    orders exactly once), depth-first with children in ascending value.
+
+    >>> successors("321", 3, (1,))
+    ((3, 1, 2), (2, 1, 3), (1, 2))
+    """
+    return _successors(_walkable(pattern_class(cls), n, trigger=True), tuple(p))
+
+
+def _successors(res: OptimalResult, p: Perm) -> tuple[Perm, ...]:
+    """successors of p, read off the trigger sweep res."""
+    k, _ = res.state(p)
+    if not is_eligible(p):
+        raise InvalidInputError(f"prefix {p!r} is not eligible")
+    if k == res.rank:
+        return ()
+    return tuple(q for q, _, _, _, _ in res.first_hits(lambda q, j, label, el: el and j > k,
+                                                          start=p))
 
 
 def optimal_strike_set(cls: PatternClass, n: int) -> OptimalResult:

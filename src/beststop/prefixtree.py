@@ -19,22 +19,21 @@ a node is its state's member total, z0 (its strike wins when eligible) and
 z1 (its trigger wins), and its children are the state's moves, so one rule
 counts the wins of the tree and of the optimizer.
 
-frontier walks to the first node on each path where a test holds; successors
-reads it.  Optimal sets, strategy scoring and strike-set completion need no
-tree: they read the optimizer's sweep of the label DAG and its walk over
-prefixes.  No tree is cached: each reader (the tree command, the figures
-check, an isomorphism check) calls build once per tree it reads.
+Only readers of every node build a tree.  Optimal sets, strategy scoring,
+strike-set completion, a node's successors and a one-node lookup read the
+optimizer's sweep of the label DAG and its walk over prefixes instead.  No
+tree is cached: each reader (the whole-tree command, the figures check, an
+isomorphism check) calls build once per tree it reads.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import InvalidInputError, LimitError, NotFoundError
+from .errors import LimitError, NotFoundError
 from .optimizer import DEFAULT_TREE_CAP, State, _check_caps, optimal_trigger_set
 from .permutations import PatternClass, Perm, _perm_str
 from .tallies import Tally
@@ -77,7 +76,8 @@ class PrefixTree:
     @cached_property
     def index(self) -> dict[Perm, TreeNode]:
         """Every node by prefix, the null node under (); built on the
-        first read, so only point lookups pay for it."""
+        first read, so only node lookups (an isomorphism check pairing
+        nodes by a map) pay for it."""
         index = {(): self.null}
         index.update((node.prefix, node) for node in self.nodes())
         return index
@@ -123,32 +123,6 @@ def _node(states: list[dict[int, State]], p: Perm, eligible: bool, label: int,
     return TreeNode(p, eligible, z0 if eligible else 0, z1, total, tuple(
         [_node(states, tuple([v + (v >= c) for v in p]) + (c,), el, sub, kids)
          for c, sub, _, kids, el, _ in moves]))
-
-
-def frontier(start: TreeNode, hit: Callable[[TreeNode], bool]) -> Iterator[tuple[TreeNode, bool]]:
-    """The first node at or below start where hit holds on each path, or the
-    path's leaf if none, as (node, hit_here) in depth-first order, children
-    in stored order.  hit is not asked about the nodes below a hit."""
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if hit(node):
-            yield node, True
-        elif node.children:
-            stack.extend(reversed(node.children))
-        else:
-            yield node, False
-
-
-def successors(tree: PrefixTree, p: Sequence[int]) -> tuple[TreeNode, ...]:
-    """The frontier after rejecting at the eligible prefix p: its minimal
-    eligible strict descendants, plus any rank-N descendants reached
-    without passing one (covering those orders exactly once)."""
-    node = tree.node(p)
-    if not node.eligible:
-        raise InvalidInputError(f"prefix {tuple(p)!r} is not eligible")
-    return tuple(first for child in node.children
-                 for first, _ in frontier(child, attrgetter("eligible")))
 
 
 def tree_to_dict(tree: PrefixTree) -> dict:

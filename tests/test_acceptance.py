@@ -251,15 +251,15 @@ def test_criterion_11_bijections(tree_for):
                     continue
                 winners = oracles.winnable(node.prefix, members)
                 if not node.children:
-                    assert successors(tree, node.prefix) == ()
+                    assert successors("231", n, node.prefix) == ()
                     assert winners == [node.prefix]
                     continue
                 images = [slide_max(w) for w in winners]
                 assert len(set(images)) == len(images)
                 pool = [
                     w
-                    for q in successors(tree, node.prefix)
-                    for w in oracles.winnable(q.prefix, members)
+                    for q in successors("231", n, node.prefix)
+                    for w in oracles.winnable(q, members)
                 ]
                 assert sorted(images) == sorted(pool), node.prefix
 

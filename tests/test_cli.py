@@ -12,6 +12,7 @@ import pytest
 
 import beststop.bijections
 import beststop.cli
+import beststop.optimizer
 import beststop.prefixtree
 from beststop.cli import main
 from beststop.strategy import member_names, parse_strategy
@@ -469,6 +470,42 @@ def test_tree_refuses_an_empty_prefix(capsys):
     # prefix given", which would print the whole tree
     assert run(capsys, "tree", "--class", "231", "--n", "4", "--prefix", "") == \
         (1, "", "error: empty permutation string\n")
+
+
+def test_tree_refuses_a_malformed_prefix_before_any_work(capsys, monkeypatch):
+    # the prefix is parsed first: no sweep and no tree, even at the
+    # largest unrestricted rank under the caps
+    def refuse(*args):
+        raise AssertionError("the label DAG was swept")
+
+    patch_build(monkeypatch, refuse_build)
+    monkeypatch.setattr(beststop.optimizer, "_optimize", refuse)
+    for prefix, err in (("", "error: empty permutation string\n"),
+                        ("1x", "error: cannot parse permutation from '1x'\n")):
+        assert run(capsys, "tree", "--class", "none", "--n", "9", "--prefix", prefix) == \
+            (1, "", err)
+
+
+def test_tree_prefix_builds_no_tree(capsys, monkeypatch):
+    # one node is read off the trigger sweep: its state's counts, its
+    # state's moves for the children and the walk from it for successors
+    patch_build(monkeypatch, refuse_build)
+    want = {
+        "null": ("node null: eligible=False strike=0/14 trigger=1/14\n", ["1"]),
+        "1234": ("node 1234: eligible=True strike=1/1 trigger=0/1\n", []),
+        "21": ("node 21: eligible=False strike=0/5 trigger=3/5\n", ["312", "213"]),
+        "12": ("node 12: eligible=True strike=3/9 trigger=5/9\n"
+               "successors: 3412, 2413, 2314, 1423, 1324, 123\n", ["231", "132", "123"]),
+    }
+    for prefix, (text, children) in want.items():
+        argv = ["tree", "--class", "321", "--n", "4", "--prefix", prefix]
+        assert run(capsys, *argv) == (0, text, ""), prefix
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), prefix
+        doc = json.loads(out)
+        assert (doc["prefix"], doc["children"]) == (prefix, children)
+        assert f"eligible={doc['eligible']} strike={doc['strike']} trigger={doc['trigger']}" \
+            in text
 
 
 def test_verify_all_targets(capsys):

@@ -12,7 +12,9 @@ from beststop import (
     CLASSES,
     InvalidInputError,
     LimitError,
+    NotFoundError,
     PatternClass,
+    SplitMix64,
     Tally,
     build,
     catalan,
@@ -175,6 +177,49 @@ def test_dag_matches_tree_oracle(name):
                 label = _label(node.prefix, cls.forbidden) if node.prefix else 0
                 state = per_state[len(node.prefix), label]
                 assert state == Tally(below, node.total), (name, n, use_trigger, node.prefix)
+
+
+def test_first_hits_matches_definition():
+    # the first hits from start: in preorder, the prefixes where hit holds
+    # with no hitting proper ancestor below start, and the leaves with none,
+    # each with its state and eligibility
+    def preorder(node, hit, above=False):
+        """Each node below node with whether hit holds above it."""
+        yield node, above
+        for child in node.children:
+            yield from preorder(child, hit, above or hit(node))
+
+    for name, forbidden in oracles.FORBIDDEN.items():
+        top = {"none": 5, "mono": 4}.get(name, 6)
+        cls = PatternClass(name, forbidden)
+        for n in range(1, top + 1):
+            tree = build(cls, n)
+            res, strike = optimal_trigger_set(cls, n), optimal_strike_set(cls, n)
+            rng = SplitMix64(n)
+            # an antichain of any prefixes, drawn by coin flips down the tree
+            chain = {p for p, *_ in res.first_hits(lambda *state: rng.below(3) < 1)}
+            for hit in (lambda p, k, label, el: el, lambda p, k, label, el: p in chain,
+                        lambda *state: False, lambda *state: True):
+
+                def visit(node):
+                    p = node.prefix
+                    state = (p, len(p), _label(p, forbidden) if p else 0, node.eligible)
+                    return *state, hit(*state)
+
+                for start in (tree.null, *tree.nodes()):
+                    want = [visit(node) for node, above in preorder(start, lambda x: visit(x)[-1])
+                            if not above and (visit(node)[-1] or not node.children)]
+                    assert list(res.first_hits(hit, start=start.prefix)) == want, \
+                        (name, n, start.prefix)
+                    assert res.state(start.prefix) == visit(start)[1:3]
+                # the walk starts at the null prefix of a trigger sweep and
+                # at the root of a strike sweep
+                assert list(res.first_hits(hit)) == list(res.first_hits(hit, start=()))
+                assert list(strike.first_hits(hit)) == list(res.first_hits(hit, start=(1,)))
+            eligible = [(None, *hit[1:]) for hit in res.first_hits(lambda *state: state[3])]
+            assert list(res.first_hits(lambda *state: state[3], carry=False)) == eligible
+            with pytest.raises(NotFoundError):
+                strike.state(())
 
 
 def test_values_past_the_tree_cap_match_closed_forms():

@@ -4,7 +4,6 @@ import gc
 import json
 import re
 import tracemalloc
-from operator import attrgetter
 
 import pytest
 
@@ -18,7 +17,6 @@ from beststop import (
     LimitError,
     NotFoundError,
     PatternClass,
-    SplitMix64,
     Strategy,
     Tally,
     build,
@@ -30,7 +28,6 @@ from beststop import (
     tree_to_json,
 )
 from beststop.permutations import _free, _opened, _relabel, child_indices
-from beststop.prefixtree import frontier
 
 SMALL = [(name, n) for name in CLASSES for n in range(2, 6)]
 
@@ -191,38 +188,13 @@ def test_successors_match_definition(tree_for):
                         break
                 if longest == node.prefix and (other.eligible or not other.children):
                     want.add(q)
-            got = {s.prefix for s in successors(tree, node.prefix)}
+            got = set(successors(name, n, node.prefix))
             assert got == want, (name, n, node.prefix)
 
 
-def test_frontier_matches_definition():
-    # the frontier from start: in preorder, the nodes where hit holds with
-    # no hitting proper ancestor below start, and the leaves with none
-    def preorder(node, hit, above=False):
-        """Each node below node with whether hit holds above it."""
-        yield node, above
-        for child in node.children:
-            yield from preorder(child, hit, above or hit(node))
-
-    for name, forbidden in oracles.FORBIDDEN.items():
-        top = {"none": 5, "mono": 4}.get(name, 6)
-        cls = PatternClass(name, forbidden)
-        for n in range(1, top + 1):
-            tree = build(cls, n)
-            rng = SplitMix64(n)
-            # an antichain of any nodes, drawn by coin flips down the tree
-            chain = {node for node, _ in frontier(tree.null, lambda node: rng.below(3) < 1)}
-            for hit in (attrgetter("eligible"), chain.__contains__,
-                        lambda node: False, lambda node: True):
-                for start in (tree.root, tree.null):
-                    want = [(node, hit(node)) for node, above in preorder(start, hit)
-                            if not above and (hit(node) or not node.children)]
-                    assert list(frontier(start, hit)) == want, (name, n, start.prefix)
-
-
-def test_successors_rejects_ineligible(tree_for):
+def test_successors_rejects_ineligible():
     with pytest.raises(InvalidInputError):
-        successors(tree_for("321", 4), (2, 1))
+        successors("321", 4, (2, 1))
 
 
 def test_strike_mediant_over_successors(tree_for):
@@ -233,7 +205,7 @@ def test_strike_mediant_over_successors(tree_for):
         for node in tree.nodes():
             if not node.eligible or not node.children:
                 continue
-            parts = [s.strike for s in successors(tree, node.prefix)]
+            parts = [tree.node(q).strike for q in successors("231", n, node.prefix)]
             mediant = Tally(sum(t.wins for t in parts), sum(t.total for t in parts))
             assert mediant == node.strike, (n, node.prefix)
 

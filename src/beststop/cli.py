@@ -228,10 +228,8 @@ def _cmd_triangle(args) -> int:
         return 0
 
     print("N,k,numerator,denominator,optimal")
-    for n in range(2, t.max_n + 1):
-        for k in range(max(1, n - t.diag_limit), n):
-            print(f"{n},{k},{t.entry(n, k)},{ballot(n, k)},"
-                  f"{int(t.is_optimal(n, k))}")
+    for n, k, e, d, optimal in t.by_row():
+        print(f"{n},{k},{e},{d},{int(optimal)}")
     return 0
 
 

@@ -58,7 +58,7 @@ from .permutations import (
     is_eligible,
     validate_permutation,
 )
-from .tallies import Tally, ballot, catalan, shifted_ballot
+from .tallies import Tally, ballot, ballot_row, catalan, shifted_ballot
 
 MODES = ("strike", "trigger")
 
@@ -106,6 +106,23 @@ def _diagonal_numerators(mode: str, i: int) -> Iterator[int]:
             k += 1
             a = a * m // (m - i + 2)
             b = b * m // (m - i + 1)
+
+
+def _row_numerators(mode: str, n: int, k: int) -> Iterator[int]:
+    """Stop numerators x(n, k), x(n, k+1), ... along row n, each stepped
+    from the one before."""
+    if mode == "strike":
+        c = comb(n - 1, k - 1)
+        while True:
+            yield c
+            c = c * (n - k) // k
+            k += 1
+    else:
+        a, b = comb(n - 1, k + 1), comb(n - 1, k)
+        while True:
+            yield k * a + b
+            a, b = a * (n - k - 2) // (k + 2), a
+            k += 1
 
 
 def _reduce_321(p: Sequence[int], n: int) -> tuple[int, int, bool]:
@@ -202,6 +219,17 @@ class ContinuationTriangle:
         can never win (numerator zero) does not."""
         x = self.stop_numerator(n, k)
         return x > 0 and x >= self.entry(n, k)
+
+    def by_row(self) -> Iterator[tuple[int, int, int, int, bool]]:
+        """(N, k, entry, ballot(N, k), is_optimal(N, k)) for every computed
+        entry, row by row with k ascending.  The stop numerators and the
+        ballots are stepped along each row, with no binomial per entry."""
+        for n in range(2, self.max_n + 1):
+            k0 = max(1, n - self.diag_limit)
+            for k, x, d in zip(range(k0, n), _row_numerators(self.mode, n, k0),
+                               ballot_row(n, k0)):
+                e = self.diags[n - k - 1][k - 1]
+                yield n, k, e, d, x > 0 and x >= e
 
     def value(self, n: int, k: int) -> Tally:
         """Best value at and below column k, over the ballot denominator."""

@@ -119,12 +119,10 @@ class OptimalResult:
 
         return StrikeSet(members=frozenset(p for p, _, _, _, _ in self.first_hits(stops)))
 
-    def moves(self, acts: Callable[[int, int, bool], bool] | None = None
-              ) -> list[dict[int, tuple]]:
+    def moves(self) -> list[dict[int, tuple]]:
         """Per depth, each state's children with members, c ascending, as
-        (c, child label, child member total, child's moves, eligible, acts
-        there): the child's eligibility, and whether acts(k, label,
-        eligible) holds at it, k being its size (False without acts)."""
+        (c, child label, child member total, child's moves, eligible): the
+        last is the child's eligibility."""
         n, states = self.rank, self.states
         opened = _opened(self.pattern_class, n)
         moves = [{} for _ in range(n)] + [dict.fromkeys(states[n], ())]
@@ -132,8 +130,7 @@ class OptimalResult:
             row, deeper, kids = opened[k], states[k + 1], moves[k + 1]
             for label in states[k]:
                 moves[k][label] = tuple(
-                    (c, sub, deeper[sub][0], kids[sub], c > k,
-                     acts is not None and acts(k + 1, sub, c > k))
+                    (c, sub, deeper[sub][0], kids[sub], c > k)
                     for c in _free(label, k) if (sub := _relabel(label, c, row[c])) in deeper)
         return moves
 
@@ -173,7 +170,7 @@ class OptimalResult:
             else:
                 stack.extend([(None if p is None else tuple([v + (v >= c) for v in p]) + (c,),
                                k + 1, sub, eligible, kids)
-                              for c, sub, _, kids, eligible, _ in reversed(node)])
+                              for c, sub, _, kids, eligible in reversed(node)])
 
 
 def _optimize(cls: PatternClass, n: int, trigger: bool) -> OptimalResult:

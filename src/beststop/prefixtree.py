@@ -122,7 +122,7 @@ def _node(states: list[dict[int, State]], p: Perm, eligible: bool, label: int,
     total, z0, z1, _ = states[len(p)][label]
     return TreeNode(p, eligible, z0 if eligible else 0, z1, total, tuple(
         [_node(states, tuple([v + (v >= c) for v in p]) + (c,), el, sub, kids)
-         for c, sub, _, kids, el, _ in moves]))
+         for c, sub, _, kids, el in moves]))
 
 
 def tree_to_dict(tree: PrefixTree) -> dict:

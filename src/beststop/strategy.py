@@ -16,11 +16,15 @@ whether a strategy acts there (strike kinds accept, the others arm).  play
 applies it prefix by prefix to one order.  exact_success and simulate read
 the optimizer's sweep of the label DAG, with no tree: the one sums the win
 counts where the strategy first acts, found by the optimizer's walk over
-prefixes, the other walks random root-to-leaf paths and decides each trial
-as its path is drawn.  A trial wins when the strategy accepts the path's
-last eligible prefix: a strike kind at an eligible acting prefix with no
-eligible prefix after it, a kind that arms when exactly one eligible prefix
-follows the arming one.
+prefixes.  The other compiles the sweep's states into a walk table once
+(_draw_table), a node per state and how far the strategy has got, so each
+trial is one uniform root-to-leaf path drawn through the table by
+rng.SplitMix64.walk, and its win is read off the node where the path ends.
+A trial wins when the strategy accepts the path's last eligible prefix: a
+strike kind at an eligible acting prefix with no eligible prefix after it,
+a kind that arms when exactly one eligible prefix follows the arming one.
+sample_uniform draws its orders through rng.below, one call a prefix, and
+is the oracle simulate is checked against.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .closedform import ThresholdTable, continuation_triangle, optimal_boundary
 from .errors import (
@@ -40,7 +44,10 @@ from .optimizer import OptimalResult, _walkable
 from .permutations import (
     PatternClass,
     Perm,
+    _free,
     _label,
+    _opened,
+    _relabel,
     _perm_str,
     extend,
     is_eligible,
@@ -50,7 +57,7 @@ from .permutations import (
     prefix_flattening,
     validate_permutation,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, WalkNode, walk_node
 from .tallies import Tally
 
 KINDS = ("strike", "trigger", "positional", "threshold")
@@ -260,17 +267,18 @@ def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
     return Tally(wins, res.value.total)
 
 
-def _walk(moves: list[dict[int, tuple]], rng: SplitMix64) -> Iterator[tuple]:
-    """A uniform path from the root to a leaf, as the move (see
-    OptimalResult.moves) to each prefix, the root's first: each child is
-    taken with probability proportional to its member count.  moves is a
-    trigger sweep's, whose null prefix has the root as its one child."""
-    (move,), = moves[0].values()
+def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
+    """Draw one order uniformly from the class by walking its prefixes down
+    the trigger sweep's moves (see OptimalResult.moves), from the null
+    prefix's one child, the root: each child is taken with probability
+    proportional to its member count, by one rng.below call a prefix."""
+    (move,), = _walkable(pattern_class(cls), n, trigger=True).moves()[0].values()
+    p: Perm = ()
     while True:
-        yield move
-        _, _, total, node, _, _ = move
+        c, _, total, node, _ = move
+        p = extend(p, c)
         if not node:
-            return
+            return p
         r = rng.below(total)
         for move in node:
             r -= move[2]
@@ -278,13 +286,62 @@ def _walk(moves: list[dict[int, tuple]], rng: SplitMix64) -> Iterator[tuple]:
                 break
 
 
-def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
-    """Draw one order uniformly from the class by walking its prefixes,
-    weighting each child by its completion count."""
-    p: Perm = ()
-    for c, *_ in _walk(_walkable(pattern_class(cls), n, trigger=True).moves(), rng):
-        p = extend(p, c)
-    return p
+def _draw_table(s: Strategy, res: OptimalResult, n: int) -> tuple[list[WalkNode], list[bool]]:
+    """simulate's walk table (see rng.walk_node) over the trigger sweep res,
+    whose node 0 is the root, and the win of each node that ends a walk.
+
+    A node is a state (k, label) and seen: once the strategy acts, the count
+    of eligible prefixes from the acting one on (after it, for kinds that
+    arm), 2 standing for 2 or more; a strike at an ineligible prefix has
+    lost, so it starts at 2.  A trial wins when seen ends at 1.  A set acts
+    on the prefix, so until it acts its nodes also carry the prefix while a
+    member lies strictly below it: at most the members' size times n nodes
+    more.  A node with one member draws nothing (below(1) takes no word),
+    so its win is settled here."""
+    states, members = res.states, s.members
+    opened = _opened(res.pattern_class, n)
+    above: set[Perm] = set()  # the prefixes with a member strictly below
+    for m in members or ():
+        # step up from m, dropping its last entry, until a known prefix
+        while m and (m := tuple([v - (v > m[-1]) for v in m[:-1]])) not in above:
+            above.add(m)
+
+    def enter(k: int, seen: int | None, p: Perm | None, c: int, sub: int) -> tuple:
+        """The node of extend(p, c), whose label is sub, from a size-k node."""
+        q = None if p is None else tuple([v + (v >= c) for v in p]) + (c,)
+        if seen is not None:
+            seen = min(seen + (c > k), 2)
+        elif _fires(s, n, k + 1, sub, c > k, q):
+            seen = (1 if c > k else 2) if s.strikes else 0
+        return sub, seen, q if seen is None and q in above else None
+
+    # nodes are numbered as they are found, depth by depth down from the
+    # root; ids[k] maps a size-k node's (label, seen, prefix) to its number
+    armed = None if s.strikes or not _fires(s, n, 0, 0, False, ()) else 0
+    root = enter(0, armed, () if () in above else None, 1, _relabel(0, 1, opened[0][1]))
+    nodes = [(1, *root)]
+    ids: list[dict[tuple, int]] = [{} for _ in range(n + 1)]
+    ids[1][root] = 0
+    table: list[WalkNode] = []
+    for k, label, seen, p in nodes:  # nodes grows as the loop finds them
+        weights, kids = [], []
+        if k < n:
+            row, deeper, found = opened[k], states[k + 1], ids[k + 1]
+            for c in _free(label, k):
+                if (sub := _relabel(label, c, row[c])) in deeper:
+                    node = enter(k, seen, p, c, sub)
+                    if (i := found.get(node)) is None:
+                        i = found[node] = len(nodes)
+                        nodes.append((k + 1, *node))
+                    weights.append(deeper[sub][0])
+                    kids.append(i)
+        table.append(walk_node(weights, kids))
+    # a leaf wins when seen ends at 1, a settled node as its one path does
+    final = [False] * len(table)
+    for i in range(len(table) - 1, -1, -1):
+        total, _, _, kids = table[i]
+        final[i] = final[kids[0]] if total == 1 else not kids and nodes[i][2] == 1
+    return table, final
 
 
 @dataclass(frozen=True)
@@ -304,38 +361,24 @@ def simulate(
     seed: int = 0,
 ) -> SimReport:
     """Monte Carlo estimate of the strategy's success probability over
-    uniformly random orders from the class."""
+    uniformly random orders from the class.
+
+    Each trial draws the order sample_uniform would draw from the same
+    generator, by the same words, but through a walk table built once per
+    call (see _draw_table): a node per state (k, label) and the strategy's
+    count seen, 4 at most a state (85 nodes for the 321 threshold at rank
+    10, 1,340 for the 312 one), and for a set one more per prefix with a
+    member strictly below it."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     cl = pattern_class(cls)
     _check_rank(s, cl, n)
     if s.kind == "strike":
         exact_success(s, cl, n)  # refuses an incomplete set before any draw
-    res = _walkable(cl, n, trigger=True)
-    rng = SplitMix64(seed)
-    # a set acts on the prefix, carried for it alone; the other kinds act
-    # on the state, so the moves are marked where they do
-    members = s.members
-    moves = res.moves(None if members is not None else
-                      lambda k, label, eligible: _fires(s, n, k, label, eligible, None))
-    # once the strategy acts, seen counts the eligible prefixes from the
-    # acting one on (after it, for kinds that arm); a strike at an
-    # ineligible prefix has lost, so it starts past 1.  A trial wins when
-    # seen ends at 1.
-    armed = None if s.strikes or not _fires(s, n, 0, 0, False, ()) else 0
-    strikes = s.strikes
-    wins = 0
+    table, final = _draw_table(s, _walkable(cl, n, trigger=True), n)
+    walk, wins = SplitMix64(seed).walk, 0
     for _ in range(trials):
-        seen, p = armed, ()
-        for c, _, _, _, eligible, acts in _walk(moves, rng):
-            if members is not None:
-                p = extend(p, c)
-                acts = p in members
-            if seen is not None:
-                seen += eligible
-            elif acts:
-                seen = (1 if eligible else 2) if strikes else 0
-        wins += seen == 1
+        wins += final[walk(table, 0)]
     est = Fraction(wins, trials)
     p = wins / trials
     return SimReport(

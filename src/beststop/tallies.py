@@ -14,6 +14,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 from .errors import InvalidInputError
 
@@ -86,6 +87,20 @@ def ballot(n: int, k: int) -> int:
     if k < 0 or k > n:
         raise InvalidInputError(f"ballot expects 0 <= k <= n, got n={n}, k={k}")
     return (k + 1) * comb(2 * n - k, n) // (n + 1)
+
+
+def ballot_row(n: int, k: int) -> Iterator[int]:
+    """ballot(n, k), ballot(n, k + 1), ..., ballot(n, n), each stepped from
+    the one before with one multiply and one exact divide.
+
+    >>> list(ballot_row(6, 3))
+    [48, 20, 6, 1]
+    """
+    b = ballot(n, k)
+    for j in range(k, n):
+        yield b
+        b = b * (j + 2) * (n - j) // ((j + 1) * (2 * n - j))
+    yield b
 
 
 def shifted_ballot(i: int, n: int, k: int) -> int:

@@ -29,7 +29,7 @@ from beststop import (
     trigger_numerator,
     trigger_prob_321,
 )
-from beststop.closedform import _diagonal_numerators
+from beststop.closedform import _diagonal_numerators, _row_numerators
 
 import oracles
 
@@ -218,6 +218,15 @@ def test_diagonal_numerators_match_point_formulas():
             xs = _diagonal_numerators(mode, i)
             got = [next(xs) for _ in range(200 - i)]
             assert got == [point(k + i, k) for k in range(1, 201 - i)], (mode, i)
+
+
+def test_row_numerators_match_point_formulas():
+    for mode, point in (("strike", strike_numerator), ("trigger", trigger_numerator)):
+        for n in range(2, 120):
+            for k in (1, 2, n // 2, n - 1):
+                xs = _row_numerators(mode, n, k)
+                assert [next(xs) for _ in range(k, n)] == [point(n, j) for j in range(k, n)], \
+                    (mode, n, k)
 
 
 def test_sweep_matches_comb_oracle():

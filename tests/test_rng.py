@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from beststop import InvalidInputError, SplitMix64
+from beststop.rng import walk_node
 
 # published splitmix64 outputs for seed 0
 SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -82,3 +83,47 @@ def test_chance_degenerate():
     r = SplitMix64(5)
     assert all(r.below(1) < 1 for _ in range(5))
     assert not any(r.below(4) < 0 for _ in range(5))
+
+
+def walk_by_below(rng, table, node):
+    """SplitMix64.walk's oracle: one below(total) call a node."""
+    total, _, cums, kids = table[node]
+    while total > 1:
+        r = rng.below(total)
+        node = next(kid for cum, kid in zip(cums + (total,), kids) if r < cum)
+        total, _, cums, kids = table[node]
+    return node
+
+
+WALK_TABLES = {
+    # total 1 ends the walk with no word drawn, as below(1) takes none
+    "settled": [walk_node([1], [1]), walk_node([], [])],
+    # small totals: two levels over four leaves, one node with a single kid
+    "small": [walk_node([2, 5], [1, 2]), walk_node([1, 1], [3, 4]),
+              walk_node([5], [5]), walk_node([], []), walk_node([], []),
+              walk_node([3, 1, 1], [3, 4, 6]), walk_node([1], [4])],
+    # just over 2**63: about half the words are rejected
+    "half rejected": [walk_node([2**62, 2**62 + 1], [1, 2]), walk_node([], []),
+                      walk_node([], [])],
+}
+
+
+@pytest.mark.parametrize("name", WALK_TABLES)
+def test_walk_matches_below(name):
+    table = WALK_TABLES[name]
+    for seed in range(40):
+        r, oracle = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(30):
+            assert r.walk(table, 0) == walk_by_below(oracle, table, 0), (name, seed)
+            assert r.state == oracle.state
+        if name == "settled":
+            assert r.state == SplitMix64(seed).state  # drew nothing
+
+
+def test_walk_node_fields_and_refusal():
+    assert walk_node([3, 5], [7, 9]) == (8, 2**64, (3,), (7, 9))
+    assert walk_node([2**63 + 1], [0])[1] == 2**64 - (2**64 % (2**63 + 1))
+    assert walk_node([], [])[0] == 0
+    assert walk_node([2**64], [0])[0] == 2**64
+    with pytest.raises(InvalidInputError):
+        walk_node([2**64, 1], [0, 1])

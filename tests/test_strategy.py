@@ -8,6 +8,7 @@ import beststop.strategy
 import oracles
 from beststop import (
     AV312,
+    CLASSES,
     AV321,
     DepthError,
     IncompleteStrategyError,
@@ -145,7 +146,8 @@ def test_exact_success_matches_manual_loop():
 
 
 def test_simulate_matches_play_on_the_same_draws(monkeypatch):
-    # play, prefix by prefix, is the oracle for simulate's acting-node lookup
+    # play, prefix by prefix, over sample_uniform's draws is the oracle for
+    # simulate's walk table
     trials = 60
     for name, forbidden in oracles.FORBIDDEN.items():
         top = {"none": 5, "mono": 4}.get(name, 6)
@@ -163,7 +165,7 @@ def test_simulate_matches_play_on_the_same_draws(monkeypatch):
     def no_draw(*args):
         raise AssertionError("simulate drew a path")
 
-    monkeypatch.setattr(beststop.strategy, "_walk", no_draw)
+    monkeypatch.setattr(SplitMix64, "walk", no_draw)
     uncovered = Strategy(kind="strike", members=frozenset({(2, 1)}))
     for name, leaf in (("321", "3412"), ("231", "1432"), ("none", "3421")):
         with pytest.raises(IncompleteStrategyError) as exact:
@@ -172,6 +174,54 @@ def test_simulate_matches_play_on_the_same_draws(monkeypatch):
             simulate(uncovered, name, 4, trials=10)
         assert str(sim.value) == str(exact.value)
         assert f"never fired on {leaf};" in str(exact.value), name
+    # the guard sees the walk: a complete set draws
+    with pytest.raises(AssertionError, match="drew a path"):
+        simulate(Strategy(kind="strike", members=frozenset({(1,)})), "321", 4, trials=1)
+
+
+@pytest.mark.parametrize("forbidden", [((1, 2, 3), (2, 3, 1)), ((2, 1, 3), (3, 2, 1))])
+def test_simulate_settles_single_member_states(forbidden):
+    # in these classes some prefixes short of rank n have one completion:
+    # a walk ends there with no word drawn, and the node's win is settled
+    # along its one path when the table is built
+    cls = PatternClass("two", forbidden)
+    ended_on_settled = 0
+    for n in range(4, 8):
+        tree = build(cls, n)
+        for seed, s in enumerate(sweep_strategies(cls, n, tree)):
+            table, final = beststop.strategy._draw_table(
+                s, beststop.strategy._walkable(cls, n, trigger=True), n)
+            settled = {i for i, (total, _, _, kids) in enumerate(table) if total == 1}
+            assert settled and all(len(table[i][3]) == 1 for i in settled)
+            rng, oracle = SplitMix64(seed), SplitMix64(seed)
+            for _ in range(40):
+                end = rng.walk(table, 0)
+                ended_on_settled += end in settled and final[end]
+                assert final[end] == play(s, sample_uniform(cls, n, oracle)).stopped_value_is_max
+                assert rng.state == oracle.state
+    assert ended_on_settled
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_simulate_matches_play_at_rank_8(name):
+    # the same differential for every CLI class at rank 8, with trigger sets
+    # that hold null, deep prefixes and no null added to every kind
+    cls, n, trials = CLASSES[name], 8, 100
+    tree = build(cls, n)
+    base = oracles.random_eligible_antichain(tree, SplitMix64(99))
+    strategies = sweep_strategies(cls, n, tree) + [
+        Strategy(kind="trigger", members=frozenset(base), rank=n),
+        Strategy(kind="trigger", members=frozenset(base) | {()}, rank=n),
+        Strategy(kind="trigger", members=frozenset({(), (2, 1)}), rank=n),
+    ]
+    assert {s.kind for s in strategies} >= {"strike", "trigger", "positional"}
+    for seed in (3, 4):
+        rng = SplitMix64(seed)
+        orders = [sample_uniform(cls, n, rng) for _ in range(trials)]
+        for s in strategies:
+            want = sum(play(s, w).stopped_value_is_max for w in orders)
+            got = simulate(s, cls, n, trials=trials, seed=seed)
+            assert got.wins == want, (name, seed, s.describe())
 
 
 def test_trigger_accept_checked_before_arming():

@@ -15,6 +15,7 @@ from beststop import (
     decimal_str,
     shifted_ballot,
 )
+from beststop.tallies import ballot_row
 
 # independent reference values (OEIS A000108)
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
@@ -36,6 +37,12 @@ def test_ballot_edges():
         assert ballot(n, n) == 1
     assert ballot(4, 2) == 9
     assert ballot(6, 3) == 48
+
+
+def test_ballot_row_matches_ballot():
+    for n in range(0, 60):
+        for k in range(0, n + 1):
+            assert list(ballot_row(n, k)) == [ballot(n, j) for j in range(k, n + 1)], (n, k)
 
 
 def test_ballot_recurrence():

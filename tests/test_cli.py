@@ -359,7 +359,7 @@ def test_triangle_csv(capsys):
 
 @pytest.mark.parametrize("mode", ["strike", "trigger"])
 @pytest.mark.parametrize("frozen, max_diag",
-                         [(None, None), ((1, 4, 9), None), (None, 6), ((None, 2, 5), 9)])
+                         [((1, 4, 9), None), (None, 6), ((None, 2, 5), 9), (None, None)])
 def test_triangle_csv_matches_entry_by_entry(capsys, mode, frozen, max_diag):
     # full, frozen and banded CSVs print every computed entry with its ballot
     # denominator and optimality flag

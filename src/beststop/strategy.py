@@ -335,6 +335,8 @@ def _draw_table(s: Strategy, res: OptimalResult, n: int) -> tuple[list[WalkNode]
                         nodes.append((k + 1, *node))
                     weights.append(deeper[sub][0])
                     kids.append(i)
+        # one word covers every total: _walkable's caps keep it at most
+        # 1,000,000 for a class of known size and 12! < 2**64 for any class
         table.append(walk_node(weights, kids))
     # a leaf wins when seen ends at 1, a settled node as its one path does
     final = [False] * len(table)
@@ -366,7 +368,7 @@ def simulate(
     Each trial draws the order sample_uniform would draw from the same
     generator, by the same words, but through a walk table built once per
     call (see _draw_table): a node per state (k, label) and the strategy's
-    count seen, 4 at most a state (85 nodes for the 321 threshold at rank
+    count seen, at most 4 per state (85 nodes for the 321 threshold at rank
     10, 1,340 for the 312 one), and for a set one more per prefix with a
     member strictly below it."""
     if trials < 1:

@@ -164,8 +164,9 @@ def _cmd_solve(args) -> int:
         _check_caps(cls, args.n)
         optimize = optimal_strike_set if args.mode == "strike" else optimal_trigger_set
         result = optimize(cls, args.n)
-        names = member_names(result.strike_set.members)
-        value = result.value
+        members, value = result.strike_set.members, result.value
+        del result  # its moves, kept for later walks, need not outlive the listing
+        names = member_names(members)
         head = f"optimal {args.mode} set {members_str(names)}"
         fields = {"mode": args.mode, "members": names}
     decimal = decimal_str(value.as_rational())
@@ -425,9 +426,9 @@ def _cmd_tree(args) -> int:
     cls = pattern_class(args.cls)
     if args.prefix is not None:
         p = () if args.prefix == "null" else perm_from_str(args.prefix)
-        res = _walkable(cls, args.n, trigger=True)
+        res = _walkable(cls, args.n)
         k, label = res.state(p)
-        total, z0, z1, _ = res.states[k][label]
+        total, z0, z1, _, _ = res.states[k][label]
         eligible = is_eligible(p)
         strike, trigger = Tally(z0 if eligible else 0, total), Tally(z1, total)
         name = "null" if p == () else _perm_str(p)
@@ -435,7 +436,7 @@ def _cmd_tree(args) -> int:
             print(json.dumps({
                 "prefix": name, "eligible": eligible,
                 "strike": str(strike), "trigger": str(trigger),
-                "children": [_perm_str(extend(p, c)) for c, *_ in res.moves()[k][label]],
+                "children": [_perm_str(extend(p, c)) for c, *_ in res.moves[k][label]],
             }, indent=2))
         else:
             print(f"node {name}: eligible={eligible} strike={strike} trigger={trigger}")

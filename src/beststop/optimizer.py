@@ -13,24 +13,27 @@ Each state holds its member total, z0 (the completions with no new running
 maximum) and z1 (those with exactly one).  Stopping at an eligible prefix
 wins z0: the top value is the one seen last.  Stopping at any other prefix
 wins nothing.  Rejecting and accepting the next running maximum (trigger)
-wins z1.  The sweep goes from rank n up, one dict per depth, and gives each
-state the sum of its children's best wins, its best below.  A prefix stops
-when its own wins are strictly larger (ties keep the deeper strategy),
-which makes the resulting set canonical: the first stopping prefix or leaf
-on each path.  Only own wins depend on eligibility, so the best below is
-kept per state.  States with no members are dropped, as the tree prunes
-them.
+wins z1.  Only own wins differ between the modes, so one sweep from rank n
+up to the null prefix, one dict per depth, serves both: it gives each state
+the sum of its children's best wins in each mode, its strike and trigger
+best below.  A prefix stops when its own wins are strictly larger (ties
+keep the deeper strategy), which makes the resulting set canonical: the
+first stopping prefix or leaf on each path.  Only own wins depend on
+eligibility, so the best below is kept per state.  States with no members
+are dropped, as the tree prunes them.
 
-The optimal set is listed on its first read, by walking the sweep's moves
-down from the root (the null prefix for trigger), so a value alone costs
-only the sweep.  Strike-set completion, strategy scoring and successors read
-the same walk, first_hits, from the root, the null prefix or any prefix p
-(state finds p's (k, label)), under the tree's caps; prefixtree.build unfolds
-the trigger sweep's states along the same moves into the materialized tree.
+A result reads one mode's best below in value, strike_set and
+per_node_values.  The optimal set is listed on its first read, by walking
+the moves down from the root (the null prefix for trigger), so a value
+alone costs only the sweep; the moves are built once, on their first read.
+Strike-set completion, strategy scoring, successors, simulate's walk table
+and prefixtree.build read the same moves, most through first_hits, from
+the null prefix, the root or any prefix p (state finds p's (k, label)),
+under the tree's caps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
@@ -52,13 +55,13 @@ DEFAULT_TREE_CAP = 1_000_000
 
 # Ceiling on the states, (depth, label) pairs, that one sweep may visit,
 # since time is what fails.  132 and 312 have 2^(k-1) labels at depth k,
-# the other classes at most k: at rank 19, 524,288 states, each sweeps in
-# 2.7-3.8 s, peaking at 88 MiB in a fresh Python 3.11 process on a 2-vCPU
-# Xeon; rank 20 is refused after 3.0 s.
+# the other classes at most k: at rank 19, 524,288 states, the one sweep of
+# both modes takes 2.4-3.5 s, peaking at 89 MiB in a fresh Python 3.11
+# process on a 2-vCPU Xeon; rank 20 is refused after 1.9-2.3 s.
 DAG_STATE_CAP = 1_000_000
 
-# states[k][label] = (member total, z0, z1, best below)
-State = tuple[int, int, int, int]
+# states[k][label] = (member total, z0, z1, strike best below, trigger best below)
+State = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -89,23 +92,29 @@ def _check_caps(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> None:
 
 @dataclass(frozen=True)
 class OptimalResult:
-    """strike_set members are trigger prefixes (possibly the empty prefix)
-    when produced by optimal_trigger_set.  states holds, per depth, each
-    state's counts and best below, keyed by label."""
+    """One sweep's states, per depth by label (see State), read in one mode:
+    trigger picks the best below that value, strike_set and per_node_values
+    read, and strike_set may then hold the empty prefix."""
 
     pattern_class: PatternClass
     rank: int
-    trigger: bool
-    value: Tally
     states: list[dict[int, State]] = field(repr=False)
+    trigger: bool = False
+
+    @cached_property
+    def value(self) -> Tally:
+        total, _, z1, strike, trigger = self.states[0][0]  # the null prefix's
+        return Tally(max(z1, trigger) if self.trigger else strike, total)
 
     @cached_property
     def per_node_values(self) -> dict[tuple[int, int], Tally]:
         """Each state's best below as a tally over its members, keyed by
-        (k, label) (a leaf's is 0/1); built on the first read."""
-        return {(k, label): Tally(below, total)
-                for k, level in enumerate(self.states)
-                for label, (total, _, _, below) in level.items()}
+        (k, label) (a leaf's is 0/1), the null prefix's in trigger mode
+        only; built on the first read."""
+        i, first = (4, 0) if self.trigger else (3, 1)
+        return {(k, label): Tally(state[i], state[0])
+                for k, level in enumerate(self.states[first:], first)
+                for label, state in level.items()}
 
     @cached_property
     def strike_set(self) -> StrikeSet:
@@ -114,15 +123,17 @@ class OptimalResult:
         states, trigger = self.states, self.trigger
 
         def stops(p: Perm, k: int, label: int, eligible: bool) -> bool:
-            _, z0, z1, below = states[k][label]
-            return (z1 if trigger else z0 if eligible else 0) > below
+            _, z0, z1, strike, below = states[k][label]
+            return z1 > below if trigger else eligible and z0 > strike
 
-        return StrikeSet(members=frozenset(p for p, _, _, _, _ in self.first_hits(stops)))
+        hits = self.first_hits(stops, start=() if trigger else (1,))
+        return StrikeSet(members=frozenset(p for p, _, _, _, _ in hits))
 
+    @cached_property
     def moves(self) -> list[dict[int, tuple]]:
         """Per depth, each state's children with members, c ascending, as
         (c, child label, child member total, child's moves, eligible): the
-        last is the child's eligibility."""
+        last is the child's eligibility.  Built on the first read."""
         n, states = self.rank, self.states
         opened = _opened(self.pattern_class, n)
         moves = [{} for _ in range(n)] + [dict.fromkeys(states[n], ())]
@@ -134,33 +145,30 @@ class OptimalResult:
                     for c in _free(label, k) if (sub := _relabel(label, c, row[c])) in deeper)
         return moves
 
-    def state(self, p: Perm) -> tuple[int, int]:
+    def state(self, p: Perm, least: int = 0) -> tuple[int, int]:
         """(k, label), the state of the size-k prefix p.  NotFoundError unless
-        p is a node of the rank-n tree (the null prefix is one in a trigger sweep)."""
+        p is a node of the rank-n tree (the null prefix is one) and k >= least."""
         k = len(p)
         # a member's label names its state, which has members if p does
-        if k <= self.rank and (k == 0 or is_permutation(p)) and (
+        if least <= k <= self.rank and (k == 0 or is_permutation(p)) and (
                 label := _label(p, self.pattern_class.forbidden)) in self.states[k]:
             return k, label
         raise NotFoundError(f"prefix {p!r} is not a node of the rank-{self.rank} "
                             f"tree for class {self.pattern_class.name}")
 
     def first_hits(self, hit: Callable[[Perm | None, int, int, bool], bool], carry: bool = True,
-                   start: Perm | None = None
-                   ) -> Iterator[tuple[Perm | None, int, int, bool, bool]]:
+                   start: Perm = ()) -> Iterator[tuple[Perm | None, int, int, bool, bool]]:
         """(p, k, label, eligible, hit there) of the first prefix on each path
-        at or below start, a node (see state) that defaults to the null prefix
-        (trigger) or the root, where hit(p, k, label, eligible) holds, or of
-        the path's leaf: depth-first with children in ascending value.  p is
-        None unless carry.  Refused past the tree's member cap."""
-        n = self.rank
-        if self.value.total > DEFAULT_TREE_CAP:
-            raise LimitError(f"class {self.pattern_class.name} has {self.value.total} members "
+        at or below start, a node (see state) that defaults to the null
+        prefix, where hit(p, k, label, eligible) holds, or of the path's
+        leaf: depth-first with children in ascending value.  p is None
+        unless carry.  Refused past the tree's member cap."""
+        n, total = self.rank, self.states[0][0][0]
+        if total > DEFAULT_TREE_CAP:
+            raise LimitError(f"class {self.pattern_class.name} has {total} members "
                              f"at rank {n}, over the cap {DEFAULT_TREE_CAP}")
-        if start is None:
-            start = () if self.trigger else (1,)  # the root is a candidate, the null prefix not
         k, label = self.state(start)
-        stack = [(start if carry else None, k, label, is_eligible(start), self.moves()[k][label])]
+        stack = [(start if carry else None, k, label, is_eligible(start), self.moves[k][label])]
         while stack:
             p, k, label, eligible, node = stack.pop()
             if hit(p, k, label, eligible):
@@ -173,7 +181,7 @@ class OptimalResult:
                               for c, sub, _, kids, eligible in reversed(node)])
 
 
-def _optimize(cls: PatternClass, n: int, trigger: bool) -> OptimalResult:
+def _optimize(cls: PatternClass, n: int) -> OptimalResult:
     if n < 1:
         raise InvalidInputError(f"rank must be >= 1, got {n}")
     opened = _opened(cls, n)
@@ -190,42 +198,38 @@ def _optimize(cls: PatternClass, n: int, trigger: bool) -> OptimalResult:
         labels.append(list(found))
 
     states: list[dict[int, State]] = [{} for _ in range(n + 1)]
-    states[n] = dict.fromkeys(labels[n], (1, 1, 0, 0))
-    for k in range(n - 1, -1 if trigger else 0, -1):
+    states[n] = dict.fromkeys(labels[n], (1, 1, 0, 0, 0))
+    for k in range(n - 1, -1, -1):
         row, deeper, here = opened[k], states[k + 1], states[k]
         for label in labels[k]:
-            total = z0 = z1 = below = 0
+            total = z0 = z1 = strike = trigger = 0
             for c in _free(label, k):
                 child = deeper.get(_relabel(label, c, row[c]))
                 if child is None:
                     continue
-                t, c0, c1, b = child
+                t, c0, c1, s, g = child
                 total += t
                 if c > k:
                     # the child's new entry is a running maximum
                     z1 += c0
-                    own = c1 if trigger else c0
+                    strike += c0 if c0 > s else s
                 else:
                     z0 += c0
                     z1 += c1
-                    own = c1 if trigger else 0
-                below += own if own > b else b
+                    strike += s
+                trigger += c1 if c1 > g else g
             if total:
-                here[label] = (total, z0, z1, below)
+                here[label] = (total, z0, z1, strike, trigger)
 
-    start = states[0 if trigger else 1]
-    if not start:
+    if not states[0]:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
-    total, z0, z1, below = next(iter(start.values()))
-    own = z1 if trigger else z0
-    return OptimalResult(pattern_class=cls, rank=n, trigger=trigger,
-                         value=Tally(max(own, below), total), states=states)
+    return OptimalResult(pattern_class=cls, rank=n, states=states)
 
 
-def _walkable(cls: PatternClass, n: int, trigger: bool = False) -> OptimalResult:
+def _walkable(cls: PatternClass, n: int) -> OptimalResult:
     """The sweep the walks read for the rank-n tree, refused past its caps."""
     _check_caps(cls, n)
-    return _optimize(cls, n, trigger)
+    return _optimize(cls, n)
 
 
 def completion(S: Iterable[Perm], cls: PatternClass | str, n: int) -> StrikeSet:
@@ -235,8 +239,9 @@ def completion(S: Iterable[Perm], cls: PatternClass | str, n: int) -> StrikeSet:
     res = _walkable(pattern_class(cls), n)
     base = {tuple(p) for p in S}
     for p in base:
-        res.state(p)
-    members = frozenset(p for p, _, _, _, _ in res.first_hits(lambda p, k, label, el: p in base))
+        res.state(p, least=1)  # the null prefix is no strike point
+    hits = res.first_hits(lambda p, k, label, el: p in base, start=(1,))
+    members = frozenset(p for p, _, _, _, _ in hits)
     # a member of S the walk passed by lies below another
     for b in (b for b in base if b not in members):
         a = next(a for j in range(1, len(b)) if (a := prefix_flattening(b, j)) in base)
@@ -254,11 +259,11 @@ def successors(cls: PatternClass | str, n: int, p: Perm) -> tuple[Perm, ...]:
     >>> successors("321", 3, (1,))
     ((3, 1, 2), (2, 1, 3), (1, 2))
     """
-    return _successors(_walkable(pattern_class(cls), n, trigger=True), tuple(p))
+    return _successors(_walkable(pattern_class(cls), n), tuple(p))
 
 
 def _successors(res: OptimalResult, p: Perm) -> tuple[Perm, ...]:
-    """successors of p, read off the trigger sweep res."""
+    """successors of p, read off the sweep res."""
     k, _ = res.state(p)
     if not is_eligible(p):
         raise InvalidInputError(f"prefix {p!r} is not eligible")
@@ -271,9 +276,9 @@ def _successors(res: OptimalResult, p: Perm) -> tuple[Perm, ...]:
 def optimal_strike_set(cls: PatternClass, n: int) -> OptimalResult:
     """Best complete strike strategy for cls at rank n; per_node_values maps
     each state to the best value achievable strictly below it."""
-    return _optimize(cls, n, trigger=False)
+    return _optimize(cls, n)
 
 
 def optimal_trigger_set(cls: PatternClass, n: int) -> OptimalResult:
     """Best complete trigger strategy; the empty prefix is a legal trigger."""
-    return _optimize(cls, n, trigger=True)
+    return replace(_optimize(cls, n), trigger=True)

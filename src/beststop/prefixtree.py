@@ -14,10 +14,10 @@ A virtual null node above the root represents the empty prefix, which is a
 legal trigger point ("accept the first candidate that is a running maximum")
 but never a strike point.
 
-build reads the tallies off the optimizer's trigger sweep of the label DAG:
-a node is its state's member total, z0 (its strike wins when eligible) and
-z1 (its trigger wins), and its children are the state's moves, so one rule
-counts the wins of the tree and of the optimizer.
+build reads the tallies off the optimizer's one sweep of the label DAG: a
+node is its state's member total, z0 (its strike wins when eligible) and z1
+(its trigger wins), and its children are the state's moves, so one rule
+counts the wins of the tree and of the optimizer in both modes.
 
 Only readers of every node build a tree.  Optimal sets, strategy scoring,
 strike-set completion, a node's successors and a one-node lookup read the
@@ -34,7 +34,7 @@ from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from .errors import LimitError, NotFoundError
-from .optimizer import DEFAULT_TREE_CAP, State, _check_caps, optimal_trigger_set
+from .optimizer import DEFAULT_TREE_CAP, State, _check_caps, _optimize
 from .permutations import PatternClass, Perm, _perm_str
 from .tallies import Tally
 
@@ -105,13 +105,13 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
     """Materialize the rank-n tree for cls with all tallies filled in.
 
     Raises LimitError when n exceeds DEFAULT_MAX_RANK or the class size
-    exceeds cap, before any node is made.
-    """
+    exceeds cap, before any node is made.  The nodes unfold the sweep's
+    states along its moves."""
     _check_caps(cls, n, cap)
-    res = optimal_trigger_set(cls, n)
+    res = _optimize(cls, n)
     if res.value.total > cap:
         raise LimitError(f"tree for class {cls.name} at rank {n} exceeded cap {cap}")
-    null = _node(res.states, (), False, 0, res.moves()[0][0])
+    null = _node(res.states, (), False, 0, res.moves[0][0])
     return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0])
 
 
@@ -119,7 +119,7 @@ def _node(states: list[dict[int, State]], p: Perm, eligible: bool, label: int,
           moves: tuple) -> TreeNode:
     """The node of prefix p, whose state is (len(p), label) with these
     moves, and every node below it."""
-    total, z0, z1, _ = states[len(p)][label]
+    total, z0, z1, _, _ = states[len(p)][label]
     return TreeNode(p, eligible, z0 if eligible else 0, z1, total, tuple(
         [_node(states, tuple([v + (v >= c) for v in p]) + (c,), el, sub, kids)
          for c, sub, _, kids, el in moves]))

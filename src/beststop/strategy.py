@@ -14,17 +14,17 @@ at a time, and decides when to stop.  Four kinds are supported:
 Strategies never look ahead: one rule decides, from the prefix seen so far,
 whether a strategy acts there (strike kinds accept, the others arm).  play
 applies it prefix by prefix to one order.  exact_success and simulate read
-the optimizer's sweep of the label DAG, with no tree: the one sums the win
-counts where the strategy first acts, found by the optimizer's walk over
-prefixes.  The other compiles the sweep's states into a walk table once
-(_draw_table), a node per state and how far the strategy has got, so each
-trial is one uniform root-to-leaf path drawn through the table by
-rng.SplitMix64.walk, and its win is read off the node where the path ends.
-A trial wins when the strategy accepts the path's last eligible prefix: a
-strike kind at an eligible acting prefix with no eligible prefix after it,
-a kind that arms when exactly one eligible prefix follows the arming one.
-sample_uniform draws its orders through rng.below, one call a prefix, and
-is the oracle simulate is checked against.
+the optimizer's one sweep of the label DAG, with no tree: the one sums the
+win counts where the strategy first acts, found by its walk over prefixes
+(from the root for strike kinds).  The other compiles the sweep's moves
+into a walk table once (_draw_table), a node per state and how far the
+strategy has got, so each trial is one uniform root-to-leaf path drawn
+through the table by rng.SplitMix64.walk, and its win is read off the node
+where the path ends.  A trial wins when the strategy accepts the path's
+last eligible prefix: a strike kind at an eligible acting prefix with no
+eligible prefix after it, a kind that arms when exactly one eligible prefix
+follows the arming one.  sample_uniform draws its orders through
+rng.below, one call a prefix, and is the oracle simulate is checked against.
 """
 from __future__ import annotations
 
@@ -44,10 +44,7 @@ from .optimizer import OptimalResult, _walkable
 from .permutations import (
     PatternClass,
     Perm,
-    _free,
     _label,
-    _opened,
-    _relabel,
     _perm_str,
     extend,
     is_eligible,
@@ -252,13 +249,13 @@ def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
     """
     cl = pattern_class(cls)
     _check_rank(s, cl, n)
-    res = _walkable(cl, n, trigger=not s.strikes)
+    res = _walkable(cl, n)
     hits = res.first_hits(lambda p, k, label, eligible: _fires(s, n, k, label, eligible, p),
-                          carry=s.members is not None)
+                          carry=s.members is not None, start=(1,) if s.strikes else ())
     wins = 0
     for p, k, label, eligible, fired in hits:
         if fired:
-            _, z0, z1, _ = res.states[k][label]
+            _, z0, z1, _, _ = res.states[k][label]
             wins += (z0 if eligible else 0) if s.strikes else z1
         elif s.kind == "strike":
             raise IncompleteStrategyError(
@@ -269,10 +266,10 @@ def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
 
 def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
     """Draw one order uniformly from the class by walking its prefixes down
-    the trigger sweep's moves (see OptimalResult.moves), from the null
-    prefix's one child, the root: each child is taken with probability
-    proportional to its member count, by one rng.below call a prefix."""
-    (move,), = _walkable(pattern_class(cls), n, trigger=True).moves()[0].values()
+    the sweep's moves (see OptimalResult.moves), from the null prefix's one
+    child, the root: each child is taken with probability proportional to
+    its member count, by one rng.below call a prefix."""
+    (move,), = _walkable(pattern_class(cls), n).moves[0].values()
     p: Perm = ()
     while True:
         c, _, total, node, _ = move
@@ -287,8 +284,8 @@ def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
 
 
 def _draw_table(s: Strategy, res: OptimalResult, n: int) -> tuple[list[WalkNode], list[bool]]:
-    """simulate's walk table (see rng.walk_node) over the trigger sweep res,
-    whose node 0 is the root, and the win of each node that ends a walk.
+    """simulate's walk table (see rng.walk_node) over the moves of the sweep
+    res, whose node 0 is the root, and the win of each node that ends a walk.
 
     A node is a state (k, label) and seen: once the strategy acts, the count
     of eligible prefixes from the acting one on (after it, for kinds that
@@ -298,8 +295,7 @@ def _draw_table(s: Strategy, res: OptimalResult, n: int) -> tuple[list[WalkNode]
     member lies strictly below it: at most the members' size times n nodes
     more.  A node with one member draws nothing (below(1) takes no word),
     so its win is settled here."""
-    states, members = res.states, s.members
-    opened = _opened(res.pattern_class, n)
+    moves, members = res.moves, s.members
     above: set[Perm] = set()  # the prefixes with a member strictly below
     for m in members or ():
         # step up from m, dropping its last entry, until a known prefix
@@ -318,23 +314,21 @@ def _draw_table(s: Strategy, res: OptimalResult, n: int) -> tuple[list[WalkNode]
     # nodes are numbered as they are found, depth by depth down from the
     # root; ids[k] maps a size-k node's (label, seen, prefix) to its number
     armed = None if s.strikes or not _fires(s, n, 0, 0, False, ()) else 0
-    root = enter(0, armed, () if () in above else None, 1, _relabel(0, 1, opened[0][1]))
+    (c, sub, _, _, _), = moves[0][0]
+    root = enter(0, armed, () if () in above else None, c, sub)
     nodes = [(1, *root)]
-    ids: list[dict[tuple, int]] = [{} for _ in range(n + 1)]
+    ids: list[dict[tuple, int]] = [{} for _ in range(n + 2)]
     ids[1][root] = 0
     table: list[WalkNode] = []
     for k, label, seen, p in nodes:  # nodes grows as the loop finds them
-        weights, kids = [], []
-        if k < n:
-            row, deeper, found = opened[k], states[k + 1], ids[k + 1]
-            for c in _free(label, k):
-                if (sub := _relabel(label, c, row[c])) in deeper:
-                    node = enter(k, seen, p, c, sub)
-                    if (i := found.get(node)) is None:
-                        i = found[node] = len(nodes)
-                        nodes.append((k + 1, *node))
-                    weights.append(deeper[sub][0])
-                    kids.append(i)
+        weights, kids, found = [], [], ids[k + 1]
+        for c, sub, total, _, _ in moves[k][label]:
+            node = enter(k, seen, p, c, sub)
+            if (i := found.get(node)) is None:
+                i = found[node] = len(nodes)
+                nodes.append((k + 1, *node))
+            weights.append(total)
+            kids.append(i)
         # one word covers every total: _walkable's caps keep it at most
         # 1,000,000 for a class of known size and 12! < 2**64 for any class
         table.append(walk_node(weights, kids))
@@ -377,7 +371,7 @@ def simulate(
     _check_rank(s, cl, n)
     if s.kind == "strike":
         exact_success(s, cl, n)  # refuses an incomplete set before any draw
-    table, final = _draw_table(s, _walkable(cl, n, trigger=True), n)
+    table, final = _draw_table(s, _walkable(cl, n), n)
     walk, wins = SplitMix64(seed).walk, 0
     for _ in range(trials):
         wins += final[walk(table, 0)]

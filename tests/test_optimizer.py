@@ -12,7 +12,6 @@ from beststop import (
     CLASSES,
     InvalidInputError,
     LimitError,
-    NotFoundError,
     PatternClass,
     SplitMix64,
     Tally,
@@ -212,14 +211,13 @@ def test_first_hits_matches_definition():
                     assert list(res.first_hits(hit, start=start.prefix)) == want, \
                         (name, n, start.prefix)
                     assert res.state(start.prefix) == visit(start)[1:3]
-                # the walk starts at the null prefix of a trigger sweep and
-                # at the root of a strike sweep
+                # the walk starts at the null prefix in either mode
                 assert list(res.first_hits(hit)) == list(res.first_hits(hit, start=()))
-                assert list(strike.first_hits(hit)) == list(res.first_hits(hit, start=(1,)))
+                assert list(strike.first_hits(hit)) == list(res.first_hits(hit, start=()))
             eligible = [(None, *hit[1:]) for hit in res.first_hits(lambda *state: state[3])]
             assert list(res.first_hits(lambda *state: state[3], carry=False)) == eligible
-            with pytest.raises(NotFoundError):
-                strike.state(())
+            # one sweep holds the null prefix for both modes
+            assert strike.state(()) == res.state(()) == (0, 0)
 
 
 def test_values_past_the_tree_cap_match_closed_forms():
@@ -234,6 +232,36 @@ def test_values_past_the_tree_cap_match_closed_forms():
     for n in range(1, 13):
         for optimize in (optimal_strike_set, optimal_trigger_set):
             assert optimize(AV312, n).value == optimize(AV321, n).value, (n, optimize.__name__)
+
+
+def test_moves_are_built_once_per_result(monkeypatch, capsys):
+    # every reader of one result's moves shares one build: the listing, each
+    # walk and simulate's walk table; tree --prefix reads one sweep's
+    # moves for the node's children and for its successors
+    import beststop.cli
+    import beststop.optimizer
+    import beststop.strategy
+
+    opened, calls = beststop.optimizer._opened, []
+
+    def counted(cls, n):
+        calls.append((cls.name, n))
+        return opened(cls, n)
+
+    res = optimal_strike_set(AV312, 7)
+    monkeypatch.setattr(beststop.optimizer, "_opened", counted)
+    assert res.strike_set.members
+    for hit in (lambda *state: state[3], lambda *state: False):
+        assert list(res.first_hits(hit))
+    beststop.strategy._draw_table(beststop.strategy.threshold_strategy("trigger", AV312, 7),
+                                  res, 7)
+    assert calls == [("312", 7)]
+    for flags in ((), ("--json",)):
+        calls.clear()
+        assert beststop.cli.main(["tree", "--class", "231", "--n", "6", "--prefix", "12",
+                                  *flags]) == 0
+        assert calls == [("231", 6)] * 2, flags  # the sweep's and the moves'
+    capsys.readouterr()
 
 
 def test_state_counts():

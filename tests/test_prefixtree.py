@@ -256,6 +256,10 @@ def test_completion():
         completion([(9, 1, 2)], "none", 4)  # wrong rank, not a node
     with pytest.raises(InvalidInputError):
         completion([(1, 2), (1, 2, 3, 4)], "none", 4)  # nested pair
+    # the sweep holds the null prefix's state, but it is no strike point
+    with pytest.raises(NotFoundError, match=r"^prefix \(\) is not a node of the rank-4 tree "
+                                            "for class 231$"):
+        completion([()], "231", 4)
 
 
 def test_evaluate_strike(tree_for):

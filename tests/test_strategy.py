@@ -190,7 +190,7 @@ def test_simulate_settles_single_member_states(forbidden):
         tree = build(cls, n)
         for seed, s in enumerate(sweep_strategies(cls, n, tree)):
             table, final = beststop.strategy._draw_table(
-                s, beststop.strategy._walkable(cls, n, trigger=True), n)
+                s, beststop.strategy._walkable(cls, n), n)
             settled = {i for i, (total, _, _, kids) in enumerate(table) if total == 1}
             assert settled and all(len(table[i][3]) == 1 for i in settled)
             rng, oracle = SplitMix64(seed), SplitMix64(seed)

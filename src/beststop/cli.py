@@ -165,7 +165,7 @@ def _cmd_solve(args) -> int:
         optimize = optimal_strike_set if args.mode == "strike" else optimal_trigger_set
         result = optimize(cls, args.n)
         members, value = result.strike_set.members, result.value
-        del result  # its moves, kept for later walks, need not outlive the listing
+        del result  # else its cached moves stay alive, and raise the peak, while it prints
         names = member_names(members)
         head = f"optimal {args.mode} set {members_str(names)}"
         fields = {"mode": args.mode, "members": names}

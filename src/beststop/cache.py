@@ -6,16 +6,17 @@ the file for its exact (mode, depth).  Frozen-boundary and band triangles
 are cheap one-offs and are never written.
 
 Files live under $BESTSTOP_CACHE (default ~/.cache/beststop), one per
-(mode, depth).  A file is a JSON head line with the schema tag, mode and
-depth, then one JSON array per diagonal i = 1 .. depth-1 holding that
-diagonal's depth-i entries, the lists exactly as the triangle holds them;
-it is written and read one line at a time.  Writes go through a temporary
+(mode, depth).  A file is a JSON head line with the schema tag, mode,
+depth and the sigma the sweep recorded (depth entries, null where a
+diagonal has no optimal stop), then one JSON array per diagonal i = 1 ..
+depth-1 holding that diagonal's depth-i entries, the lists exactly as the
+triangle holds them; it is written and read one line at a time.  Writes go through a temporary
 file and os.replace, and both reads and writes hold an advisory lock on a
 sidecar file, so concurrent processes see either the old or the new file,
 never a torn one.  A file that fails to parse, carries an unknown schema
 (files of earlier schemas included) or does not hold exactly the
-triangle's integer diagonals is treated as absent and rebuilt, with a
-warning.
+triangle's sigma and integer diagonals is treated as absent and rebuilt,
+with a warning.
 """
 from __future__ import annotations
 
@@ -24,11 +25,12 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
+from types import NoneType
 
 from .closedform import ContinuationTriangle, continuation_triangle
 from .errors import InvalidInputError
 
-SCHEMA = 2
+SCHEMA = 3
 
 try:
     import fcntl
@@ -75,7 +77,8 @@ def store_triangle(t: ContinuationTriangle) -> Path:
         raise InvalidInputError("only full, unfrozen triangles are cached")
     path = _triangle_path(t.mode, t.max_n)
     compact = (",", ":")
-    head = json.dumps({"schema": SCHEMA, "mode": t.mode, "max_n": t.max_n}, separators=compact)
+    head = json.dumps({"schema": SCHEMA, "mode": t.mode, "max_n": t.max_n, "sigma": t.sigma},
+                      separators=compact)
     with _Locked(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
@@ -110,6 +113,11 @@ def load_triangle(mode: str, max_n: int) -> ContinuationTriangle | None:
                 ):
                     warnings.warn(f"discarding cache file {path} with unexpected contents")
                     return None
+                sigma = head.get("sigma")
+                if type(sigma) is not list or len(sigma) != max_n \
+                        or not set(map(type, sigma)) <= {int, NoneType}:
+                    warnings.warn(f"discarding cache file {path}: sigma is not {max_n} ints or nulls")
+                    return None
                 diags = [json.loads(line) for line in fh]
         except (OSError, ValueError) as e:  # JSONDecodeError and bad UTF-8 included
             warnings.warn(f"discarding unreadable cache file {path}: {e}")
@@ -122,7 +130,7 @@ def load_triangle(mode: str, max_n: int) -> ContinuationTriangle | None:
         warnings.warn(f"discarding cache file {path}: entries are not the expected rows 2..{max_n}")
         return None
     return ContinuationTriangle(
-        mode=mode, max_n=max_n, max_diag=None, frozen_rules=None, diags=diags
+        mode=mode, max_n=max_n, max_diag=None, frozen_rules=None, diags=diags, sigma=sigma
     )
 
 

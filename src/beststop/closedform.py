@@ -29,19 +29,24 @@ Along diagonal i = N - k the stop numerators are binomials with a fixed
 lower index,
 
   strike   C(k+i-1, i)
-  trigger  k*C(k+i-1, i-2) + C(k+i-1, i-1)
+  trigger  k*C(k+i-1, i-2) + C(k+i-1, i-1) = C(k+i-1, i-1)*(k*i+1)/(k+1)
 
-so the sweep and the boundary scan step them from column to column with
-C(m+1, j) = C(m, j)*(m+1)/(m+1-j): one multiply and one exact divide per
-entry, no binomial per entry.
+so the sweep makes each diagonal's numerators as one list from the strike
+list of the diagonal before: C(k+i, i+1) = sum_{j<=k} C(j+i-1, i) is a
+running sum, and the trigger list scales it column by column.  The same
+pass takes M as the columnwise max of the entries and those numerators,
+and records sigma(i), the first column where stopping is optimal, so the
+threshold table needs no second scan.  Along a row the CSV steps them
+with C(m, j+1) = C(m, j)*(m-j)/(j+1) instead.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, compress, count, islice
 from math import comb
+from operator import add, floordiv, ge, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -86,26 +91,18 @@ def _xnum(mode: str, n: int, k: int) -> int:
     return strike_numerator(n, k) if mode == "strike" else trigger_numerator(n, k)
 
 
-def _diagonal_numerators(mode: str, i: int) -> Iterator[int]:
-    """Stop numerators x(k+i, k) for k = 1, 2, ... down diagonal i, each
-    stepped from the one before (a lower index below 0 gives 0)."""
-    m = i  # the upper index k+i-1 at k = 1
-    if mode == "strike":
-        c = 1  # C(i, i)
-        while True:
-            yield c
-            m += 1
-            c = c * m // (m - i)
-    else:
-        a = comb(i, i - 2) if i >= 2 else 0
-        b = i if i >= 1 else 0  # C(i, i-1)
-        k = 1
-        while True:
-            yield k * a + b
-            m += 1
-            k += 1
-            a = a * m // (m - i + 2)
-            b = b * m // (m - i + 1)
+def _numerator_diagonals(mode: str, max_n: int) -> Iterator[list[int]]:
+    """Stop numerators down diagonals i = 1, 2, ... of a max_n-row
+    triangle, one list per diagonal: x(k + i, k) for k = 1 .. max_n - i.
+    Each list is made from the strike list of the diagonal before."""
+    row = [1] * max_n  # C(k+i-1, i) down diagonal i = 0
+    for i in count(1):
+        if mode == "strike":
+            row = list(accumulate(islice(row, len(row) - 1)))
+            yield row
+        else:  # C(k+i-1, i-1), the strike numerator at (k+i, k+1), times (k*i+1)/(k+1)
+            yield list(map(floordiv, map(mul, islice(row, 1, None), count(i + 1, i)), count(2)))
+            row = list(accumulate(islice(row, len(row) - 1)))
 
 
 def _row_numerators(mode: str, n: int, k: int) -> Iterator[int]:
@@ -175,7 +172,10 @@ class ContinuationTriangle:
     by column: diags[i - 1][k - 1] is the numerator at (k + i, k).  The
     k = N column (diagonal 0) is implicitly zero.  The implied denominator
     of entry (N, k) is ballot(N, k).  entries maps (N, k) to the same
-    numerators, built on the first read.
+    numerators, built on the first read.  sigma[i] is the first column
+    where stopping is optimal on diagonal i, for 0 <= i <= diag_limit, or
+    None where no column is; the sweep records it for unfrozen triangles
+    only (sigma is None for a frozen one).
     """
 
     mode: str
@@ -183,6 +183,7 @@ class ContinuationTriangle:
     max_diag: int | None
     frozen_rules: FrozenRules | None
     diags: list[list[int]] = field(repr=False)
+    sigma: list[int | None] | None = field(repr=False)
 
     @property
     def diag_limit(self) -> int:
@@ -245,26 +246,6 @@ class ContinuationTriangle:
         return tuple(self.diags[n - k - 1][k - 1] for k in range(1, n))
 
 
-def _best_along(
-    mode: str, rules: FrozenRules | None, i: int, below: list[int]
-) -> list[int]:
-    """M along diagonal i, indexed like the diagonal (column k at k - 1),
-    from the entries there: the better of stopping and continuing, or what
-    the frozen rule picks."""
-    xs = _diagonal_numerators(mode, i)
-    if rules is None:
-        return [x if x > e else e for e, x in zip(below, xs)]
-    if i == 0:
-        # the forced endgame: a strike strategy always accepts an eligible
-        # full prefix, a trigger at the full prefix can never win
-        first = 1 if mode == "strike" else None
-    else:
-        first = rules[i - 1] if i <= len(rules) else None  # fires from column first on
-    if first is None:
-        return below
-    return [x if k >= first else e for k, e, x in zip(count(1), below, xs)]
-
-
 def continuation_triangle(
     mode: str,
     max_n: int,
@@ -293,18 +274,33 @@ def continuation_triangle(
 
     # entries and M of the previous diagonal, indexed like the diagonals;
     # both terms of the recurrence lie there: M(N, k+1) at column k+1 and
-    # the running sum of X over columns 1..k
-    prev = [0] * max_n  # diagonal 0: the implicit zero column k = N
-    prev_m = _best_along(mode, rules, 0, prev)
+    # the running sum of X over columns 1..k.  Diagonal 0 is the implicit
+    # zero column k = N, where a strike always stops (an eligible full
+    # prefix) and a trigger never wins (its numerators are 0)
+    below = [0] * max_n
+    best, sigma = ([1] * max_n, [1]) if mode == "strike" else (below, [None])
     diags: list[list[int]] = []
-    for i in range(1, diag_cap + 1):
-        carry = prev if mode == "strike" else prev_m
-        cur = [m + d for m, d in zip(islice(prev_m, 1, None), accumulate(carry))]
-        diags.append(cur)
-        prev, prev_m = cur, _best_along(mode, rules, i, cur)
+    for i, xs in zip(range(1, diag_cap + 1), _numerator_diagonals(mode, max_n)):
+        below = list(map(add, islice(best, 1, None),
+                         accumulate(below if mode == "strike" else best)))
+        diags.append(below)
+        # the old M and numerators go before the new ones are made, so that
+        # one list of each is alive at a time
+        del best
+        if rules is None:
+            # every numerator off diagonal 0 is positive, so the first
+            # column with x >= e is the first optimal stop
+            sigma.append(next(compress(count(1), map(ge, xs, below)), None))
+            best = list(map(max, below, xs))
+        else:
+            first = rules[i - 1] if i <= len(rules) else None  # fires from column first on
+            cut = len(below) if first is None else max(first - 1, 0)
+            best = below[:cut] + xs[cut:]
+        del xs
 
     return ContinuationTriangle(
-        mode=mode, max_n=max_n, max_diag=max_diag, frozen_rules=rules, diags=diags
+        mode=mode, max_n=max_n, max_diag=max_diag, frozen_rules=rules, diags=diags,
+        sigma=sigma if rules is None else None,
     )
 
 
@@ -331,22 +327,13 @@ class ThresholdTable:
 
 
 def optimal_boundary(t: ContinuationTriangle) -> ThresholdTable:
-    """Scan each diagonal of a true (unfrozen) triangle for its first
-    optimal entry.  Once stopping is optimal at (N, k) it stays optimal at
-    (N+1, k+1), so the first hit determines the whole diagonal.  The stop
-    numerators are stepped down each diagonal, with no binomial per entry."""
+    """The threshold table of a true (unfrozen) triangle, read off the
+    sigma the sweep recorded.  Once stopping is optimal at (N, k) it stays
+    optimal at (N+1, k+1), so each diagonal's first optimal entry
+    determines the whole diagonal."""
     if t.frozen_rules is not None:
         raise InvalidInputError("optimal_boundary expects an unfrozen triangle")
-    values: dict[int, int | None] = {}
-    for i in range(0, t.diag_limit + 1):
-        values[i] = None
-        below = t.diags[i - 1] if i else repeat(0, t.max_n)
-        for k, e, x in zip(count(1), below, _diagonal_numerators(t.mode, i)):
-            # is_optimal(k + i, k), with the numerator stepped down the diagonal
-            if x > 0 and x >= e:
-                values[i] = k
-                break
-    return ThresholdTable(mode=t.mode, depth=t.max_n, values=values)
+    return ThresholdTable(mode=t.mode, depth=t.max_n, values=dict(enumerate(t.sigma)))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from beststop import InvalidInputError, continuation_triangle
+from beststop import InvalidInputError, continuation_triangle, optimal_boundary
 from beststop.cache import cache_dir, cached_triangle, load_triangle, store_triangle
 
 
@@ -28,6 +28,8 @@ def test_store_and_load_round_trip():
             assert back is not None
             assert back.diags == t.diags
             assert back.entries == t.entries
+            assert back.sigma == t.sigma and len(t.sigma) == n
+            assert optimal_boundary(back).values == optimal_boundary(t).values
             assert (back.mode, back.max_n) == (mode, n)
             assert back.frozen_rules is None and back.max_diag is None
 
@@ -73,7 +75,7 @@ def test_corrupt_file_recomputed(isolated_cache):
 def test_file_is_a_head_line_then_one_line_per_diagonal(isolated_cache):
     store_triangle(continuation_triangle("strike", 6))
     assert (isolated_cache / "triangle-strike-6.json").read_text() == (
-        '{"schema":2,"mode":"strike","max_n":6}\n'
+        '{"schema":3,"mode":"strike","max_n":6,"sigma":[1,1,4,null,null,null]}\n'
         "[1,1,1,1,1]\n[3,5,7,9]\n[8,15,25]\n[23,48]\n[71]\n"
     )
 
@@ -141,8 +143,44 @@ def test_schema_1_file_rewritten(isolated_cache):
         assert load_triangle("trigger", 6) is None
     with pytest.warns(UserWarning, match="unexpected contents"):
         assert cached_triangle("trigger", 6).entries == t.entries
-    assert path.read_text().startswith('{"schema":2,')
+    assert path.read_text().startswith('{"schema":3,')
     assert load_triangle("trigger", 6).diags == t.diags
+
+
+def test_schema_2_file_rewritten(isolated_cache):
+    # the previous format: the same lines, with no sigma in the head
+    t = continuation_triangle("strike", 6)
+    store_triangle(t)
+    path = isolated_cache / "triangle-strike-6.json"
+    _, diags = _lines(path)
+    _write_lines(path, {"schema": 2, "mode": "strike", "max_n": 6}, diags)
+    with pytest.warns(UserWarning, match="unexpected contents"):
+        assert load_triangle("strike", 6) is None
+    with pytest.warns(UserWarning, match="unexpected contents"):
+        assert optimal_boundary(cached_triangle("strike", 6)).values == optimal_boundary(t).values
+    assert path.read_text().startswith('{"schema":3,')
+    assert load_triangle("strike", 6).sigma == t.sigma
+
+
+@pytest.mark.parametrize("sigma", [
+    [1, 1, 4, None, None],  # one entry short
+    [1, 1, 4, None, None, None, None],  # one entry too many
+    [1, 1, 4.0, None, None, None],  # a float
+    [1, True, 4, None, None, None],  # a bool
+    [1, 1, "4", None, None, None],  # a string
+    None,  # absent
+], ids=["short", "long", "float", "bool", "string", "absent"])
+def test_malformed_sigma_discarded(isolated_cache, sigma):
+    store_triangle(continuation_triangle("strike", 6))
+    path = isolated_cache / "triangle-strike-6.json"
+    head, diags = _lines(path)
+    if sigma is None:
+        del head["sigma"]
+    else:
+        head["sigma"] = sigma
+    _write_lines(path, head, diags)
+    with pytest.warns(UserWarning, match="sigma is not 6 ints or nulls"):
+        assert load_triangle("strike", 6) is None
 
 
 def test_only_full_triangles_stored():

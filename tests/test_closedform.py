@@ -29,7 +29,8 @@ from beststop import (
     trigger_numerator,
     trigger_prob_321,
 )
-from beststop.closedform import _diagonal_numerators, _row_numerators
+from beststop.cache import load_triangle, store_triangle
+from beststop.closedform import _numerator_diagonals, _row_numerators
 
 import oracles
 
@@ -197,6 +198,10 @@ SIGMA_HEADS = {
     "trigger": (None, 1, 1, 3, 8, 15, 25, 36),
 }
 
+# trigger sigma(8..24), as the 6,000-row band prints them; no closed form
+TRIGGER_SIGMA_8_TO_24 = (49, 65, 82, 101, 122, 146, 171, 198, 227, 259, 292, 327, 364,
+                         404, 445, 488, 534)
+
 FROZEN_CASES = (None, (1, 4, 9), (None,), (None, 1, 3, 8), (1, 1), (2, None, 5, 1))
 
 
@@ -210,14 +215,17 @@ def test_sigma_tables_depth_600_and_a_6000_row_band():
         # never wins), so the two tables define the same sigma(i)
         assert all(full.get(i) is not None for i in range(1, 25)), mode
         assert [band.get(i) for i in range(25)] == [full.get(i) for i in range(25)], mode
+        if mode == "strike":
+            assert all(band.get(i) == i * i for i in range(2, 25))
+        else:
+            assert tuple(band.get(i) for i in range(8, 25)) == TRIGGER_SIGMA_8_TO_24
 
 
 def test_diagonal_numerators_match_point_formulas():
+    # diagonals 1..200 of a 201-row triangle, each stepped from the one before
     for mode, point in (("strike", strike_numerator), ("trigger", trigger_numerator)):
-        for i in range(0, 200):
-            xs = _diagonal_numerators(mode, i)
-            got = [next(xs) for _ in range(200 - i)]
-            assert got == [point(k + i, k) for k in range(1, 201 - i)], (mode, i)
+        for i, got in zip(range(1, 201), _numerator_diagonals(mode, 201)):
+            assert got == [point(k + i, k) for k in range(1, 202 - i)], (mode, i)
 
 
 def test_row_numerators_match_point_formulas():
@@ -247,13 +255,18 @@ def _boundary_by_is_optimal(t):
     }
 
 
-def test_optimal_boundary_matches_is_optimal_scan():
+def test_optimal_boundary_matches_is_optimal_scan(tmp_path, monkeypatch):
+    monkeypatch.setenv("BESTSTOP_CACHE", str(tmp_path))
     for mode in ("strike", "trigger"):
         for max_n, max_diag in ((2, None), (3, None), (12, None), (80, None),
                                 (80, 1), (80, 2), (80, 7), (300, 12)):
             t = continuation_triangle(mode, max_n, max_diag=max_diag)
             want = _boundary_by_is_optimal(t)
             assert optimal_boundary(t).values == want, (mode, max_n, max_diag)
+        # the record a cache file carries, read back with no sweep
+        store_triangle(continuation_triangle(mode, 80))
+        loaded = load_triangle(mode, 80)
+        assert optimal_boundary(loaded).values == _boundary_by_is_optimal(loaded), mode
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,10 +10,10 @@ Files live under $BESTSTOP_CACHE (default ~/.cache/beststop), one per
 depth and the sigma the sweep recorded (depth entries, null where a
 diagonal has no optimal stop), then one JSON array per diagonal i = 1 ..
 depth-1 holding that diagonal's depth-i entries, the lists exactly as the
-triangle holds them; it is written and read one line at a time.  Writes go through a temporary
-file and os.replace, and both reads and writes hold an advisory lock on a
-sidecar file, so concurrent processes see either the old or the new file,
-never a torn one.  A file that fails to parse, carries an unknown schema
+triangle holds them; it is written and read one line at a time.  Writes
+go through a temporary file and os.replace, and both reads and writes
+hold an advisory lock on a sidecar file, so concurrent processes see
+either the old or the new file, never a torn one.  A file that fails to parse, carries an unknown schema
 (files of earlier schemas included) or does not hold exactly the
 triangle's sigma and integer diagonals is treated as absent and rebuilt,
 with a warning.
@@ -116,7 +116,8 @@ def load_triangle(mode: str, max_n: int) -> ContinuationTriangle | None:
                 sigma = head.get("sigma")
                 if type(sigma) is not list or len(sigma) != max_n \
                         or not set(map(type, sigma)) <= {int, NoneType}:
-                    warnings.warn(f"discarding cache file {path}: sigma is not {max_n} ints or nulls")
+                    warnings.warn(
+                        f"discarding cache file {path}: sigma is not {max_n} ints or nulls")
                     return None
                 diags = [json.loads(line) for line in fh]
         except (OSError, ValueError) as e:  # JSONDecodeError and bad UTF-8 included

@@ -5,19 +5,34 @@ fixed odd constant and the output is a finalizer over the new state.  Any
 implementation from the published constants produces the same stream, which
 keeps simulation results reproducible across languages and machines.
 
-walk draws a whole path through a walk table (see walk_node) with the
-generator stepped inline, the same words below would draw one call at a time.
+Word i of the stream is a pure function of seed + i*gamma mod 2**64 (Steele,
+Lea & Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014),
+so words makes the stream a block at a time: one big int holds a 128-bit
+lane per word, and each finalizer step is one big-int operation over every
+lane.  A lane's 64-bit product fits in its 128 bits and each right shift is
+masked to the lane's low 64, so no lane reads another's bits and every word
+equals the one next64 would return.  walks draws whole paths through a walk
+table (see walk_node) from that stream, by the words below would take one
+call at a time.
 """
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
-from itertools import accumulate
-from typing import Sequence
+from functools import cache
+from itertools import accumulate, chain
+from typing import Iterator, Sequence
 
 from .errors import InvalidInputError
 
 _SPAN = 1 << 64
 _MASK = _SPAN - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 2048  # words made per block
+# the step over a block's unpacked 64-bit halves that reads each lane's low
+# half in lane order: to_bytes in native order puts lane 0 first on a
+# little-endian machine and last on a big-endian one
+_LOWS = 2 if sys.byteorder == "little" else -2
 
 # a walk table's node: (total, rejection limit, cumulative weights but the
 # last, the nodes it moves to)
@@ -43,29 +58,11 @@ class SplitMix64:
 
     def next64(self) -> int:
         """Next raw 64-bit output."""
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
-
-    def walk(self, table: Sequence[WalkNode], node: int) -> int:
-        """The node where a walk through table from node ends: at each node
-        of total > 1, the kid below(total) picks, by the same words.  Every
-        total is at most 2**64 (walk_node), so one word covers it: the loop
-        is below's one-word case with next64 inlined."""
-        state = self.state
-        total, limit, cums, kids = table[node]
-        while total > 1:
-            state = (state + 0x9E3779B97F4A7C15) & _MASK
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            z ^= z >> 31
-            if z < limit:  # else the word is rejected and the node draws again
-                node = kids[bisect_right(cums, z % total)]
-                total, limit, cums, kids = table[node]
-        self.state = state
-        return node
 
     def below(self, bound: int) -> int:
         """Exactly uniform integer in [0, bound) via rejection sampling.
@@ -94,3 +91,54 @@ class SplitMix64:
                 value = (value << 64) | self.next64()
             if value < limit:
                 return value % bound
+
+
+@cache
+def _lanes() -> tuple[int, int, int]:
+    """words' lane constants, built on first use: a 1 in every lane, lane j
+    holding (j + 1) * gamma, and the low 64 bits of every lane set."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")
+    steps = int.from_bytes(b"".join((_GAMMA * j).to_bytes(16, "little")
+                                    for j in range(1, _BLOCK + 1)), "little")
+    low = int.from_bytes((b"\xff" * 8 + bytes(8)) * _BLOCK, "little")
+    return ones, steps, low
+
+
+def _blocks(seed: int) -> Iterator[list[int]]:
+    """The words of SplitMix64(seed), _BLOCK at a time."""
+    ones, steps, low = _lanes()
+    state, size = seed & _MASK, _BLOCK * 16
+    while True:
+        x = (state * ones + steps) & low  # lane j: the state after j + 1 steps
+        x ^= (x >> 30) & low
+        x = x * 0xBF58476D1CE4E5B9 & low
+        x ^= (x >> 27) & low
+        x = x * 0x94D049BB133111EB & low
+        x ^= (x >> 31) & low
+        yield memoryview(x.to_bytes(size, sys.byteorder)).cast("Q")[::_LOWS].tolist()
+        state = (state + _BLOCK * _GAMMA) & _MASK
+
+
+def words(seed: int) -> Iterator[int]:
+    """The outputs of successive SplitMix64(seed).next64() calls, without
+    end."""
+    return chain.from_iterable(_blocks(seed))
+
+
+def walks(table: Sequence[WalkNode], seed: int, trials: int) -> Iterator[int]:
+    """The nodes where trials walks through table from node 0 end, drawn in
+    turn from one words(seed) stream: at each node of total > 1, the kid
+    below(total) picks, by the same words.  Every total is at most 2**64
+    (walk_node), so one word covers it: the loop is below's one-word case."""
+    stream = words(seed)
+    for _ in range(trials):
+        node = 0
+        total, limit, cums, kids = table[0]
+        if total > 1:
+            for z in stream:
+                if z < limit:  # else the word is rejected and the node draws again
+                    node = kids[bisect_right(cums, z % total)]
+                    total, limit, cums, kids = table[node]
+                    if total <= 1:
+                        break
+        yield node

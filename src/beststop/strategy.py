@@ -19,12 +19,15 @@ win counts where the strategy first acts, found by its walk over prefixes
 (from the root for strike kinds).  The other compiles the sweep's moves
 into a walk table once (_draw_table), a node per state and how far the
 strategy has got, so each trial is one uniform root-to-leaf path drawn
-through the table by rng.SplitMix64.walk, and its win is read off the node
-where the path ends.  A trial wins when the strategy accepts the path's
-last eligible prefix: a strike kind at an eligible acting prefix with no
-eligible prefix after it, a kind that arms when exactly one eligible prefix
-follows the arming one.  sample_uniform draws its orders through
-rng.below, one call a prefix, and is the oracle simulate is checked against.
+through the table by rng.walks, and its win is read off the node where the
+path ends.  The paths read one SplitMix64 stream that rng.words makes a
+block of words at a time, each word the one next64 would return, so a seed
+draws the same paths as one next64 call a word would.  A trial wins when
+the strategy accepts the path's last eligible prefix: a strike kind at an
+eligible acting prefix with no eligible prefix after it, a kind that arms
+when exactly one eligible prefix follows the arming one.  sample_uniform
+draws its orders through rng.below, one call a prefix, and is the oracle
+simulate is checked against.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ from .errors import (
     IncompleteStrategyError,
     InvalidInputError,
 )
-from .optimizer import OptimalResult, _walkable
+from .optimizer import _walkable
 from .permutations import (
     PatternClass,
     Perm,
@@ -54,7 +57,7 @@ from .permutations import (
     prefix_flattening,
     validate_permutation,
 )
-from .rng import SplitMix64, WalkNode, walk_node
+from .rng import SplitMix64, WalkNode, walk_node, walks
 from .tallies import Tally
 
 KINDS = ("strike", "trigger", "positional", "threshold")
@@ -283,9 +286,11 @@ def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
                 break
 
 
-def _draw_table(s: Strategy, res: OptimalResult, n: int) -> tuple[list[WalkNode], list[bool]]:
-    """simulate's walk table (see rng.walk_node) over the moves of the sweep
-    res, whose node 0 is the root, and the win of each node that ends a walk.
+def _draw_table(s: Strategy, moves: list[dict[int, tuple]],
+                n: int) -> tuple[list[WalkNode], list[bool]]:
+    """simulate's walk table (see rng.walk_node) over a sweep's moves (see
+    OptimalResult.moves), whose node 0 is the root, and the win of each node
+    that ends a walk.
 
     A node is a state (k, label) and seen: once the strategy acts, the count
     of eligible prefixes from the acting one on (after it, for kinds that
@@ -295,7 +300,7 @@ def _draw_table(s: Strategy, res: OptimalResult, n: int) -> tuple[list[WalkNode]
     member lies strictly below it: at most the members' size times n nodes
     more.  A node with one member draws nothing (below(1) takes no word),
     so its win is settled here."""
-    moves, members = res.moves, s.members
+    members = s.members
     above: set[Perm] = set()  # the prefixes with a member strictly below
     for m in members or ():
         # step up from m, dropping its last entry, until a known prefix
@@ -364,17 +369,20 @@ def simulate(
     call (see _draw_table): a node per state (k, label) and the strategy's
     count seen, at most 4 per state (85 nodes for the 321 threshold at rank
     10, 1,340 for the 312 one), and for a set one more per prefix with a
-    member strictly below it."""
+    member strictly below it.  The trials read one rng.words(seed) stream
+    in turn, made a block of words at a time: SplitMix64's word i is a
+    function of seed + i*gamma alone, so the block holds exactly the words
+    SplitMix64(seed).next64() would return, in order."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     cl = pattern_class(cls)
     _check_rank(s, cl, n)
     if s.kind == "strike":
         exact_success(s, cl, n)  # refuses an incomplete set before any draw
-    table, final = _draw_table(s, _walkable(cl, n), n)
-    walk, wins = SplitMix64(seed).walk, 0
-    for _ in range(trials):
-        wins += final[walk(table, 0)]
+    # only the moves are kept, so the sweep's states are freed before the
+    # table is built
+    table, final = _draw_table(s, _walkable(cl, n).moves, n)
+    wins = sum(map(final.__getitem__, walks(table, seed, trials)))
     est = Fraction(wins, trials)
     p = wins / trials
     return SimReport(

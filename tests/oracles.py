@@ -11,7 +11,7 @@ of a built tree that the label-DAG optimizer is checked against.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -301,6 +301,24 @@ def below_by_words(rng, bound):
             value = (value << 64) | rng.next64()
         if value < limit:
             return value % bound
+
+
+def walk_by_words(rng, table, node):
+    """The node where a walk through table from node ends, drawn from rng
+    one next64 word at a time with the generator stepped inline: at each
+    node of total > 1, the kid below(total) picks, by the same words."""
+    state = rng.state
+    total, limit, cums, kids = table[node]
+    while total > 1:
+        state = (state + 0x9E3779B97F4A7C15) & (2**64 - 1)
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+        z ^= z >> 31
+        if z < limit:  # else the word is rejected and the node draws again
+            node = kids[bisect_right(cums, z % total)]
+            total, limit, cums, kids = table[node]
+    rng.state = state
+    return node
 
 
 def spans(perm, pattern):

@@ -254,7 +254,7 @@ def test_moves_are_built_once_per_result(monkeypatch, capsys):
     for hit in (lambda *state: state[3], lambda *state: False):
         assert list(res.first_hits(hit))
     beststop.strategy._draw_table(beststop.strategy.threshold_strategy("trigger", AV312, 7),
-                                  res, 7)
+                                  res.moves, 7)
     assert calls == [("312", 7)]
     for flags in ((), ("--json",)):
         calls.clear()

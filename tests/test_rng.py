@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 import oracles
 from beststop import InvalidInputError, SplitMix64
-from beststop.rng import walk_node
+from beststop.rng import _BLOCK, _GAMMA, walk_node, walks, words
 
 # published splitmix64 outputs for seed 0
 SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -13,6 +15,22 @@ SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 def test_reference_vector():
     r = SplitMix64(0)
     assert tuple(r.next64() for _ in range(3)) == SEED0
+
+
+# 0, 1, both spellings of the largest seed, and a seed whose first word's
+# state is 2**64 - 1, so the lane sum of the second wraps
+WORD_SEEDS = (0, 1, 2**64 - 1, -1, 2**64 - _GAMMA - 1)
+
+
+@pytest.mark.parametrize("seed", WORD_SEEDS)
+def test_words_match_next64(seed):
+    # past three block boundaries, and a few words into the fourth block
+    r, count = SplitMix64(seed), 3 * _BLOCK + 5
+    assert list(islice(words(seed), count)) == [r.next64() for _ in range(count)]
+
+
+def test_words_reference_vector():
+    assert tuple(islice(words(0), 3)) == SEED0
 
 
 def test_determinism():
@@ -86,7 +104,7 @@ def test_chance_degenerate():
 
 
 def walk_by_below(rng, table, node):
-    """SplitMix64.walk's oracle: one below(total) call a node."""
+    """The walks oracle: one below(total) call a node."""
     total, _, cums, kids = table[node]
     while total > 1:
         r = rng.below(total)
@@ -110,11 +128,14 @@ WALK_TABLES = {
 
 @pytest.mark.parametrize("name", WALK_TABLES)
 def test_walk_matches_below(name):
+    # walks against one below call a node, and the scalar word-by-word walk
+    # against both, drawing as many words a walk as below does
     table = WALK_TABLES[name]
     for seed in range(40):
         r, oracle = SplitMix64(seed), SplitMix64(seed)
-        for _ in range(30):
-            assert r.walk(table, 0) == walk_by_below(oracle, table, 0), (name, seed)
+        for end in walks(table, seed, 30):
+            assert end == oracles.walk_by_words(r, table, 0) == walk_by_below(
+                oracle, table, 0), (name, seed)
             assert r.state == oracle.state
         if name == "settled":
             assert r.state == SplitMix64(seed).state  # drew nothing

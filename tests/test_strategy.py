@@ -35,6 +35,7 @@ from beststop import (
     threshold_strategy,
 )
 from beststop.permutations import _label, is_eligible
+from beststop.rng import walks
 
 
 def test_play_strike_trace():
@@ -165,7 +166,7 @@ def test_simulate_matches_play_on_the_same_draws(monkeypatch):
     def no_draw(*args):
         raise AssertionError("simulate drew a path")
 
-    monkeypatch.setattr(SplitMix64, "walk", no_draw)
+    monkeypatch.setattr(beststop.strategy, "walks", no_draw)
     uncovered = Strategy(kind="strike", members=frozenset({(2, 1)}))
     for name, leaf in (("321", "3412"), ("231", "1432"), ("none", "3421")):
         with pytest.raises(IncompleteStrategyError) as exact:
@@ -190,15 +191,17 @@ def test_simulate_settles_single_member_states(forbidden):
         tree = build(cls, n)
         for seed, s in enumerate(sweep_strategies(cls, n, tree)):
             table, final = beststop.strategy._draw_table(
-                s, beststop.strategy._walkable(cls, n), n)
+                s, beststop.strategy._walkable(cls, n).moves, n)
             settled = {i for i, (total, _, _, kids) in enumerate(table) if total == 1}
             assert settled and all(len(table[i][3]) == 1 for i in settled)
+            # walks against the word-by-word walk, trial by trial, which
+            # draws as many words a trial as sample_uniform
             rng, oracle = SplitMix64(seed), SplitMix64(seed)
-            for _ in range(40):
-                end = rng.walk(table, 0)
+            for end in walks(table, seed, 40):
+                assert end == oracles.walk_by_words(oracle, table, 0)
                 ended_on_settled += end in settled and final[end]
-                assert final[end] == play(s, sample_uniform(cls, n, oracle)).stopped_value_is_max
-                assert rng.state == oracle.state
+                assert final[end] == play(s, sample_uniform(cls, n, rng)).stopped_value_is_max
+                assert oracle.state == rng.state
     assert ended_on_settled
 
 
@@ -454,6 +457,12 @@ def test_simulate_deterministic():
         # at the benchmark's rank
         (threshold_strategy("strike", "321", 10), "321", 10, 2000, 1, 1082),
         (threshold_strategy("trigger", "312", 10), "312", 10, 2000, 2, 1035),
+        # the benchmark's trial counts, past many blocks of words
+        (threshold_strategy("strike", "321", 10), "321", 10, 50000, 1, 26346),
+        (threshold_strategy("trigger", "312", 10), "312", 10, 20000, 2, 10645),
+        # a negative seed is taken mod 2**64, as SplitMix64 takes it
+        (threshold_strategy("strike", "321", 10), "321", 10, 70000, -1, 36693),
+        (threshold_strategy("strike", "321", 10), "321", 10, 70000, 2**64 - 1, 36693),
     ]
     for s, cls, n, trials, seed, wins in runs:
         assert simulate(s, cls, n, trials=trials, seed=seed).wins == wins, (cls, seed)

@@ -307,12 +307,12 @@ def walk_by_words(rng, table, node):
     """The node where a walk through table from node ends, drawn from rng
     one next64 word at a time with the generator stepped inline: at each
     node of total > 1, the kid below(total) picks, by the same words."""
-    state = rng.state
+    state, mask = rng.state, 2**64 - 1
     total, limit, cums, kids = table[node]
     while total > 1:
-        state = (state + 0x9E3779B97F4A7C15) & (2**64 - 1)
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         z ^= z >> 31
         if z < limit:  # else the word is rejected and the node draws again
             node = kids[bisect_right(cums, z % total)]

@@ -8,8 +8,8 @@ restricts the interview order to a permutation class given by a single
 forbidden pattern of size three (or no restriction), and provides
 
   - exact win tallies for every observable prefix (prefixtree),
-  - optimal stopping sets by backward induction on the label DAG, with no
-    tree built (optimizer),
+  - optimal stopping sets by backward induction on the label DAG, one
+    sweep per game that all its readers share, with no tree (optimizer),
   - closed forms, recursion-based tallies, and the continuation triangle
     with its threshold boundaries (closedform),
   - playable strategies, exact evaluation, and simulation (strategy),
@@ -61,7 +61,7 @@ from .errors import (
     NotFoundError,
     UsageError,
 )
-from .optimizer import (OptimalResult, StrikeSet, completion, optimal_strike_set,
+from .optimizer import (Game, OptimalResult, StrikeSet, completion, game, optimal_strike_set,
                         optimal_trigger_set, successors)
 from .permutations import (
     AV123,

@@ -43,8 +43,8 @@ from .errors import (
     LimitError,
     UsageError,
 )
-from .optimizer import (_check_caps, _successors, _walkable, completion, optimal_strike_set,
-                        optimal_trigger_set)
+from .optimizer import (Game, _check_caps, completion, game, optimal_strike_set,
+                        optimal_trigger_set, successors)
 from .permutations import (
     CLASSES,
     _perm_str,
@@ -137,15 +137,15 @@ def _solve_formula(name: str, n: int, mode: str) -> tuple[str, Tally]:
     return "threshold:strike", t.value(n, 1)
 
 
-def _given_strategy(text: str, cls, n: int) -> Strategy:
-    """Parse a --strategy descriptor.  A bare strike set is understood up
-    to completion: orders it never fires on end in a forced stop at the
-    last candidate."""
-    s = parse_strategy(text, cls, n)
+def _given_strategy(s: Strategy, cls, n: int) -> tuple[Strategy, Game]:
+    """A parsed --strategy and its game, refused past the tree's caps
+    before the sweep.  A bare strike set is understood up to completion:
+    orders it never fires on end in a forced stop at the last candidate."""
+    _check_caps(cls, n)
+    g = game(cls, n)
     if s.kind == "strike":
-        full = completion(s.members, cls, n)
-        s = Strategy(kind="strike", members=full.members, rank=n)
-    return s
+        s = Strategy(kind="strike", members=completion(s.members, g).members, rank=n)
+    return s, g
 
 
 def _cmd_solve(args) -> int:
@@ -154,8 +154,8 @@ def _cmd_solve(args) -> int:
         raise InvalidInputError(f"--n must be >= 1, got {args.n}")
 
     if args.strategy:
-        s = _given_strategy(args.strategy, cls, args.n)
-        value = exact_success(s, cls, args.n)
+        s, g = _given_strategy(parse_strategy(args.strategy, cls, args.n), cls, args.n)
+        value = exact_success(s, g)
         head, fields = f"strategy {s.describe()}", {"strategy": s.describe()}
     elif args.formula:
         descr, value = _solve_formula(cls.name, args.n, args.mode)
@@ -163,9 +163,9 @@ def _cmd_solve(args) -> int:
     else:
         _check_caps(cls, args.n)
         optimize = optimal_strike_set if args.mode == "strike" else optimal_trigger_set
-        result = optimize(cls, args.n)
+        result = optimize(game(cls, args.n))
         members, value = result.strike_set.members, result.value
-        del result  # else its cached moves stay alive, and raise the peak, while it prints
+        del result  # else the game's cached moves stay alive, and raise the peak, while it prints
         names = member_names(members)
         head = f"optimal {args.mode} set {members_str(names)}"
         fields = {"mode": args.mode, "members": names}
@@ -241,14 +241,13 @@ def _verify_triangle(report) -> bool:
     """The triangle sweep's entries agree with the optimizer's best values
     below the increasing 321 prefixes, for every row up to 12 in both modes."""
     ok = True
-    cls = pattern_class("321")
-    for mode in ("strike", "trigger"):
+    games = [game("321", n) for n in range(2, 13)]
+    for mode, optimize in (("strike", optimal_strike_set), ("trigger", optimal_trigger_set)):
         t = continuation_triangle(mode, 12)
-        optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
-        for n in range(2, 13):
-            res = optimize(cls, n)
+        for g in games:
+            n, res = g.rank, optimize(g)
             for k in range(1, n):
-                below = res.per_node_values[res.state(tuple(range(1, k + 1)))]
+                below = res.per_node_values[g.state(tuple(range(1, k + 1)))]
                 if below.wins != t.entry(n, k) or below.total != ballot(n, k):
                     report(f"triangle: ({n},{k}) {mode} sweep {t.entry(n,k)} "
                            f"vs optimizer {below}")
@@ -283,11 +282,12 @@ def _check_formula(report, label: str, cls_name: str, formula) -> bool:
     ok = True
     for n in range(2, 9):
         descr, want = formula(n)
-        got = optimal_strike_set(cls, n).value
+        g = game(cls, n)
+        got = optimal_strike_set(g).value
         if cmp_as_rational(want, got) != 0:
             report(f"{label} n={n} optimizer {got} vs formula {want}")
             ok = False
-        v = exact_success(parse_strategy(descr, cls, n), cls, n)
+        v = exact_success(parse_strategy(descr, cls, n), g)
         if cmp_as_rational(v, want) != 0:
             report(f"{label} n={n} {descr} plays to {v}, formula {want}")
             ok = False
@@ -314,7 +314,7 @@ def _verify_positional_321(report) -> bool:
     for n in range(5, 10):
         want = positional_success_321(n)
         s = parse_strategy(f"positional:{n - 3}", cls, n)
-        got = exact_success(s, cls, n)
+        got = exact_success(s, game(cls, n))
         if cmp_as_rational(want, got) != 0:
             report(f"positional-321: n={n} play {got} vs formula {want}")
             ok = False
@@ -408,8 +408,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cls = pattern_class(args.cls)
-    s = _given_strategy(args.strategy, cls, args.n)
-    rep = simulate(s, cls, args.n, args.trials, seed=args.seed)
+    s = parse_strategy(args.strategy, cls, args.n)
+    if s.kind == "strike":
+        _check_caps(cls, args.n)  # its completion needs the game: caps before trial count
+    if args.trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {args.trials}")
+    s, g = _given_strategy(s, cls, args.n)
+    rep = simulate(s, g, args.trials, seed=args.seed)
     if args.json:
         print(json.dumps({"class": cls.name, "n": args.n, "strategy": s.describe(),
                           "trials": rep.trials, "wins": rep.wins,
@@ -426,9 +431,10 @@ def _cmd_tree(args) -> int:
     cls = pattern_class(args.cls)
     if args.prefix is not None:
         p = () if args.prefix == "null" else perm_from_str(args.prefix)
-        res = _walkable(cls, args.n)
-        k, label = res.state(p)
-        total, z0, z1, _, _ = res.states[k][label]
+        _check_caps(cls, args.n)
+        g = game(cls, args.n)
+        k, label = g.state(p)
+        total, z0, z1, _, _ = g.states[k][label]
         eligible = is_eligible(p)
         strike, trigger = Tally(z0 if eligible else 0, total), Tally(z1, total)
         name = "null" if p == () else _perm_str(p)
@@ -436,12 +442,12 @@ def _cmd_tree(args) -> int:
             print(json.dumps({
                 "prefix": name, "eligible": eligible,
                 "strike": str(strike), "trigger": str(trigger),
-                "children": [_perm_str(extend(p, c)) for c, *_ in res.moves[k][label]],
+                "children": [_perm_str(extend(p, c)) for c, *_ in g.moves[k][label]],
             }, indent=2))
         else:
             print(f"node {name}: eligible={eligible} strike={strike} trigger={trigger}")
             if eligible and k < args.n:
-                print("successors: " + ", ".join(_perm_str(q) for q in _successors(res, p)))
+                print("successors: " + ", ".join(_perm_str(q) for q in successors(g, p)))
         return 0
     tree = build(cls, args.n)
     if args.json:

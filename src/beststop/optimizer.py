@@ -22,18 +22,20 @@ first stopping prefix or leaf on each path.  Only own wins depend on
 eligibility, so the best below is kept per state.  States with no members
 are dropped, as the tree prunes them.
 
-A result reads one mode's best below in value, strike_set and
-per_node_values.  The optimal set is listed on its first read, by walking
-the moves down from the root (the null prefix for trigger), so a value
-alone costs only the sweep; the moves are built once, on their first read.
-Strike-set completion, strategy scoring, successors, simulate's walk table
-and prefixtree.build read the same moves, most through first_hits, from
-the null prefix, the root or any prefix p (state finds p's (k, label)),
-under the tree's caps.
+game(cls, n) is the sweep, a Game its caller keeps for every question; its
+two mode views read one mode's best below in value, strike_set and
+per_node_values, and hold the game, which holds no view.  The optimal set
+is listed on its first read, by walking the moves down from the root (the
+null prefix for trigger), so a value alone costs only the sweep; the moves
+are built once per game, on their first read.  Strike-set completion,
+strategy scoring, sampling, successors, simulate's walk table and
+prefixtree.build read the same moves, most through first_hits, from the
+null prefix, the root or any prefix p (state finds p's (k, label)), under
+the tree's caps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
@@ -75,9 +77,7 @@ class StrikeSet:
 def _check_caps(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> None:
     """Refuse a rank-n listing of cls past the tree's caps, before any work:
     LimitError when n exceeds DEFAULT_MAX_RANK or the known class size
-    exceeds cap."""
-    if n < 1:
-        raise InvalidInputError(f"rank must be >= 1, got {n}")
+    exceeds cap.  cls.size refuses a rank below 1."""
     if n > DEFAULT_MAX_RANK:
         raise LimitError(
             f"rank {n} exceeds the tree cap {DEFAULT_MAX_RANK}; "
@@ -91,43 +91,12 @@ def _check_caps(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> None:
 
 
 @dataclass(frozen=True)
-class OptimalResult:
-    """One sweep's states, per depth by label (see State), read in one mode:
-    trigger picks the best below that value, strike_set and per_node_values
-    read, and strike_set may then hold the empty prefix."""
+class Game:
+    """One sweep's states, per depth by label (see State), and the walks its readers share."""
 
     pattern_class: PatternClass
     rank: int
     states: list[dict[int, State]] = field(repr=False)
-    trigger: bool = False
-
-    @cached_property
-    def value(self) -> Tally:
-        total, _, z1, strike, trigger = self.states[0][0]  # the null prefix's
-        return Tally(max(z1, trigger) if self.trigger else strike, total)
-
-    @cached_property
-    def per_node_values(self) -> dict[tuple[int, int], Tally]:
-        """Each state's best below as a tally over its members, keyed by
-        (k, label) (a leaf's is 0/1), the null prefix's in trigger mode
-        only; built on the first read."""
-        i, first = (4, 0) if self.trigger else (3, 1)
-        return {(k, label): Tally(state[i], state[0])
-                for k, level in enumerate(self.states[first:], first)
-                for label, state in level.items()}
-
-    @cached_property
-    def strike_set(self) -> StrikeSet:
-        """The first stopping prefix or leaf on each path, listed on the
-        first read.  Refused past the tree's member cap."""
-        states, trigger = self.states, self.trigger
-
-        def stops(p: Perm, k: int, label: int, eligible: bool) -> bool:
-            _, z0, z1, strike, below = states[k][label]
-            return z1 > below if trigger else eligible and z0 > strike
-
-        hits = self.first_hits(stops, start=() if trigger else (1,))
-        return StrikeSet(members=frozenset(p for p, _, _, _, _ in hits))
 
     @cached_property
     def moves(self) -> list[dict[int, tuple]]:
@@ -181,7 +150,47 @@ class OptimalResult:
                               for c, sub, _, kids, eligible in reversed(node)])
 
 
-def _optimize(cls: PatternClass, n: int) -> OptimalResult:
+@dataclass(frozen=True)
+class OptimalResult:
+    """A game read in one mode, "strike" or "trigger", whose best below value,
+    strike_set and per_node_values read; a trigger set may hold ()."""
+
+    game: Game
+    mode: str
+
+    @cached_property
+    def value(self) -> Tally:
+        total, _, z1, strike, trigger = self.game.states[0][0]  # the null prefix's
+        return Tally(strike if self.mode == "strike" else max(z1, trigger), total)
+
+    @cached_property
+    def per_node_values(self) -> dict[tuple[int, int], Tally]:
+        """Each state's best below as a tally over its members, keyed by
+        (k, label) (a leaf's is 0/1), the null prefix's in trigger mode
+        only; built on the first read."""
+        i, first = (3, 1) if self.mode == "strike" else (4, 0)
+        return {(k, label): Tally(state[i], state[0])
+                for k, level in enumerate(self.game.states[first:], first)
+                for label, state in level.items()}
+
+    @cached_property
+    def strike_set(self) -> StrikeSet:
+        """The first stopping prefix or leaf on each path, listed on the
+        first read.  Refused past the tree's member cap."""
+        states, trigger = self.game.states, self.mode == "trigger"
+
+        def stops(p: Perm, k: int, label: int, eligible: bool) -> bool:
+            _, z0, z1, strike, below = states[k][label]
+            return z1 > below if trigger else eligible and z0 > strike
+
+        hits = self.game.first_hits(stops, start=() if trigger else (1,))
+        return StrikeSet(members=frozenset(p for p, _, _, _, _ in hits))
+
+
+def game(cls: PatternClass | str, n: int) -> Game:
+    """The rank-n game of cls (a class or its name), one sweep of its label
+    DAG; only its walks keep the tree's caps (see _check_caps)."""
+    cls = pattern_class(cls)
     if n < 1:
         raise InvalidInputError(f"rank must be >= 1, got {n}")
     opened = _opened(cls, n)
@@ -223,24 +232,17 @@ def _optimize(cls: PatternClass, n: int) -> OptimalResult:
 
     if not states[0]:
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
-    return OptimalResult(pattern_class=cls, rank=n, states=states)
+    return Game(pattern_class=cls, rank=n, states=states)
 
 
-def _walkable(cls: PatternClass, n: int) -> OptimalResult:
-    """The sweep the walks read for the rank-n tree, refused past its caps."""
-    _check_caps(cls, n)
-    return _optimize(cls, n)
-
-
-def completion(S: Iterable[Perm], cls: PatternClass | str, n: int) -> StrikeSet:
-    """Extend the antichain S of prefixes in the rank-n game of cls to a
-    complete one: S and every rank-n member not already covered by a member
-    of S."""
-    res = _walkable(pattern_class(cls), n)
+def completion(S: Iterable[Perm], g: Game) -> StrikeSet:
+    """Extend the antichain S of prefixes in the game g to a complete one:
+    S and every member not already covered by a member of S."""
+    _check_caps(g.pattern_class, g.rank)
     base = {tuple(p) for p in S}
     for p in base:
-        res.state(p, least=1)  # the null prefix is no strike point
-    hits = res.first_hits(lambda p, k, label, el: p in base, start=(1,))
+        g.state(p, least=1)  # the null prefix is no strike point
+    hits = g.first_hits(lambda p, k, label, el: p in base, start=(1,))
     members = frozenset(p for p, _, _, _, _ in hits)
     # a member of S the walk passed by lies below another
     for b in (b for b in base if b not in members):
@@ -250,35 +252,31 @@ def completion(S: Iterable[Perm], cls: PatternClass | str, n: int) -> StrikeSet:
     return StrikeSet(members=members)
 
 
-def successors(cls: PatternClass | str, n: int, p: Perm) -> tuple[Perm, ...]:
+def successors(g: Game, p: Perm) -> tuple[Perm, ...]:
     """The prefixes a player who rejects at the eligible prefix p of the
-    rank-n game of cls moves on to: its minimal eligible strict descendants,
-    plus any rank-n descendants reached without passing one (covering those
-    orders exactly once), depth-first with children in ascending value.
+    game g moves on to: its minimal eligible strict descendants, plus any
+    rank-n descendants reached without passing one (covering those orders
+    exactly once), depth-first with children in ascending value.
 
-    >>> successors("321", 3, (1,))
+    >>> successors(game("321", 3), (1,))
     ((3, 1, 2), (2, 1, 3), (1, 2))
     """
-    return _successors(_walkable(pattern_class(cls), n), tuple(p))
-
-
-def _successors(res: OptimalResult, p: Perm) -> tuple[Perm, ...]:
-    """successors of p, read off the sweep res."""
-    k, _ = res.state(p)
+    _check_caps(g.pattern_class, g.rank)
+    k, _ = g.state(p)
     if not is_eligible(p):
         raise InvalidInputError(f"prefix {p!r} is not eligible")
-    if k == res.rank:
+    if k == g.rank:
         return ()
-    return tuple(q for q, _, _, _, _ in res.first_hits(lambda q, j, label, el: el and j > k,
-                                                          start=p))
+    return tuple(q for q, _, _, _, _ in g.first_hits(lambda q, j, label, el: el and j > k,
+                                                        start=p))
 
 
-def optimal_strike_set(cls: PatternClass, n: int) -> OptimalResult:
-    """Best complete strike strategy for cls at rank n; per_node_values maps
+def optimal_strike_set(g: Game) -> OptimalResult:
+    """Best complete strike strategy in the game g; per_node_values maps
     each state to the best value achievable strictly below it."""
-    return _optimize(cls, n)
+    return OptimalResult(g, "strike")
 
 
-def optimal_trigger_set(cls: PatternClass, n: int) -> OptimalResult:
+def optimal_trigger_set(g: Game) -> OptimalResult:
     """Best complete trigger strategy; the empty prefix is a legal trigger."""
-    return replace(_optimize(cls, n), trigger=True)
+    return OptimalResult(g, "trigger")

@@ -14,16 +14,16 @@ A virtual null node above the root represents the empty prefix, which is a
 legal trigger point ("accept the first candidate that is a running maximum")
 but never a strike point.
 
-build reads the tallies off the optimizer's one sweep of the label DAG: a
-node is its state's member total, z0 (its strike wins when eligible) and z1
-(its trigger wins), and its children are the state's moves, so one rule
-counts the wins of the tree and of the optimizer in both modes.
+build reads the tallies off one game, the optimizer's sweep of the label
+DAG: a node is its state's member total, z0 (its strike wins when eligible)
+and z1 (its trigger wins), and its children are the state's moves, so one
+rule counts the wins of the tree and of the optimizer in both modes.
 
 Only readers of every node build a tree.  Optimal sets, strategy scoring,
-strike-set completion, a node's successors and a one-node lookup read the
-optimizer's sweep of the label DAG and its walk over prefixes instead.  No
-tree is cached: each reader (the whole-tree command, the figures check, an
-isomorphism check) calls build once per tree it reads.
+strike-set completion, a node's successors and a one-node lookup read a
+game and its walk over prefixes instead.  No tree is cached: each reader
+(the whole-tree command, the figures check, an isomorphism check) calls
+build once per tree it reads.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from .errors import LimitError, NotFoundError
-from .optimizer import DEFAULT_TREE_CAP, State, _check_caps, _optimize
+from .optimizer import DEFAULT_TREE_CAP, State, _check_caps, game
 from .permutations import PatternClass, Perm, _perm_str
 from .tallies import Tally
 
@@ -108,10 +108,10 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
     exceeds cap, before any node is made.  The nodes unfold the sweep's
     states along its moves."""
     _check_caps(cls, n, cap)
-    res = _optimize(cls, n)
-    if res.value.total > cap:
+    g = game(cls, n)
+    if g.states[0][0][0] > cap:
         raise LimitError(f"tree for class {cls.name} at rank {n} exceeded cap {cap}")
-    null = _node(res.states, (), False, 0, res.moves[0][0])
+    null = _node(g.states, (), False, 0, g.moves[0][0])
     return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0])
 
 

@@ -14,11 +14,11 @@ at a time, and decides when to stop.  Four kinds are supported:
 Strategies never look ahead: one rule decides, from the prefix seen so far,
 whether a strategy acts there (strike kinds accept, the others arm).  play
 applies it prefix by prefix to one order.  exact_success and simulate read
-the optimizer's one sweep of the label DAG, with no tree: the one sums the
-win counts where the strategy first acts, found by its walk over prefixes
-(from the root for strike kinds).  The other compiles the sweep's moves
-into a walk table once (_draw_table), a node per state and how far the
-strategy has got, so each trial is one uniform root-to-leaf path drawn
+a game, optimizer.game's sweep of the label DAG, with no tree: the one sums
+the win counts where the strategy first acts, found by the game's walk over
+prefixes (from the root for strike kinds).  The other compiles the game's
+moves into a walk table once (_draw_table), a node per state and how far
+the strategy has got, so each trial is one uniform root-to-leaf path drawn
 through the table by rng.walks, and its win is read off the node where the
 path ends.  The paths read one SplitMix64 stream that rng.words makes a
 block of words at a time, each word the one next64 would return, so a seed
@@ -43,7 +43,7 @@ from .errors import (
     IncompleteStrategyError,
     InvalidInputError,
 )
-from .optimizer import _walkable
+from .optimizer import Game, _check_caps
 from .permutations import (
     PatternClass,
     Perm,
@@ -241,38 +241,40 @@ def _cached_boundary(mode: str, depth: int) -> ThresholdTable:
     return optimal_boundary(continuation_triangle(mode, depth))
 
 
-def exact_success(s: Strategy, cls: PatternClass | str, n: int) -> Tally:
-    """Exact success tally over every order in the class: the strike wins
+def exact_success(s: Strategy, g: Game) -> Tally:
+    """Exact success tally over every order in the game g: the strike wins
     (trigger wins, for kinds that arm) of every prefix where the strategy
-    first acts, read off the optimizer's states.  A strike set raises
+    first acts, read off the game's states.  A strike set raises
     IncompleteStrategyError at its first uncovered leaf.
 
-    >>> print(exact_success(threshold_strategy("strike", "321", 5), "321", 5))
+    >>> from beststop import game
+    >>> print(exact_success(threshold_strategy("strike", "321", 5), game("321", 5)))
     23/42
     """
-    cl = pattern_class(cls)
-    _check_rank(s, cl, n)
-    res = _walkable(cl, n)
-    hits = res.first_hits(lambda p, k, label, eligible: _fires(s, n, k, label, eligible, p),
-                          carry=s.members is not None, start=(1,) if s.strikes else ())
+    n, states = g.rank, g.states
+    _check_rank(s, g.pattern_class, n)
+    _check_caps(g.pattern_class, n)
+    hits = g.first_hits(lambda p, k, label, eligible: _fires(s, n, k, label, eligible, p),
+                        carry=s.members is not None, start=(1,) if s.strikes else ())
     wins = 0
     for p, k, label, eligible, fired in hits:
         if fired:
-            _, z0, z1, _, _ = res.states[k][label]
+            _, z0, z1, _, _ = states[k][label]
             wins += (z0 if eligible else 0) if s.strikes else z1
         elif s.kind == "strike":
             raise IncompleteStrategyError(
                 f"strike set never fired on {perm_to_str(p)}; the set does not cover it"
             )
-    return Tally(wins, res.value.total)
+    return Tally(wins, states[0][0][0])
 
 
-def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
-    """Draw one order uniformly from the class by walking its prefixes down
-    the sweep's moves (see OptimalResult.moves), from the null prefix's one
-    child, the root: each child is taken with probability proportional to
-    its member count, by one rng.below call a prefix."""
-    (move,), = _walkable(pattern_class(cls), n).moves[0].values()
+def sample_uniform(g: Game, rng: SplitMix64) -> Perm:
+    """Draw one order uniformly from the game g by walking its prefixes down
+    the game's moves (see Game.moves), from the null prefix's one child,
+    the root: each child is taken with probability proportional to its
+    member count, by one rng.below call a prefix."""
+    _check_caps(g.pattern_class, g.rank)
+    (move,), = g.moves[0].values()
     p: Perm = ()
     while True:
         c, _, total, node, _ = move
@@ -286,11 +288,10 @@ def sample_uniform(cls: PatternClass | str, n: int, rng: SplitMix64) -> Perm:
                 break
 
 
-def _draw_table(s: Strategy, moves: list[dict[int, tuple]],
-                n: int) -> tuple[list[WalkNode], list[bool]]:
-    """simulate's walk table (see rng.walk_node) over a sweep's moves (see
-    OptimalResult.moves), whose node 0 is the root, and the win of each node
-    that ends a walk.
+def _draw_table(s: Strategy, g: Game) -> tuple[list[WalkNode], list[bool]]:
+    """simulate's walk table (see rng.walk_node) over the game's moves (see
+    Game.moves), whose node 0 is the root, and the win of each node that
+    ends a walk.
 
     A node is a state (k, label) and seen: once the strategy acts, the count
     of eligible prefixes from the acting one on (after it, for kinds that
@@ -299,8 +300,9 @@ def _draw_table(s: Strategy, moves: list[dict[int, tuple]],
     on the prefix, so until it acts its nodes also carry the prefix while a
     member lies strictly below it: at most the members' size times n nodes
     more.  A node with one member draws nothing (below(1) takes no word),
-    so its win is settled here."""
-    members = s.members
+    so its win is settled here.  A leaf a strike set leaves uncovered is a
+    leaf node whose seen is still None: the set is refused there."""
+    n, moves, members = g.rank, g.moves, s.members
     above: set[Perm] = set()  # the prefixes with a member strictly below
     for m in members or ():
         # step up from m, dropping its last entry, until a known prefix
@@ -334,9 +336,11 @@ def _draw_table(s: Strategy, moves: list[dict[int, tuple]],
                 nodes.append((k + 1, *node))
             weights.append(total)
             kids.append(i)
-        # one word covers every total: _walkable's caps keep it at most
+        # one word covers every total: the tree's caps keep it at most
         # 1,000,000 for a class of known size and 12! < 2**64 for any class
         table.append(walk_node(weights, kids))
+    if s.kind == "strike" and any(k == n and seen is None for k, _, seen, _ in nodes):
+        exact_success(s, g)  # raises, naming the first uncovered leaf in depth-first order
     # a leaf wins when seen ends at 1, a settled node as its one path does
     final = [False] * len(table)
     for i in range(len(table) - 1, -1, -1):
@@ -354,15 +358,9 @@ class SimReport:
     seed: int
 
 
-def simulate(
-    s: Strategy,
-    cls: PatternClass | str,
-    n: int,
-    trials: int,
-    seed: int = 0,
-) -> SimReport:
+def simulate(s: Strategy, g: Game, trials: int, seed: int = 0) -> SimReport:
     """Monte Carlo estimate of the strategy's success probability over
-    uniformly random orders from the class.
+    uniformly random orders from the game g.
 
     Each trial draws the order sample_uniform would draw from the same
     generator, by the same words, but through a walk table built once per
@@ -375,13 +373,9 @@ def simulate(
     SplitMix64(seed).next64() would return, in order."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    cl = pattern_class(cls)
-    _check_rank(s, cl, n)
-    if s.kind == "strike":
-        exact_success(s, cl, n)  # refuses an incomplete set before any draw
-    # only the moves are kept, so the sweep's states are freed before the
-    # table is built
-    table, final = _draw_table(s, _walkable(cl, n).moves, n)
+    _check_rank(s, g.pattern_class, g.rank)
+    _check_caps(g.pattern_class, g.rank)
+    table, final = _draw_table(s, g)
     wins = sum(map(final.__getitem__, walks(table, seed, trials)))
     est = Fraction(wins, trials)
     p = wins / trials

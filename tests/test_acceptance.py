@@ -26,6 +26,7 @@ from beststop import (
     enumerate_class,
     exact_success,
     fit_shifted_ballot,
+    game,
     limit_of_combination,
     optimal_boundary,
     optimal_strike_set,
@@ -79,13 +80,14 @@ FIGURE_321_RANK5 = {
 def test_criterion_01_unrestricted_rank4(tree_for):
     with budget(1.0):
         tree = tree_for("none", 4)
-        res = optimal_strike_set(pattern_class("none"), 4)
+        g = game("none", 4)
+        res = optimal_strike_set(g)
         assert (res.value.wins, res.value.total) == (11, 24)
         core = {(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)}
-        assert res.strike_set.members == completion(core, "none", 4).members
+        assert res.strike_set.members == completion(core, g).members
         # exhaustive sweep over all complete antichains confirms maximality
         best = max(
-            exact_success(Strategy(kind="strike", members=a, rank=4), "none", 4).wins
+            exact_success(Strategy(kind="strike", members=a, rank=4), g).wins
             for a in oracles.complete_antichains(tree)
         )
         assert best == 11
@@ -96,13 +98,14 @@ def test_criterion_02_av231_catalan_ratio(tree_for):
         for n in range(2, 10):
             tree = tree_for("231", n)
             want = Tally(catalan(n - 1), catalan(n))
-            got = optimal_strike_set(pattern_class("231"), n).value
+            g = game("231", n)
+            got = optimal_strike_set(g).value
             assert (got.wins, got.total) == (want.wins, want.total), n
             rng = SplitMix64(2026)
             for _ in range(100):
                 antichain = oracles.random_eligible_antichain(tree, rng)
-                full = completion(antichain, "231", n).members
-                v = exact_success(Strategy(kind="strike", members=full, rank=n), "231", n)
+                full = completion(antichain, g).members
+                v = exact_success(Strategy(kind="strike", members=full, rank=n), g)
                 assert (v.wins, v.total) == (want.wins, want.total), (n, antichain)
             members = list(enumerate_class(pattern_class("231"), n))
             for k in range(n):
@@ -149,9 +152,10 @@ def test_criterion_05_threshold_equals_optimum():
         t = continuation_triangle("strike", 9)
         for n in range(2, 10):
             s = threshold_strategy("strike", "321", n)
-            played = exact_success(s, "321", n)
+            g = game("321", n)
+            played = exact_success(s, g)
             assert (played.wins, played.total) == (t.entry(n, 1), ballot(n, 1)), n
-            best = optimal_strike_set(pattern_class("321"), n).value
+            best = optimal_strike_set(g).value
             assert (best.wins, best.total) == (played.wins, played.total), n
 
 
@@ -203,7 +207,7 @@ def test_criterion_09_positional_av321():
         for n in range(5, 11):
             want_wins = 3 * catalan(n - 1) - 4 * catalan(n - 2) - catalan(n - 3)
             s = Strategy(kind="positional", position=n - 3)
-            got = exact_success(s, "321", n)
+            got = exact_success(s, game("321", n))
             assert (got.wins, got.total) == (want_wins, catalan(n)), n
             formula = positional_success_321(n)
             assert (formula.wins, formula.total) == (want_wins, catalan(n)), n
@@ -214,20 +218,20 @@ def test_criterion_10_av123_av213_closed_forms():
     with budget(30.0):
         for n in range(2, 9):
             want123 = Tally(ballot(n, 2), catalan(n))
-            got123 = optimal_strike_set(pattern_class("123"), n).value
+            got123 = optimal_strike_set(game("123", n)).value
             assert cmp_as_rational(got123, want123) == 0, n
             descr, formula = optimal_success_123(n)
             assert (formula.wins, formula.total) == (want123.wins, want123.total)
 
             want213 = Tally(catalan(n - 1), catalan(n))
-            got213 = optimal_strike_set(pattern_class("213"), n).value
+            got213 = optimal_strike_set(game("213", n)).value
             assert cmp_as_rational(got213, want213) == 0, n
             descr, formula = optimal_success_213(n)
             assert descr == "strike:{1}"
             assert (formula.wins, formula.total) == (want213.wins, want213.total)
         assert (
-            optimal_strike_set(pattern_class("123"), 4).value.wins,
-            optimal_strike_set(pattern_class("123"), 4).value.total,
+            optimal_strike_set(game("123", 4)).value.wins,
+            optimal_strike_set(game("123", 4)).value.total,
         ) == (9, 14)
         assert decimal_str(Fraction(3, 4)) == "0.75"
         assert decimal_str(Fraction(1, 4)) == "0.25"
@@ -246,19 +250,20 @@ def test_criterion_11_bijections(tree_for):
         for n in range(2, 9):
             members = oracles.members("231", n)
             tree = tree_for("231", n)
+            g = game("231", n)
             for node in tree.nodes():
                 if not node.eligible:
                     continue
                 winners = oracles.winnable(node.prefix, members)
                 if not node.children:
-                    assert successors("231", n, node.prefix) == ()
+                    assert successors(g, node.prefix) == ()
                     assert winners == [node.prefix]
                     continue
                 images = [slide_max(w) for w in winners]
                 assert len(set(images)) == len(images)
                 pool = [
                     w
-                    for q in successors("231", n, node.prefix)
+                    for q in successors(g, node.prefix)
                     for w in oracles.winnable(q, members)
                 ]
                 assert sorted(images) == sorted(pool), node.prefix
@@ -271,7 +276,8 @@ def test_criterion_12_simulation_soundness():
             (Strategy(kind="positional", position=0), "231", 8, Fraction(429, 1430)),
         ]
         for s, cls, n, exact in cases:
+            g = game(cls, n)
             for seed in (1, 7, 2026):
-                rep = simulate(s, cls, n, trials=100_000, seed=seed)
+                rep = simulate(s, g, trials=100_000, seed=seed)
                 gap = abs(float(rep.estimate) - float(exact))
                 assert gap < 4 * rep.std_error, (cls, seed, gap, rep.std_error)

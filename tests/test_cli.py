@@ -12,7 +12,6 @@ import pytest
 
 import beststop.bijections
 import beststop.cli
-import beststop.optimizer
 import beststop.prefixtree
 from beststop.cli import main
 from beststop.strategy import member_names, parse_strategy
@@ -167,6 +166,42 @@ def test_strategy_commands_build_no_tree(capsys, monkeypatch):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
+
+
+def test_one_game_serves_a_command(capsys, monkeypatch):
+    # each command sweeps the label DAG once per (class, rank) it reads,
+    # and hands that one game to both modes and every reader
+    sweep, swept = beststop.cli.game, []
+
+    def counted(cls, n):
+        swept.append((getattr(cls, "name", cls), n))
+        return sweep(cls, n)
+
+    monkeypatch.setattr(beststop.cli, "game", counted)
+    for argv, games in (
+        (["solve", "--class", "231", "--n", "10", "--strategy", "strike:{1}"], [("231", 10)]),
+        (["simulate", "--class", "231", "--n", "10", "--strategy", "strike:{1}",
+          "--trials", "100"], [("231", 10)]),
+        (["tree", "--class", "321", "--n", "6", "--prefix", "12"], [("321", 6)]),
+        (["verify", "triangle"], [("321", n) for n in range(2, 13)]),
+        (["verify", "catalan-231"], [("231", n) for n in range(2, 9)]),
+        (["verify", "closed-forms"], [(name, n) for name in ("123", "213") for n in range(2, 9)]),
+    ):
+        swept.clear()
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert swept == games, argv
+
+
+def test_simulate_checks_trials_before_any_game(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the label DAG was swept")
+
+    monkeypatch.setattr(beststop.cli, "game", refuse)
+    for strategy in ("strike:{12}", "threshold:strike"):
+        cls = "321" if strategy.startswith("threshold") else "none"
+        assert run(capsys, "simulate", "--class", cls, "--n", "9", "--strategy", strategy,
+                   "--trials", "0") == (1, "", "error: trials must be >= 1, got 0\n")
 
 
 def test_verify_builds_each_tree_once(capsys, monkeypatch):
@@ -480,7 +515,7 @@ def test_tree_refuses_a_malformed_prefix_before_any_work(capsys, monkeypatch):
         raise AssertionError("the label DAG was swept")
 
     patch_build(monkeypatch, refuse_build)
-    monkeypatch.setattr(beststop.optimizer, "_optimize", refuse)
+    monkeypatch.setattr(beststop.cli, "game", refuse)
     for prefix, err in (("", "error: empty permutation string\n"),
                         ("1x", "error: cannot parse permutation from '1x'\n")):
         assert run(capsys, "tree", "--class", "none", "--n", "9", "--prefix", prefix) == \

@@ -18,12 +18,12 @@ from beststop import (
     build,
     catalan,
     continuation_triangle,
+    game,
     optimal_strike_set,
     optimal_success_123,
     optimal_success_213,
     optimal_success_231,
     optimal_trigger_set,
-    pattern_class,
 )
 from beststop.permutations import _label
 
@@ -46,7 +46,7 @@ def set_value(members, tree, use_trigger):
 def test_strike_optimum_is_exhaustive_max(tree_for):
     for name, n in SMALL:
         tree = tree_for(name, n)
-        got = optimal_strike_set(pattern_class(name), n)
+        got = optimal_strike_set(game(name, n))
         values = [
             set_value(s, tree, use_trigger=False)
             for s in oracles.complete_antichains(tree)
@@ -58,7 +58,7 @@ def test_strike_optimum_is_exhaustive_max(tree_for):
 def test_trigger_optimum_is_exhaustive_max(tree_for):
     for name, n in SMALL:
         tree = tree_for(name, n)
-        got = optimal_trigger_set(pattern_class(name), n)
+        got = optimal_trigger_set(game(name, n))
         candidates = [frozenset(((),))] + oracles.complete_antichains(tree)
         values = [set_value(s, tree, use_trigger=True) for s in candidates]
         assert got.value.as_rational() == max(values), (name, n)
@@ -66,23 +66,23 @@ def test_trigger_optimum_is_exhaustive_max(tree_for):
 
 
 def test_unrestricted_n4():
-    strike = optimal_strike_set(pattern_class("none"), 4)
+    strike = optimal_strike_set(game("none", 4))
     assert strike.value == Tally(11, 24)
-    trigger = optimal_trigger_set(pattern_class("none"), 4)
+    trigger = optimal_trigger_set(game("none", 4))
     assert trigger.value == Tally(11, 24)
     # the classic cutoff rule: pass on the first candidate, take the next
     assert trigger.strike_set.members == {(1,)}
 
 
 def test_av321_n5_both_modes():
-    assert optimal_strike_set(AV321, 5).value == Tally(23, 42)
-    assert optimal_trigger_set(AV321, 5).value == Tally(23, 42)
+    assert optimal_strike_set(game(AV321, 5)).value == Tally(23, 42)
+    assert optimal_trigger_set(game(AV321, 5)).value == Tally(23, 42)
 
 
 def test_av231_catalan_ratio_and_deepest_canonical(tree_for):
     for n in range(2, 8):
         tree = tree_for("231", n)
-        got = optimal_strike_set(pattern_class("231"), n)
+        got = optimal_strike_set(game("231", n))
         assert got.value == Tally(catalan(n - 1), catalan(n))
         # ties keep the deeper strategy, so the canonical set is all leaves
         leaves = {node.prefix for node in tree.nodes() if not node.children}
@@ -121,7 +121,7 @@ def test_per_node_values_match_continuation_triangle():
 
     t = continuation_triangle("strike", 12)
     for n in range(2, 13):
-        per_node = optimal_strike_set(AV321, n).per_node_values
+        per_node = optimal_strike_set(game(AV321, n)).per_node_values
         for k in range(1, n):
             assert per_node[increasing_state(k)] == Tally(t.entry(n, k), ballot(n, k)), (n, k)
 
@@ -129,7 +129,7 @@ def test_per_node_values_match_continuation_triangle():
 def test_trigger_per_node_values():
     t = continuation_triangle("trigger", 12)
     for n in range(2, 13):
-        per_node = optimal_trigger_set(AV321, n).per_node_values
+        per_node = optimal_trigger_set(game(AV321, n)).per_node_values
         for k in range(1, n):
             assert per_node[increasing_state(k)].wins == t.entry(n, k), (n, k)
 
@@ -137,16 +137,33 @@ def test_trigger_per_node_values():
 def test_dropped_result_is_freed_by_reference_counting():
     # the sweep's per-depth dicts and the listing walk must not sit in a
     # reference cycle, or each dropped result waits for the cyclic collector
+    from beststop import (Strategy, completion, exact_success, sample_uniform, simulate,
+                          successors, threshold_strategy)
+
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         for optimize in (optimal_strike_set, optimal_trigger_set):
-            res = optimize(AV312, 8)
+            res = optimize(game(AV312, 8))
             assert len(res.strike_set.members) > 0
             assert res.per_node_values
             del res
             assert gc.collect() == 0, optimize.__name__
+        # one game read by every reader and by both views: the views hold
+        # the game, the game holds no view
+        g = game(AV312, 8)
+        views = optimal_strike_set(g), optimal_trigger_set(g)
+        for res in views:
+            assert res.strike_set.members and res.per_node_values and res.value
+        full = completion([(1, 2)], g).members
+        assert successors(g, (1,)) and sample_uniform(g, SplitMix64(1))
+        for s in (Strategy(kind="strike", members=full, rank=8),
+                  threshold_strategy("trigger", AV312, 8)):
+            assert exact_success(s, g).total == catalan(8)
+            assert simulate(s, g, trials=10).trials == 10
+        del g, views, res, full, s
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
@@ -164,11 +181,11 @@ def test_dag_matches_tree_oracle(name):
         except InvalidInputError:
             for optimize in (optimal_strike_set, optimal_trigger_set):
                 with pytest.raises(InvalidInputError):
-                    optimize(cls, n)
+                    optimize(game(cls, n))
             continue
         for use_trigger, optimize in ((False, optimal_strike_set), (True, optimal_trigger_set)):
             members, wins, best_below = oracles.optimize_tree(tree, use_trigger)
-            res = optimize(cls, n)
+            res = optimize(game(cls, n))
             assert res.value == Tally(wins, tree.total), (name, n, use_trigger)
             assert res.strike_set.members == members, (name, n, use_trigger)
             per_state = res.per_node_values
@@ -193,7 +210,9 @@ def test_first_hits_matches_definition():
         cls = PatternClass(name, forbidden)
         for n in range(1, top + 1):
             tree = build(cls, n)
-            res, strike = optimal_trigger_set(cls, n), optimal_strike_set(cls, n)
+            g = game(cls, n)
+            # both mode views walk their one game
+            res, strike = optimal_trigger_set(g).game, optimal_strike_set(g).game
             rng = SplitMix64(n)
             # an antichain of any prefixes, drawn by coin flips down the tree
             chain = {p for p, *_ in res.first_hits(lambda *state: rng.below(3) < 1)}
@@ -223,15 +242,16 @@ def test_first_hits_matches_definition():
 def test_values_past_the_tree_cap_match_closed_forms():
     # no tree is built, so the ranks run past the tree's cap of 12
     for n in range(2, 31):
-        assert optimal_strike_set(pattern_class("231"), n).value == optimal_success_231(n), n
-        assert optimal_strike_set(pattern_class("123"), n).value == optimal_success_123(n)[1], n
-        assert optimal_strike_set(pattern_class("213"), n).value == optimal_success_213(n)[1], n
+        assert optimal_strike_set(game("231", n)).value == optimal_success_231(n), n
+        assert optimal_strike_set(game("123", n)).value == optimal_success_123(n)[1], n
+        assert optimal_strike_set(game("213", n)).value == optimal_success_213(n)[1], n
         want = continuation_triangle("strike", n).value(n, 1)
-        assert optimal_strike_set(AV321, n).value == want, n
+        assert optimal_strike_set(game(AV321, n)).value == want, n
     # the West correspondence carries the 321 game to the 312 game
     for n in range(1, 13):
         for optimize in (optimal_strike_set, optimal_trigger_set):
-            assert optimize(AV312, n).value == optimize(AV321, n).value, (n, optimize.__name__)
+            assert optimize(game(AV312, n)).value == optimize(game(AV321, n)).value, \
+                (n, optimize.__name__)
 
 
 def test_moves_are_built_once_per_result(monkeypatch, capsys):
@@ -248,13 +268,13 @@ def test_moves_are_built_once_per_result(monkeypatch, capsys):
         calls.append((cls.name, n))
         return opened(cls, n)
 
-    res = optimal_strike_set(AV312, 7)
+    g = game(AV312, 7)
+    res = optimal_strike_set(g)
     monkeypatch.setattr(beststop.optimizer, "_opened", counted)
     assert res.strike_set.members
     for hit in (lambda *state: state[3], lambda *state: False):
-        assert list(res.first_hits(hit))
-    beststop.strategy._draw_table(beststop.strategy.threshold_strategy("trigger", AV312, 7),
-                                  res.moves, 7)
+        assert list(g.first_hits(hit))
+    beststop.strategy._draw_table(beststop.strategy.threshold_strategy("trigger", AV312, 7), g)
     assert calls == [("312", 7)]
     for flags in ((), ("--json",)):
         calls.clear()
@@ -267,25 +287,25 @@ def test_moves_are_built_once_per_result(monkeypatch, capsys):
 def test_state_counts():
     # n(n+1)/2 states at rank n for 231, 321, 123 and 213, 2^n - 1 for 132
     # and 312, one a depth for the unrestricted class
-    assert len(optimal_strike_set(pattern_class("231"), 10).per_node_values) == 55
-    assert len(optimal_strike_set(AV312, 10).per_node_values) == 1023
-    assert len(optimal_strike_set(pattern_class("none"), 8).per_node_values) == 8
+    assert len(optimal_strike_set(game("231", 10)).per_node_values) == 55
+    assert len(optimal_strike_set(game(AV312, 10)).per_node_values) == 1023
+    assert len(optimal_strike_set(game("none", 8)).per_node_values) == 8
     # trigger mode adds the null prefix's state
-    assert len(optimal_trigger_set(pattern_class("none"), 8).per_node_values) == 9
+    assert len(optimal_trigger_set(game("none", 8)).per_node_values) == 9
 
 
 def test_caps(monkeypatch):
     import beststop.optimizer
 
     # listing the set is refused past the tree's member cap, the value is not
-    res = optimal_strike_set(pattern_class("231"), 15)
+    res = optimal_strike_set(game("231", 15))
     assert res.value == optimal_success_231(15)
     with pytest.raises(LimitError, match="over the cap"):
         res.strike_set
     # the sweep is refused past its cap in states, counted as it goes
     monkeypatch.setattr(beststop.optimizer, "DAG_STATE_CAP", 1023)
-    assert optimal_strike_set(AV312, 9).value.total == catalan(9)
+    assert optimal_strike_set(game(AV312, 9)).value.total == catalan(9)
     with pytest.raises(LimitError, match="cap of 1023 states"):
-        optimal_strike_set(AV312, 10)
+        optimal_strike_set(game(AV312, 10))
     with pytest.raises(InvalidInputError):
-        optimal_strike_set(AV312, 0)
+        optimal_strike_set(game(AV312, 0))

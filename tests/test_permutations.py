@@ -24,6 +24,7 @@ from beststop import (
     enumerate_class,
     extend,
     flatten,
+    game,
     has_inversion,
     is_eligible,
     is_permutation,
@@ -281,7 +282,7 @@ def test_tree_walks_skip_the_checks(monkeypatch):
     monkeypatch.setattr(beststop.permutations, "_label", refuse)
     assert build(AV321, 6).total == 132
     assert len(list(enumerate_class(AV312, 6))) == 132
-    assert len(optimal_strike_set(AV312, 6).strike_set.members) == 76
+    assert len(optimal_strike_set(game(AV312, 6)).strike_set.members) == 76
 
 
 def test_enumeration_is_freed_by_reference_counting():

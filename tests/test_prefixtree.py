@@ -22,6 +22,7 @@ from beststop import (
     build,
     completion,
     exact_success,
+    game,
     pattern_class,
     successors,
     tree_to_dict,
@@ -33,7 +34,8 @@ SMALL = [(name, n) for name in CLASSES for n in range(2, 6)]
 
 
 def strike_value(members, name, n):
-    return exact_success(Strategy(kind="strike", members=frozenset(members), rank=n), name, n)
+    return exact_success(Strategy(kind="strike", members=frozenset(members), rank=n),
+                         game(name, n))
 
 
 def assert_tallies_match_oracle(tree, members):
@@ -172,7 +174,7 @@ def test_successors_match_definition(tree_for):
     from beststop import is_eligible, prefix_flattening
 
     for name, n in [("321", 5), ("231", 5), ("none", 4)]:
-        tree = tree_for(name, n)
+        tree, g = tree_for(name, n), game(name, n)
         for node in tree.nodes():
             if not node.eligible or not node.children:
                 continue
@@ -188,24 +190,24 @@ def test_successors_match_definition(tree_for):
                         break
                 if longest == node.prefix and (other.eligible or not other.children):
                     want.add(q)
-            got = set(successors(name, n, node.prefix))
+            got = set(successors(g, node.prefix))
             assert got == want, (name, n, node.prefix)
 
 
 def test_successors_rejects_ineligible():
     with pytest.raises(InvalidInputError):
-        successors("321", 4, (2, 1))
+        successors(game("321", 4), (2, 1))
 
 
 def test_strike_mediant_over_successors(tree_for):
     # 231-avoiding: the strike tally of an eligible prefix is the mediant
     # of its successors' strike tallies: wins and totals both add up
     for n in range(2, 7):
-        tree = tree_for("231", n)
+        tree, g = tree_for("231", n), game("231", n)
         for node in tree.nodes():
             if not node.eligible or not node.children:
                 continue
-            parts = [tree.node(q).strike for q in successors("231", n, node.prefix)]
+            parts = [tree.node(q).strike for q in successors(g, node.prefix)]
             mediant = Tally(sum(t.wins for t in parts), sum(t.total for t in parts))
             assert mediant == node.strike, (n, node.prefix)
 
@@ -242,7 +244,7 @@ def test_trigger_figure_231(tree_for):
 
 
 def test_completion():
-    full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], "none", 4)
+    full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], game("none", 4))
     added = full.members - {(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)}
     assert added == {
         (4, 1, 2, 3),
@@ -253,18 +255,18 @@ def test_completion():
         (4, 3, 2, 1),
     }
     with pytest.raises(NotFoundError):
-        completion([(9, 1, 2)], "none", 4)  # wrong rank, not a node
+        completion([(9, 1, 2)], game("none", 4))  # wrong rank, not a node
     with pytest.raises(InvalidInputError):
-        completion([(1, 2), (1, 2, 3, 4)], "none", 4)  # nested pair
+        completion([(1, 2), (1, 2, 3, 4)], game("none", 4))  # nested pair
     # the sweep holds the null prefix's state, but it is no strike point
     with pytest.raises(NotFoundError, match=r"^prefix \(\) is not a node of the rank-4 tree "
                                             "for class 231$"):
-        completion([()], "231", 4)
+        completion([()], game("231", 4))
 
 
 def test_evaluate_strike(tree_for):
     tree = tree_for("none", 4)
-    full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], "none", 4)
+    full = completion([(1, 2), (2, 1, 3), (3, 1, 2, 4), (3, 2, 1, 4)], game("none", 4))
     assert strike_value(full.members, "none", 4) == Tally(11, 24)
     # all leaves: win exactly when the best candidate is interviewed last
     leaves = [node.prefix for node in tree.nodes() if not node.children]
@@ -281,7 +283,7 @@ def test_random_completions_partition(tree_for):
         tree = tree_for(name, n)
         for _ in range(20):
             base = oracles.random_eligible_antichain(tree, rng)
-            full = completion(base, name, n).members
+            full = completion(base, game(name, n)).members
             value = strike_value(full, name, n)
             assert value.total == tree.total
             # the members' subtrees cover every order exactly once

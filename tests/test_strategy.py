@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import beststop.optimizer
 import beststop.strategy
 import oracles
 from beststop import (
@@ -24,6 +25,7 @@ from beststop import (
     continuation_triangle,
     enumerate_class,
     exact_success,
+    game,
     optimal_boundary,
     optimal_strike_set,
     optimal_trigger_set,
@@ -112,7 +114,7 @@ def sweep_strategies(cls, n, tree):
     out.append(parse_strategy("trigger:{null}", cls, n))
     out.append(Strategy(kind="trigger", members=frozenset({(1,), (1, 2)}), rank=n))
     base = oracles.random_eligible_antichain(tree, SplitMix64(n))
-    out.append(Strategy(kind="strike", members=completion(base, cls, n).members, rank=n))
+    out.append(Strategy(kind="strike", members=completion(base, game(cls, n)).members, rank=n))
     if cls.name in ("321", "312"):
         for mode in ("strike", "trigger"):
             out.append(threshold_strategy(mode, cls, n))
@@ -126,24 +128,24 @@ def test_exact_success_matches_manual_loop():
         cls = PatternClass(name, forbidden)
         for n in range(1, top + 1):
             members = oracles.members(name, n)
-            tree = build(cls, n)
+            tree, g = build(cls, n), game(cls, n)
             for s in sweep_strategies(cls, n, tree):
                 want = sum(play(s, w).stopped_value_is_max for w in members)
-                got = exact_success(s, cls, n)
+                got = exact_success(s, g)
                 assert (got.wins, got.total) == (want, len(members)), (name, n, s.describe())
             if n > 1:
                 uncovered = Strategy(kind="strike", members=frozenset({(2, 1)}))
                 with pytest.raises(IncompleteStrategyError):
-                    exact_success(uncovered, cls, n)
+                    exact_success(uncovered, g)
     # a trigger set covering only one prefix scores that prefix's tally
     s = Strategy(kind="trigger", members=frozenset({(1, 2)}))
-    got = exact_success(s, "321", 4)
+    got = exact_success(s, game("321", 4))
     assert got.wins == oracles.trigger_tally((1, 2), oracles.members("321", 4))[0]
     shallow = optimal_boundary(continuation_triangle("strike", 6))
     for mode in ("strike", "trigger"):
         s = Strategy(kind="threshold", mode=mode, sigma=shallow, pattern_class=AV321)
         with pytest.raises(DepthError):
-            exact_success(s, "321", 7)
+            exact_success(s, game("321", 7))
 
 
 def test_simulate_matches_play_on_the_same_draws(monkeypatch):
@@ -154,12 +156,12 @@ def test_simulate_matches_play_on_the_same_draws(monkeypatch):
         top = {"none": 5, "mono": 4}.get(name, 6)
         cls = PatternClass(name, forbidden)
         for n in range(1, top + 1):
-            tree = build(cls, n)
+            tree, g = build(cls, n), game(cls, n)
             for seed, s in enumerate(sweep_strategies(cls, n, tree)):
                 rng = SplitMix64(seed)
-                want = sum(play(s, sample_uniform(cls, n, rng)).stopped_value_is_max
+                want = sum(play(s, sample_uniform(g, rng)).stopped_value_is_max
                            for _ in range(trials))
-                got = simulate(s, cls, n, trials=trials, seed=seed)
+                got = simulate(s, g, trials=trials, seed=seed)
                 assert got.wins == want, (name, n, s.describe())
     # an incomplete strike set is refused before any draw, at the leaf
     # exact_success names
@@ -170,14 +172,36 @@ def test_simulate_matches_play_on_the_same_draws(monkeypatch):
     uncovered = Strategy(kind="strike", members=frozenset({(2, 1)}))
     for name, leaf in (("321", "3412"), ("231", "1432"), ("none", "3421")):
         with pytest.raises(IncompleteStrategyError) as exact:
-            exact_success(uncovered, name, 4)
+            exact_success(uncovered, game(name, 4))
         with pytest.raises(IncompleteStrategyError) as sim:
-            simulate(uncovered, name, 4, trials=10)
+            simulate(uncovered, game(name, 4), trials=10)
         assert str(sim.value) == str(exact.value)
         assert f"never fired on {leaf};" in str(exact.value), name
     # the guard sees the walk: a complete set draws
     with pytest.raises(AssertionError, match="drew a path"):
-        simulate(Strategy(kind="strike", members=frozenset({(1,)})), "321", 4, trials=1)
+        simulate(Strategy(kind="strike", members=frozenset({(1,)})), game("321", 4), trials=1)
+
+
+def test_simulate_refuses_an_incomplete_set_from_its_table(monkeypatch):
+    # simulate finds an uncovered leaf in its walk table, and walks the
+    # first hits only to name it: with that walk refused, a complete strike
+    # set still simulates, and an incomplete one still raises before any
+    # word is drawn
+    uncovered = Strategy(kind="strike", members=frozenset({(2, 1)}))
+    complete = parse_strategy("strike:{1}", "231", 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked the first hits")
+
+    def no_draw(*args):
+        raise AssertionError("drew a path")
+
+    monkeypatch.setattr(beststop.optimizer.Game, "first_hits", refuse)
+    assert simulate(complete, game("231", 6), trials=1000, seed=9).wins == 306
+    monkeypatch.setattr(beststop.strategy, "walks", no_draw)
+    for name in ("321", "231", "none", "312"):
+        with pytest.raises(AssertionError, match="^walked the first hits$"):
+            simulate(uncovered, game(name, 5), trials=10)
 
 
 @pytest.mark.parametrize("forbidden", [((1, 2, 3), (2, 3, 1)), ((2, 1, 3), (3, 2, 1))])
@@ -188,10 +212,9 @@ def test_simulate_settles_single_member_states(forbidden):
     cls = PatternClass("two", forbidden)
     ended_on_settled = 0
     for n in range(4, 8):
-        tree = build(cls, n)
+        tree, g = build(cls, n), game(cls, n)
         for seed, s in enumerate(sweep_strategies(cls, n, tree)):
-            table, final = beststop.strategy._draw_table(
-                s, beststop.strategy._walkable(cls, n).moves, n)
+            table, final = beststop.strategy._draw_table(s, g)
             settled = {i for i, (total, _, _, kids) in enumerate(table) if total == 1}
             assert settled and all(len(table[i][3]) == 1 for i in settled)
             # walks against the word-by-word walk, trial by trial, which
@@ -200,7 +223,7 @@ def test_simulate_settles_single_member_states(forbidden):
             for end in walks(table, seed, 40):
                 assert end == oracles.walk_by_words(oracle, table, 0)
                 ended_on_settled += end in settled and final[end]
-                assert final[end] == play(s, sample_uniform(cls, n, rng)).stopped_value_is_max
+                assert final[end] == play(s, sample_uniform(g, rng)).stopped_value_is_max
                 assert oracle.state == rng.state
     assert ended_on_settled
 
@@ -210,7 +233,7 @@ def test_simulate_matches_play_at_rank_8(name):
     # the same differential for every CLI class at rank 8, with trigger sets
     # that hold null, deep prefixes and no null added to every kind
     cls, n, trials = CLASSES[name], 8, 100
-    tree = build(cls, n)
+    tree, g = build(cls, n), game(cls, n)
     base = oracles.random_eligible_antichain(tree, SplitMix64(99))
     strategies = sweep_strategies(cls, n, tree) + [
         Strategy(kind="trigger", members=frozenset(base), rank=n),
@@ -220,10 +243,10 @@ def test_simulate_matches_play_at_rank_8(name):
     assert {s.kind for s in strategies} >= {"strike", "trigger", "positional"}
     for seed in (3, 4):
         rng = SplitMix64(seed)
-        orders = [sample_uniform(cls, n, rng) for _ in range(trials)]
+        orders = [sample_uniform(g, rng) for _ in range(trials)]
         for s in strategies:
             want = sum(play(s, w).stopped_value_is_max for w in orders)
-            got = simulate(s, cls, n, trials=trials, seed=seed)
+            got = simulate(s, g, trials=trials, seed=seed)
             assert got.wins == want, (name, seed, s.describe())
 
 
@@ -240,8 +263,9 @@ def test_threshold_matches_optimum_321(mode):
     # the paper's main theorem: the threshold rule is optimal
     optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
     for n in range(2, 12):
-        got = exact_success(threshold_strategy(mode, "321", n), "321", n)
-        assert cmp_as_rational(got, optimize(AV321, n).value) == 0, (mode, n)
+        g = game(AV321, n)
+        got = exact_success(threshold_strategy(mode, "321", n), g)
+        assert cmp_as_rational(got, optimize(g).value) == 0, (mode, n)
         if n == 10:
             assert (got.wins, got.total) == (8833, 16796)
 
@@ -272,8 +296,9 @@ def test_threshold_transports_to_312(mode):
             assert beststop.strategy._fires(s, n, k, labels[p], eligible, None) == want, (n, p)
     optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
     for n in range(2, 12):
-        got = exact_success(threshold_strategy(mode, "312", n), "312", n)
-        assert cmp_as_rational(got, optimize(AV312, n).value) == 0, (mode, n)
+        g = game(AV312, n)
+        got = exact_success(threshold_strategy(mode, "312", n), g)
+        assert cmp_as_rational(got, optimize(g).value) == 0, (mode, n)
         if n == 10:
             assert (got.wins, got.total) == (8833, 16796)
 
@@ -289,7 +314,7 @@ def test_direct_statistic_eventually_suboptimal():
         direct = oracles.threshold_wins(orders, "strike", sigma, oracles.value_saturated_count)
         moved = oracles.threshold_wins(orders, "strike", sigma,
                                        lambda p: oracles.value_saturated_count(transport[p]))
-        got = exact_success(threshold_strategy("strike", "312", n), "312", n)
+        got = exact_success(threshold_strategy("strike", "312", n), game("312", n))
         assert (got.wins, got.total) == (moved, len(orders)), n
         if n < 7:
             assert direct == moved, n
@@ -315,16 +340,16 @@ def test_rank_mismatch():
     with pytest.raises(InvalidInputError):
         play(s, (2, 1, 3))
     with pytest.raises(InvalidInputError):
-        exact_success(s, "231", 5)
+        exact_success(s, game("231", 5))
     with pytest.raises(InvalidInputError):
         play(s, ())
     # a threshold scored on another class than its own
     for own, other in (("321", "312"), ("312", "321")):
         s = threshold_strategy("strike", own, 7)
         with pytest.raises(InvalidInputError, match=f"built for class {own}, not class {other}"):
-            exact_success(s, other, 7)
+            exact_success(s, game(other, 7))
         with pytest.raises(InvalidInputError, match=f"built for class {own}, not class {other}"):
-            simulate(s, other, 7, trials=10)
+            simulate(s, game(other, 7), trials=10)
 
 
 def test_threshold_depth_errors():
@@ -347,7 +372,8 @@ def test_threshold_table_as_deep_as_the_rank(mode):
     assert deep.sigma.depth == 60
     for pi in enumerate_class(pattern_class("321"), 5):
         assert play(exact, pi) == play(deep, pi), pi
-    assert exact_success(exact, "321", 5) == exact_success(deep, "321", 5)
+    g = game("321", 5)
+    assert exact_success(exact, g) == exact_success(deep, g)
     trace = play(threshold_strategy(mode, "321", 60), tuple(range(1, 61)))
     assert trace.decisions[0].action == "pass"
 
@@ -419,26 +445,28 @@ def test_parse_strategy_errors():
 
 
 def test_sample_uniform_support_and_spread():
-    rng = SplitMix64(7)
+    rng, g = SplitMix64(7), game("321", 5)
     members = set(oracles.members("321", 5))
     counts: dict[tuple, int] = {}
     for _ in range(4200):
-        w = sample_uniform("321", 5, rng)
+        w = sample_uniform(g, rng)
         assert w in members
         counts[w] = counts.get(w, 0) + 1
     assert set(counts) == members  # every member drawn
     assert all(55 <= c <= 160 for c in counts.values())
     # the stream of draws is part of the seeded contract
     rng = SplitMix64(7)
-    draws = [sample_uniform("321", 6, rng) for _ in range(5)]
+    g = game("321", 6)
+    draws = [sample_uniform(g, rng) for _ in range(5)]
     assert draws == [(3, 4, 1, 6, 2, 5), (1, 3, 5, 6, 2, 4), (3, 6, 1, 2, 4, 5),
                      (1, 4, 2, 6, 3, 5), (1, 6, 2, 3, 4, 5)]
 
 
 def test_simulate_deterministic():
     s = Strategy(kind="positional", position=0)
-    a = simulate(s, "231", 8, trials=2000, seed=42)
-    b = simulate(s, "231", 8, trials=2000, seed=42)
+    g = game("231", 8)
+    a = simulate(s, g, trials=2000, seed=42)
+    b = simulate(s, g, trials=2000, seed=42)
     assert (a.wins, a.trials, a.seed) == (b.wins, b.trials, b.seed)
     assert a.estimate == Fraction(a.wins, a.trials)
     assert a.std_error == pytest.approx(
@@ -447,13 +475,17 @@ def test_simulate_deterministic():
     exact = Fraction(catalan(7), catalan(8))
     assert abs(a.estimate - exact) < 4 * max(a.std_error, 1e-9)
     with pytest.raises(InvalidInputError):
-        simulate(s, "231", 8, trials=0)
+        simulate(s, g, trials=0)
     # seeded runs reproduce these win counts exactly
     assert a.wins == 570
     runs = [
         (threshold_strategy("strike", "321", 7), "321", 7, 3000, 5, 1595),
         (threshold_strategy("trigger", "312", 7), "312", 7, 3000, 6, 1612),
         (parse_strategy("strike:{1}", "231", 6), "231", 6, 1000, 9, 306),
+        # simulate --class none --n 8 --strategy 'strike:{12}': the set
+        # completed to every order it does not cover
+        (Strategy(kind="strike", members=completion({(1, 2)}, game("none", 8)).members, rank=8),
+         "none", 8, 1000, 3, 180),
         # at the benchmark's rank
         (threshold_strategy("strike", "321", 10), "321", 10, 2000, 1, 1082),
         (threshold_strategy("trigger", "312", 10), "312", 10, 2000, 2, 1035),
@@ -465,7 +497,7 @@ def test_simulate_deterministic():
         (threshold_strategy("strike", "321", 10), "321", 10, 70000, 2**64 - 1, 36693),
     ]
     for s, cls, n, trials, seed, wins in runs:
-        assert simulate(s, cls, n, trials=trials, seed=seed).wins == wins, (cls, seed)
+        assert simulate(s, game(cls, n), trials=trials, seed=seed).wins == wins, (cls, seed)
 
 
 def test_describe_orders_null_first():

@@ -27,11 +27,12 @@ two mode views read one mode's best below in value, strike_set and
 per_node_values, and hold the game, which holds no view.  The optimal set
 is listed on its first read, by walking the moves down from the root (the
 null prefix for trigger), so a value alone costs only the sweep; the moves
-are built once per game, on their first read.  Strike-set completion,
-strategy scoring, sampling, successors, simulate's walk table and
-prefixtree.build read the same moves, most through first_hits, from the
-null prefix, the root or any prefix p (state finds p's (k, label)), under
-the tree's caps.
+are built once per game, on their first read.  The strategy walk table
+that scores and simulates a strategy, sampling and prefixtree.build read
+the same moves directly.  The optimal set's listing, strike-set
+completion, successors and the naming of a strike set's first uncovered
+leaf read them through first_hits, from the null prefix, the root or any
+prefix p (state finds p's (k, label)), under the tree's caps.
 """
 from __future__ import annotations
 
@@ -125,19 +126,19 @@ class Game:
         raise NotFoundError(f"prefix {p!r} is not a node of the rank-{self.rank} "
                             f"tree for class {self.pattern_class.name}")
 
-    def first_hits(self, hit: Callable[[Perm | None, int, int, bool], bool], carry: bool = True,
-                   start: Perm = ()) -> Iterator[tuple[Perm | None, int, int, bool, bool]]:
+    def first_hits(self, hit: Callable[[Perm, int, int, bool], bool],
+                   start: Perm = ()) -> Iterator[tuple[Perm, int, int, bool, bool]]:
         """(p, k, label, eligible, hit there) of the first prefix on each path
         at or below start, a node (see state) that defaults to the null
         prefix, where hit(p, k, label, eligible) holds, or of the path's
-        leaf: depth-first with children in ascending value.  p is None
-        unless carry.  Refused past the tree's member cap."""
+        leaf: depth-first with children in ascending value.  Refused past
+        the tree's member cap."""
         n, total = self.rank, self.states[0][0][0]
         if total > DEFAULT_TREE_CAP:
             raise LimitError(f"class {self.pattern_class.name} has {total} members "
                              f"at rank {n}, over the cap {DEFAULT_TREE_CAP}")
         k, label = self.state(start)
-        stack = [(start if carry else None, k, label, is_eligible(start), self.moves[k][label])]
+        stack = [(start, k, label, is_eligible(start), self.moves[k][label])]
         while stack:
             p, k, label, eligible, node = stack.pop()
             if hit(p, k, label, eligible):
@@ -145,8 +146,7 @@ class Game:
             elif k == n:
                 yield p, k, label, eligible, False
             else:
-                stack.extend([(None if p is None else tuple([v + (v >= c) for v in p]) + (c,),
-                               k + 1, sub, eligible, kids)
+                stack.extend([(tuple([v + (v >= c) for v in p]) + (c,), k + 1, sub, eligible, kids)
                               for c, sub, _, kids, eligible in reversed(node)])
 
 

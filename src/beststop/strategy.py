@@ -14,20 +14,20 @@ at a time, and decides when to stop.  Four kinds are supported:
 Strategies never look ahead: one rule decides, from the prefix seen so far,
 whether a strategy acts there (strike kinds accept, the others arm).  play
 applies it prefix by prefix to one order.  exact_success and simulate read
-a game, optimizer.game's sweep of the label DAG, with no tree: the one sums
-the win counts where the strategy first acts, found by the game's walk over
-prefixes (from the root for strike kinds).  The other compiles the game's
-moves into a walk table once (_draw_table), a node per state and how far
-the strategy has got, so each trial is one uniform root-to-leaf path drawn
-through the table by rng.walks, and its win is read off the node where the
-path ends.  The paths read one SplitMix64 stream that rng.words makes a
-block of words at a time, each word the one next64 would return, so a seed
-draws the same paths as one next64 call a word would.  A trial wins when
-the strategy accepts the path's last eligible prefix: a strike kind at an
-eligible acting prefix with no eligible prefix after it, a kind that arms
-when exactly one eligible prefix follows the arming one.  sample_uniform
-draws its orders through rng.below, one call a prefix, and is the oracle
-simulate is checked against.
+one compiled form of a strategy on a game (optimizer.game's sweep of the
+label DAG, with no tree): the walk table _draw_table builds from the game's
+moves, a node per state and how far the strategy has got, with the winning
+completions below each node summed by one backward pass.  exact_success
+reads the root's wins.  simulate draws each trial as one uniform
+root-to-leaf path through the table by rng.walks and reads its win off the
+node where the path ends.  The paths read one SplitMix64 stream that
+rng.words makes a block of words at a time, each word the one next64 would
+return, so a seed draws the same paths as one next64 call a word would.  A
+trial wins when the strategy accepts the path's last eligible prefix: a
+strike kind at an eligible acting prefix with no eligible prefix after it,
+a kind that arms when exactly one eligible prefix follows the arming one.
+sample_uniform draws its orders through rng.below, one call a prefix, and
+is the oracle simulate is checked against.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ from .permutations import (
     prefix_flattening,
     validate_permutation,
 )
-from .rng import SplitMix64, WalkNode, walk_node, walks
+from .rng import SplitMix64, walk_node, walks
 from .tallies import Tally
 
 KINDS = ("strike", "trigger", "positional", "threshold")
@@ -242,30 +242,19 @@ def _cached_boundary(mode: str, depth: int) -> ThresholdTable:
 
 
 def exact_success(s: Strategy, g: Game) -> Tally:
-    """Exact success tally over every order in the game g: the strike wins
-    (trigger wins, for kinds that arm) of every prefix where the strategy
-    first acts, read off the game's states.  A strike set raises
-    IncompleteStrategyError at its first uncovered leaf.
+    """Exact success tally over every order in the game g: the winning
+    completions of the walk table's root (see _draw_table), out of the
+    game's members.  A strike set raises IncompleteStrategyError at its
+    first uncovered leaf.
 
     >>> from beststop import game
     >>> print(exact_success(threshold_strategy("strike", "321", 5), game("321", 5)))
     23/42
     """
-    n, states = g.rank, g.states
-    _check_rank(s, g.pattern_class, n)
-    _check_caps(g.pattern_class, n)
-    hits = g.first_hits(lambda p, k, label, eligible: _fires(s, n, k, label, eligible, p),
-                        carry=s.members is not None, start=(1,) if s.strikes else ())
-    wins = 0
-    for p, k, label, eligible, fired in hits:
-        if fired:
-            _, z0, z1, _, _ = states[k][label]
-            wins += (z0 if eligible else 0) if s.strikes else z1
-        elif s.kind == "strike":
-            raise IncompleteStrategyError(
-                f"strike set never fired on {perm_to_str(p)}; the set does not cover it"
-            )
-    return Tally(wins, states[0][0][0])
+    _check_rank(s, g.pattern_class, g.rank)
+    _check_caps(g.pattern_class, g.rank)
+    _, wins = _draw_table(s, g)
+    return Tally(wins[0], g.states[0][0][0])
 
 
 def sample_uniform(g: Game, rng: SplitMix64) -> Perm:
@@ -288,65 +277,67 @@ def sample_uniform(g: Game, rng: SplitMix64) -> Perm:
                 break
 
 
-def _draw_table(s: Strategy, g: Game) -> tuple[list[WalkNode], list[bool]]:
-    """simulate's walk table (see rng.walk_node) over the game's moves (see
-    Game.moves), whose node 0 is the root, and the win of each node that
-    ends a walk.
+def _draw_table(s: Strategy, g: Game) -> tuple[list[tuple[list[int], list[int]]], list[int]]:
+    """The strategy compiled on the game's moves (see Game.moves): a walk
+    table whose node 0 is the root and whose node i is (weights, kids), each
+    child's member total and the node it moves to, and wins, where wins[i]
+    counts the winning completions below node i.
 
     A node is a state (k, label) and seen: once the strategy acts, the count
     of eligible prefixes from the acting one on (after it, for kinds that
     arm), 2 standing for 2 or more; a strike at an ineligible prefix has
-    lost, so it starts at 2.  A trial wins when seen ends at 1.  A set acts
-    on the prefix, so until it acts its nodes also carry the prefix while a
-    member lies strictly below it: at most the members' size times n nodes
-    more.  A node with one member draws nothing (below(1) takes no word),
-    so its win is settled here.  A leaf a strike set leaves uncovered is a
-    leaf node whose seen is still None: the set is refused there."""
-    n, moves, members = g.rank, g.moves, s.members
-    above: set[Perm] = set()  # the prefixes with a member strictly below
-    for m in members or ():
-        # step up from m, dropping its last entry, until a known prefix
-        while m and (m := tuple([v - (v > m[-1]) for v in m[:-1]])) not in above:
-            above.add(m)
+    lost, so it starts at 2.  A leaf wins when seen ends at 1, and a node's
+    wins are the sum of its kids', so one pass from the deepest node up to
+    the root fills wins.  A set acts on the prefix, so until it acts its
+    nodes also carry the prefix while it is shorter than the deepest
+    member.  A leaf a strike set leaves uncovered is a leaf node whose seen
+    is still None: the set is refused at the first such leaf in depth-first
+    order, which Game.first_hits names.  The weights are raw member totals:
+    simulate alone turns them into rng.walk_node fields, so scoring meets no
+    word limit."""
+    n, moves, members, strikes = g.rank, g.moves, s.members, s.strikes
+    deepest = max(map(len, members or ()), default=0)
 
-    def enter(k: int, seen: int | None, p: Perm | None, c: int, sub: int) -> tuple:
+    def enter(k: int, seen: int | None, p: Perm | None, c: int, sub: int, eligible: bool) -> tuple:
         """The node of extend(p, c), whose label is sub, from a size-k node."""
         q = None if p is None else tuple([v + (v >= c) for v in p]) + (c,)
         if seen is not None:
-            seen = min(seen + (c > k), 2)
-        elif _fires(s, n, k + 1, sub, c > k, q):
-            seen = (1 if c > k else 2) if s.strikes else 0
-        return sub, seen, q if seen is None and q in above else None
+            seen = min(seen + eligible, 2)
+        elif _fires(s, n, k + 1, sub, eligible, q):
+            seen = (1 if eligible else 2) if strikes else 0
+        return sub, seen, q if seen is None and k + 1 < deepest else None
 
     # nodes are numbered as they are found, depth by depth down from the
     # root; ids[k] maps a size-k node's (label, seen, prefix) to its number
-    armed = None if s.strikes or not _fires(s, n, 0, 0, False, ()) else 0
-    (c, sub, _, _, _), = moves[0][0]
-    root = enter(0, armed, () if () in above else None, c, sub)
+    armed = None if strikes or not _fires(s, n, 0, 0, False, ()) else 0
+    (c, sub, _, _, eligible), = moves[0][0]
+    root = enter(0, armed, () if deepest else None, c, sub, eligible)
     nodes = [(1, *root)]
     ids: list[dict[tuple, int]] = [{} for _ in range(n + 2)]
     ids[1][root] = 0
-    table: list[WalkNode] = []
+    table = []
     for k, label, seen, p in nodes:  # nodes grows as the loop finds them
         weights, kids, found = [], [], ids[k + 1]
-        for c, sub, total, _, _ in moves[k][label]:
-            node = enter(k, seen, p, c, sub)
+        for c, sub, total, _, eligible in moves[k][label]:
+            node = enter(k, seen, p, c, sub, eligible)
             if (i := found.get(node)) is None:
                 i = found[node] = len(nodes)
                 nodes.append((k + 1, *node))
             weights.append(total)
             kids.append(i)
-        # one word covers every total: the tree's caps keep it at most
-        # 1,000,000 for a class of known size and 12! < 2**64 for any class
-        table.append(walk_node(weights, kids))
+        table.append((weights, kids))
     if s.kind == "strike" and any(k == n and seen is None for k, _, seen, _ in nodes):
-        exact_success(s, g)  # raises, naming the first uncovered leaf in depth-first order
-    # a leaf wins when seen ends at 1, a settled node as its one path does
-    final = [False] * len(table)
+        leaf = next(p for p, _, _, _, fired in g.first_hits(lambda p, *_: p in members,
+                                                             start=(1,)) if not fired)
+        raise IncompleteStrategyError(
+            f"strike set never fired on {perm_to_str(leaf)}; the set does not cover it"
+        )
+    # nodes are numbered depth by depth, so each node's kids come after it
+    wins = [0] * len(table)
     for i in range(len(table) - 1, -1, -1):
-        total, _, _, kids = table[i]
-        final[i] = final[kids[0]] if total == 1 else not kids and nodes[i][2] == 1
-    return table, final
+        kids = table[i][1]
+        wins[i] = sum(map(wins.__getitem__, kids)) if kids else int(nodes[i][2] == 1)
+    return table, wins
 
 
 @dataclass(frozen=True)
@@ -363,20 +354,26 @@ def simulate(s: Strategy, g: Game, trials: int, seed: int = 0) -> SimReport:
     uniformly random orders from the game g.
 
     Each trial draws the order sample_uniform would draw from the same
-    generator, by the same words, but through a walk table built once per
-    call (see _draw_table): a node per state (k, label) and the strategy's
-    count seen, at most 4 per state (85 nodes for the 321 threshold at rank
-    10, 1,340 for the 312 one), and for a set one more per prefix with a
-    member strictly below it.  The trials read one rng.words(seed) stream
-    in turn, made a block of words at a time: SplitMix64's word i is a
-    function of seed + i*gamma alone, so the block holds exactly the words
-    SplitMix64(seed).next64() would return, in order."""
+    generator, by the same words, but as one path through the walk table
+    built once per call (see _draw_table), and wins as the path's end node
+    does: a node per state (k, label) and the strategy's count seen, at
+    most 4 per state (85 nodes for the 321 threshold at rank 10, 1,340 for
+    the 312 one), and for a set one more per prefix shorter than its
+    deepest member on which it has not yet acted.  The trials read one
+    rng.words(seed) stream in turn, made a block of words at a time:
+    SplitMix64's word i is a function of seed + i*gamma alone, so the block
+    holds exactly the words SplitMix64(seed).next64() would return, in
+    order."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     _check_rank(s, g.pattern_class, g.rank)
     _check_caps(g.pattern_class, g.rank)
-    table, final = _draw_table(s, g)
-    wins = sum(map(final.__getitem__, walks(table, seed, trials)))
+    table, won = _draw_table(s, g)
+    # a walk ends at a leaf or where one member is left: its wins are 0 or 1;
+    # one word covers every total, since the tree's caps keep it at most
+    # 1,000,000 for a class of known size and 12! < 2**64 for any class
+    ends = walks([walk_node(*node) for node in table], seed, trials)
+    wins = sum(map(won.__getitem__, ends))
     est = Fraction(wins, trials)
     p = wins / trials
     return SimReport(

@@ -7,7 +7,9 @@ package's trees: build_by_scan, which mirrors prefixtree.build's node order
 and refusals to check the labelled build node by node, rescanning every
 prefix for its children with this module's own interval scan (spans,
 children_by_scan); and optimize_tree, the backward induction on every node
-of a built tree that the label-DAG optimizer is checked against.
+of a built tree that the label-DAG optimizer is checked against.  A third
+reads a game: score_by_first_hits, the prefix walk that the walk table's
+backward pass in strategy.exact_success is checked against.
 """
 from __future__ import annotations
 
@@ -15,10 +17,11 @@ from bisect import bisect_left, bisect_right, insort
 from itertools import combinations, permutations, product
 from math import comb
 
-from beststop.errors import InvalidInputError, LimitError
+from beststop.errors import IncompleteStrategyError, InvalidInputError, LimitError
 from beststop.optimizer import DEFAULT_MAX_RANK, DEFAULT_TREE_CAP
-from beststop.permutations import PatternClass, extend
+from beststop.permutations import PatternClass, extend, perm_to_str
 from beststop.prefixtree import PrefixTree, TreeNode
+from beststop.strategy import _fires
 
 # name -> forbidden patterns, spelled out rather than imported
 FORBIDDEN = {
@@ -157,6 +160,28 @@ def reachable_win_sums(tree, eligible_only=False):
         return out
 
     return sums(tree.root)
+
+
+def score_by_first_hits(s, g):
+    """(wins, total) of the strategy s over every order in the game g: the
+    strike wins (trigger wins, for kinds that arm) of the first prefix on
+    each path where s acts, read off the game's states, found by the game's
+    walk over prefixes from the root for strike kinds and from the null
+    prefix for the others.  A strike set raises IncompleteStrategyError at
+    the first leaf it leaves uncovered, in depth-first order."""
+    n, states = g.rank, g.states
+    hits = g.first_hits(lambda p, k, label, eligible: _fires(s, n, k, label, eligible, p),
+                        start=(1,) if s.strikes else ())
+    wins = 0
+    for p, k, label, eligible, fired in hits:
+        if fired:
+            _, z0, z1, _, _ = states[k][label]
+            wins += (z0 if eligible else 0) if s.strikes else z1
+        elif s.kind == "strike":
+            raise IncompleteStrategyError(
+                f"strike set never fired on {perm_to_str(p)}; the set does not cover it"
+            )
+    return wins, states[0][0][0]
 
 
 def random_eligible_antichain(tree, rng):

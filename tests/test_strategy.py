@@ -37,7 +37,8 @@ from beststop import (
     threshold_strategy,
 )
 from beststop.permutations import _label, is_eligible
-from beststop.rng import walks
+from beststop.rng import walk_node, walks
+from beststop.strategy import member_names, members_str
 
 
 def test_play_strike_trace():
@@ -207,14 +208,15 @@ def test_simulate_refuses_an_incomplete_set_from_its_table(monkeypatch):
 @pytest.mark.parametrize("forbidden", [((1, 2, 3), (2, 3, 1)), ((2, 1, 3), (3, 2, 1))])
 def test_simulate_settles_single_member_states(forbidden):
     # in these classes some prefixes short of rank n have one completion:
-    # a walk ends there with no word drawn, and the node's win is settled
-    # along its one path when the table is built
+    # a walk ends there with no word drawn, and the node's wins, summed
+    # along its one path, are 0 or 1
     cls = PatternClass("two", forbidden)
     ended_on_settled = 0
     for n in range(4, 8):
         tree, g = build(cls, n), game(cls, n)
         for seed, s in enumerate(sweep_strategies(cls, n, tree)):
-            table, final = beststop.strategy._draw_table(s, g)
+            raw, wins = beststop.strategy._draw_table(s, g)
+            table = [walk_node(*node) for node in raw]
             settled = {i for i, (total, _, _, kids) in enumerate(table) if total == 1}
             assert settled and all(len(table[i][3]) == 1 for i in settled)
             # walks against the word-by-word walk, trial by trial, which
@@ -222,8 +224,8 @@ def test_simulate_settles_single_member_states(forbidden):
             rng, oracle = SplitMix64(seed), SplitMix64(seed)
             for end in walks(table, seed, 40):
                 assert end == oracles.walk_by_words(oracle, table, 0)
-                ended_on_settled += end in settled and final[end]
-                assert final[end] == play(s, sample_uniform(g, rng)).stopped_value_is_max
+                ended_on_settled += end in settled and wins[end]
+                assert wins[end] == play(s, sample_uniform(g, rng)).stopped_value_is_max
                 assert oracle.state == rng.state
     assert ended_on_settled
 
@@ -250,6 +252,87 @@ def test_simulate_matches_play_at_rank_8(name):
             assert got.wins == want, (name, seed, s.describe())
 
 
+def differential_strategies(cls, n, tree, g):
+    """sweep_strategies, and trigger sets drawn at random with and without
+    null, and the completions of strike:{1} and strike:{12}."""
+    base = frozenset(oracles.random_eligible_antichain(tree, SplitMix64(n + 50)))
+    out = sweep_strategies(cls, n, tree) + [
+        Strategy(kind="trigger", members=base, rank=n),
+        Strategy(kind="trigger", members=base | {()}, rank=n),
+        parse_strategy("trigger:{null,1,21}" if n > 1 else "trigger:{null,1}", cls, n),
+    ]
+    for bare in ([(1,)], [(1, 2)]):
+        if len(bare[0]) <= n and g.states[len(bare[0])].get(_label(bare[0], cls.forbidden)):
+            out.append(Strategy(kind="strike", members=completion(bare, g).members, rank=n))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_table_scorer_matches_the_prefix_walk_and_play(name):
+    # the walk table's backward pass against the prefix walk over first
+    # hits at ranks 1-8, and against play over every order (to rank 7 for
+    # the unrestricted class, whose 40,320 orders at rank 8 are slow to play)
+    cls = CLASSES[name]
+    for n in range(1, 9):
+        tree, g = build(cls, n), game(cls, n)
+        orders = list(enumerate_class(cls, n)) if name != "none" or n < 8 else None
+        strategies = differential_strategies(cls, n, tree, g)
+        kinds = {s.kind for s in strategies}
+        assert kinds >= {"strike", "trigger", "positional"} | (
+            {"threshold"} if name in ("321", "312") else set())
+        for s in strategies:
+            got = exact_success(s, g)
+            assert (got.wins, got.total) == oracles.score_by_first_hits(s, g), (name, n, s.describe())
+            if orders is not None:
+                want = sum(play(s, w).stopped_value_is_max for w in orders)
+                assert (got.wins, got.total) == (want, len(orders)), (name, n, s.describe())
+
+
+def test_incomplete_strike_sets_refused_at_the_first_uncovered_leaf(capsys):
+    # exact_success and simulate name the leaf the prefix walk names, in
+    # depth-first order; solve --strategy and simulate complete a bare set
+    # first, so they score the completion instead
+    from beststop.cli import main
+
+    named = set()
+    for name in sorted(CLASSES):
+        cls = CLASSES[name]
+        for n in range(2, 8):
+            tree, g = build(cls, n), game(cls, n)
+            rng = SplitMix64(n)
+            for members in ({(2, 1)}, {(1, 2)}, oracles.random_eligible_antichain(tree, rng)):
+                s = Strategy(kind="strike", members=frozenset(members), rank=n)
+                try:
+                    oracles.score_by_first_hits(s, g)
+                    continue
+                except IncompleteStrategyError as e:
+                    want = str(e)
+                with pytest.raises(IncompleteStrategyError) as exact:
+                    exact_success(s, g)
+                with pytest.raises(IncompleteStrategyError) as sim:
+                    simulate(s, g, trials=5)
+                assert str(exact.value) == str(sim.value) == want, (name, n)
+                named.add(want)
+                if not members:
+                    continue  # a descriptor names at least one member
+                full = Strategy(kind="strike", members=completion(members, g).members, rank=n)
+                wins, total = oracles.score_by_first_hits(full, g)
+                descr = "strike:" + members_str(member_names(members))
+                head = ["--class", name, "--n", str(n), "--strategy", descr]
+                assert main(["solve", *head]) == 0
+                assert f"value = {Tally(wins, total)} " in capsys.readouterr().out
+                assert main(["simulate", *head, "--trials", "20"]) == 0
+                assert capsys.readouterr().out.startswith(f"strategy {full.describe()} on ")
+    assert len(named) > 20
+    # leaves named before the table scorer, by the prefix walk
+    for name, n, leaf in (("321", 4, "3412"), ("231", 4, "1432"), ("none", 4, "3421"),
+                          ("312", 5, "45321"), ("123", 3, "231"), ("213", 6, "564321")):
+        s = Strategy(kind="strike", members=frozenset({(2, 1)}), rank=n)
+        with pytest.raises(IncompleteStrategyError,
+                           match=f"^strike set never fired on {leaf}; the set does not cover it$"):
+            exact_success(s, game(name, n))
+
+
 def test_trigger_accept_checked_before_arming():
     # once armed, later matches in the member set are irrelevant
     s = Strategy(kind="trigger", members=frozenset({(1,), (1, 2)}))
@@ -268,6 +351,17 @@ def test_threshold_matches_optimum_321(mode):
         assert cmp_as_rational(got, optimize(g).value) == 0, (mode, n)
         if n == 10:
             assert (got.wins, got.total) == (8833, 16796)
+
+
+@pytest.mark.parametrize("mode, wins", [("strike", 108613), ("trigger", 108610)])
+def test_threshold_scored_at_rank_12(mode, wins):
+    # the walk table holds a few nodes per state, so the rank-12 games of
+    # 321 and 312 (208,012 orders each) score in milliseconds
+    optimize = optimal_strike_set if mode == "strike" else optimal_trigger_set
+    for cls in (AV321, AV312):
+        g = game(cls, 12)
+        got, best = exact_success(threshold_strategy(mode, cls, 12), g), optimize(g).value
+        assert (got.wins, got.total) == (best.wins, best.total) == (wins, 208012), cls.name
 
 
 def test_saturated_count_is_free_sites_less_one_321():

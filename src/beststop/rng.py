@@ -23,7 +23,7 @@ from functools import cache
 from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, LimitError
 
 _SPAN = 1 << 64
 _MASK = _SPAN - 1
@@ -43,10 +43,10 @@ def walk_node(weights: Sequence[int], kids: Sequence[int]) -> WalkNode:
     """A node of a walk table that moves to kids[i] with probability
     weights[i] / total, as below(total) picks it; total is the sum of the
     weights.  A node whose total is at most 1 draws nothing and ends a walk.
-    Refused when total exceeds 2**64, which one word cannot cover."""
+    LimitError when total exceeds 2**64, which one word cannot cover."""
     *cums, total = accumulate(weights, initial=0)
     if total > _SPAN:
-        raise InvalidInputError(f"a walk node takes totals up to 2**64, got {total}")
+        raise LimitError(f"a walk node takes totals up to 2**64, got {total}")
     return total, _SPAN - _SPAN % total if total > 1 else 0, tuple(cums[1:]), tuple(kids)
 
 

@@ -99,9 +99,8 @@ def commands() -> list[list[str]]:
                   ["triangle", "--rows", "30", "--emit", "row", "--n", "17", "--mode", mode],
                   ["triangle", "--rows", "30", "--max-diag", "4", "--mode", mode],
                   ["triangle", "--rows", "20", "--frozen", "1,-,3", "--mode", mode]]
-    argvs += [["simulate", "--class", "321", "--n", "9", "--strategy", "threshold:strike",
-               "--json", "--seed", "4", "--trials", "500"],
-              ["solve", "--class", "312", "--n", "12", "--strategy", "threshold:strike"]]
+    argvs.append(["simulate", "--class", "321", "--n", "9", "--strategy", "threshold:strike",
+                  "--json", "--seed", "4", "--trials", "500"])
     return argvs + workflow_commands()
 
 

@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 
 import oracles
-from beststop import InvalidInputError, SplitMix64
+from beststop import InvalidInputError, LimitError, SplitMix64
 from beststop.rng import _BLOCK, _GAMMA, walk_node, walks, words
 
 # published splitmix64 outputs for seed 0
@@ -146,5 +146,5 @@ def test_walk_node_fields_and_refusal():
     assert walk_node([2**63 + 1], [0])[1] == 2**64 - (2**64 % (2**63 + 1))
     assert walk_node([], [])[0] == 0
     assert walk_node([2**64], [0])[0] == 2**64
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(LimitError):
         walk_node([2**64, 1], [0, 1])

@@ -14,6 +14,7 @@ from beststop import (
     DepthError,
     IncompleteStrategyError,
     InvalidInputError,
+    LimitError,
     PatternClass,
     SplitMix64,
     Strategy,
@@ -362,6 +363,18 @@ def test_threshold_scored_at_rank_12(mode, wins):
         g = game(cls, 12)
         got, best = exact_success(threshold_strategy(mode, cls, 12), g), optimize(g).value
         assert (got.wins, got.total) == (best.wins, best.total) == (wins, 208012), cls.name
+
+
+def test_table_counts_past_the_word_limit():
+    # the table keeps raw member totals, so its backward pass counts past
+    # 2**64 (catalan(40) > 2**64); only turning a node into walk_node
+    # fields, as simulate does, meets the limit
+    s, g = threshold_strategy("strike", "321", 40), game("321", 40)
+    table, wins = beststop.strategy._draw_table(s, g)
+    assert g.states[0][0][0] == catalan(40) > 2**64
+    assert Tally(wins[0], catalan(40)) == continuation_triangle("strike", 40).value(40, 1)
+    with pytest.raises(LimitError):
+        walk_node(*table[0])
 
 
 def test_saturated_count_is_free_sites_less_one_321():

@@ -282,11 +282,11 @@ def test_table_scorer_matches_the_prefix_walk_and_play(name):
         assert kinds >= {"strike", "trigger", "positional"} | (
             {"threshold"} if name in ("321", "312") else set())
         for s in strategies:
-            got = exact_success(s, g)
-            assert (got.wins, got.total) == oracles.score_by_first_hits(s, g), (name, n, s.describe())
+            got, where = exact_success(s, g), (name, n, s.describe())
+            assert (got.wins, got.total) == oracles.score_by_first_hits(s, g), where
             if orders is not None:
                 want = sum(play(s, w).stopped_value_is_max for w in orders)
-                assert (got.wins, got.total) == (want, len(orders)), (name, n, s.describe())
+                assert (got.wins, got.total) == (want, len(orders)), where
 
 
 def test_incomplete_strike_sets_refused_at_the_first_uncovered_leaf(capsys):

@@ -185,10 +185,10 @@ def test_simulate_matches_play_on_the_same_draws(monkeypatch):
 
 
 def test_simulate_refuses_an_incomplete_set_from_its_table(monkeypatch):
-    # simulate finds an uncovered leaf in its walk table, and walks the
-    # first hits only to name it: with that walk refused, a complete strike
-    # set still simulates, and an incomplete one still raises before any
-    # word is drawn
+    # simulate and exact_success find an uncovered leaf in their walk
+    # table, and walk the first hits only to name it: with that walk
+    # refused, a complete strike set still scores and simulates, and an
+    # incomplete one still raises before any word is drawn
     uncovered = Strategy(kind="strike", members=frozenset({(2, 1)}))
     complete = parse_strategy("strike:{1}", "231", 6)
 
@@ -200,6 +200,7 @@ def test_simulate_refuses_an_incomplete_set_from_its_table(monkeypatch):
 
     monkeypatch.setattr(beststop.optimizer.Game, "first_hits", refuse)
     assert simulate(complete, game("231", 6), trials=1000, seed=9).wins == 306
+    assert exact_success(complete, game("231", 6)) == Tally(catalan(5), catalan(6))
     monkeypatch.setattr(beststop.strategy, "walks", no_draw)
     for name in ("321", "231", "none", "312"):
         with pytest.raises(AssertionError, match="^walked the first hits$"):

@@ -263,10 +263,8 @@ def differential_strategies(cls, n, tree, g):
         Strategy(kind="trigger", members=base | {()}, rank=n),
         parse_strategy("trigger:{null,1,21}" if n > 1 else "trigger:{null,1}", cls, n),
     ]
-    for bare in ([(1,)], [(1, 2)]):
-        if len(bare[0]) <= n and g.states[len(bare[0])].get(_label(bare[0], cls.forbidden)):
-            out.append(Strategy(kind="strike", members=completion(bare, g).members, rank=n))
-    return out
+    return out + [Strategy(kind="strike", members=completion(bare, g).members, rank=n)
+                  for bare in ([(1,)], [(1, 2)]) if len(bare[0]) <= n]
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))

@@ -62,6 +62,9 @@ REFUSALS = (
     "verify nosuch",
     "",
 )
+# the classes and ranks of perfbench's tree-solve workload
+TREE_SOLVE = (("231", 10), ("132", 9), ("123", 9), ("213", 9), ("321", 10), ("312", 10),
+              ("none", 8))
 
 
 def workflow_commands() -> list[list[str]]:
@@ -101,6 +104,15 @@ def commands() -> list[list[str]]:
                   ["triangle", "--rows", "20", "--frozen", "1,-,3", "--mode", mode]]
     argvs.append(["simulate", "--class", "321", "--n", "9", "--strategy", "threshold:strike",
                   "--json", "--seed", "4", "--trials", "500"])
+    # the optimal-set listings past rank 7: the benchmark's tree-solve
+    # listings (ranks 8-10, both modes), one rank-10 listing as JSON, and a
+    # rank-12 one whose names hold 10, 11 and 12 (the workflow adds a
+    # rank-11 one)
+    for cls, n in TREE_SOLVE:
+        argvs += [["solve", "--class", cls, "--n", str(n), "--mode", mode]
+                  for mode in ("strike", "trigger")]
+    argvs += [["solve", "--class", "321", "--n", "10", "--mode", "strike", "--json"],
+              ["solve", "--class", "123", "--n", "12", "--mode", "strike"]]
     return argvs + workflow_commands()
 
 

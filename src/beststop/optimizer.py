@@ -23,16 +23,21 @@ eligibility, so the best below is kept per state.  States with no members
 are dropped, as the tree prunes them.
 
 game(cls, n) is the sweep, a Game its caller keeps for every question; its
-two mode views read one mode's best below in value, strike_set and
+two mode views read one mode's best below in value, stops, strike_set and
 per_node_values, and hold the game, which holds no view.  The optimal set
-is listed on its first read, by walking the moves down from the root (the
-null prefix for trigger), so a value alone costs only the sweep; the moves
-are built once per game, on their first read.  The strategy walk table
-that scores and simulates a strategy, sampling and prefixtree.build read
-the same moves directly.  The optimal set's listing, strike-set
-completion, successors and the naming of a strike set's first uncovered
-leaf read them through first_hits, from the null prefix, the root or any
-prefix p (state finds p's (k, label)), under the tree's caps.
+is listed by walking the moves down from the root (the null prefix for
+trigger) only when stops or strike_set is read, so a value alone costs
+only the sweep; the moves are built once per game, on their first read.
+The strategy walk table that scores and simulates a strategy, sampling and
+prefixtree.build read the same moves directly.  The optimal set's listing,
+strike-set completion, successors and the naming of a strike set's first
+uncovered leaf read them through one first-hit walk, from the null prefix,
+the root or any prefix p (state finds p's (k, label)), under the tree's
+caps.  The walk carries each prefix as bytes, one byte an entry, so a
+child costs one translate and one append, and it refuses ranks past
+WALK_MAX_RANK.  stops hands those bytes on, which the command line sorts
+and names with no tuples made; first_hits and strike_set turn them into
+tuples.
 """
 from __future__ import annotations
 
@@ -62,6 +67,10 @@ DEFAULT_TREE_CAP = 1_000_000
 # both modes takes 2.4-3.5 s, peaking at 89 MiB in a fresh Python 3.11
 # process on a 2-vCPU Xeon; rank 20 is refused after 1.9-2.3 s.
 DAG_STATE_CAP = 1_000_000
+
+# The walks carry a prefix as bytes, one byte an entry, so they refuse a
+# game past this rank; the tree's caps stop every command far below it.
+WALK_MAX_RANK = 255
 
 # states[k][label] = (member total, z0, z1, strike best below, trigger best below)
 State = tuple[int, int, int, int, int]
@@ -131,14 +140,32 @@ class Game:
         """(p, k, label, eligible, hit there) of the first prefix on each path
         at or below start, a node (see state) that defaults to the null
         prefix, where hit(p, k, label, eligible) holds, or of the path's
-        leaf: depth-first with children in ascending value.  Refused past
-        the tree's member cap."""
+        leaf: depth-first with children in ascending value.  Each p is a
+        tuple, made from the walk's bytes (see _first_hits).  Refused past
+        the tree's member cap and past rank WALK_MAX_RANK."""
+        for p, k, label, eligible, stop in self._first_hits(
+                lambda p, k, label, eligible: hit(tuple(p), k, label, eligible), start):
+            yield tuple(p), k, label, eligible, stop
+
+    def _first_hits(self, hit: Callable[[bytes, int, int, bool], bool],
+                    start: Perm) -> Iterator[tuple[bytes, int, int, bool, bool]]:
+        """first_hits with each prefix carried, and handed to hit, as bytes,
+        one byte an entry: the child of p by value c is p with each entry
+        >= c raised by one, one translate by a table made per walk, then c."""
         n, total = self.rank, self.states[0][0][0]
         if total > DEFAULT_TREE_CAP:
             raise LimitError(f"class {self.pattern_class.name} has {total} members "
                              f"at rank {n}, over the cap {DEFAULT_TREE_CAP}")
+        if n > WALK_MAX_RANK:
+            raise LimitError(f"rank {n} is past {WALK_MAX_RANK}, the largest rank "
+                             "whose prefixes the walk holds as bytes")
         k, label = self.state(start)
-        stack = [(start, k, label, is_eligible(start), self.moves[k][label])]
+        # shift[c] raises each entry >= c by one; no entry reaches 255 before
+        # a child is made, so that byte maps to itself
+        shift = [b""] + [bytes(range(c)) + bytes(range(c + 1, 256)) + b"\xff"
+                         for c in range(1, n + 1)]
+        last = [bytes((c,)) for c in range(n + 1)]
+        stack = [(bytes(start), k, label, is_eligible(start), self.moves[k][label])]
         while stack:
             p, k, label, eligible, node = stack.pop()
             if hit(p, k, label, eligible):
@@ -146,7 +173,7 @@ class Game:
             elif k == n:
                 yield p, k, label, eligible, False
             else:
-                stack.extend([(tuple([v + (v >= c) for v in p]) + (c,), k + 1, sub, eligible, kids)
+                stack.extend([(p.translate(shift[c]) + last[c], k + 1, sub, eligible, kids)
                               for c, sub, _, kids, eligible in reversed(node)])
 
 
@@ -173,18 +200,24 @@ class OptimalResult:
                 for k, level in enumerate(self.game.states[first:], first)
                 for label, state in level.items()}
 
-    @cached_property
-    def strike_set(self) -> StrikeSet:
-        """The first stopping prefix or leaf on each path, listed on the
-        first read.  Refused past the tree's member cap."""
+    def stops(self) -> Iterator[bytes]:
+        """The first stopping prefix or leaf on each path, depth-first with
+        children in ascending value, each as bytes, one byte an entry,
+        walked afresh on each call (see Game._first_hits).  Refused past the
+        tree's member cap."""
         states, trigger = self.game.states, self.mode == "trigger"
 
-        def stops(p: Perm, k: int, label: int, eligible: bool) -> bool:
+        def stop(p: bytes, k: int, label: int, eligible: bool) -> bool:
             _, z0, z1, strike, below = states[k][label]
             return z1 > below if trigger else eligible and z0 > strike
 
-        hits = self.game.first_hits(stops, start=() if trigger else (1,))
-        return StrikeSet(members=frozenset(p for p, _, _, _, _ in hits))
+        hits = self.game._first_hits(stop, start=() if trigger else (1,))
+        return (p for p, _, _, _, _ in hits)
+
+    @cached_property
+    def strike_set(self) -> StrikeSet:
+        """The members of stops() as tuples, walked on the first read."""
+        return StrikeSet(members=frozenset(map(tuple, self.stops())))
 
 
 def game(cls: PatternClass | str, n: int) -> Game:

@@ -48,7 +48,6 @@ from .permutations import (
     PatternClass,
     Perm,
     _label,
-    _perm_str,
     extend,
     is_eligible,
     pattern_class,
@@ -111,12 +110,21 @@ class Strategy:
         return self.kind == "strike" or (self.kind == "threshold" and self.mode == "strike")
 
 
-def member_names(members: Iterable[Perm]) -> list[str]:
-    """A set's members as descriptors name them, shortest first, in order."""
-    # two stable sorts give the (size, prefix) order with no key tuples
+def member_names(members: Iterable[Perm] | Iterable[bytes]) -> list[str]:
+    """A set's members as descriptors name them, shortest first, in order.
+    The members are all tuples or all bytes, one byte an entry, as
+    OptimalResult.stops gives them."""
+    # within one length, bytes sort as their tuples do, and a stable sort
+    # by length follows
     ordered = sorted(members)
     ordered.sort(key=len)
-    return ["null" if p == () else _perm_str(p) for p in ordered]
+    if not ordered:
+        return []
+    digits = bytes.maketrans(bytes(range(10)), b"0123456789")
+    numerals = [str(v) for v in range(len(ordered[-1]) + 1)]
+    # a prefix of size k holds 1..k, so up to size 9 each entry is one digit
+    return ["null" if not p else bytes(p).translate(digits).decode() if len(p) <= 9
+            else ",".join([numerals[v] for v in p]) for p in ordered]
 
 
 def members_str(names: Sequence[str]) -> str:

@@ -583,3 +583,17 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "solve", "--n", "4")
     assert code == 1
+
+
+def test_parser_built_once_and_shared(capsys):
+    # every main call parses with one parser, which keeps no state between
+    # parses: help and usage errors print the same bytes each time
+    assert beststop.cli._build_parser() is beststop.cli._build_parser()
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        seen.append(capsys.readouterr().out)
+        seen.append(run(capsys, "solve", "--class", "999", "--n", "4"))
+    assert seen[:2] == seen[2:]
+    assert "--strategy" in seen[0] and seen[1][0] == 1 and "invalid choice" in seen[1][2]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -25,6 +26,7 @@ from beststop import (
     optimal_success_231,
     optimal_trigger_set,
 )
+from beststop.optimizer import WALK_MAX_RANK
 from beststop.permutations import _label
 
 # exhaustive antichain enumeration is exponential: the unrestricted tree
@@ -235,6 +237,23 @@ def test_first_hits_matches_definition():
                 assert list(strike.first_hits(hit)) == list(res.first_hits(hit, start=()))
             # one sweep holds the null prefix for both modes
             assert strike.state(()) == res.state(()) == (0, 0)
+
+
+
+def test_walks_hold_ranks_up_to_a_byte():
+    # the walks carry prefixes as bytes: the class whose only member at each
+    # rank is the decreasing order stays under the member cap, so its walk
+    # answers at rank 255 and is refused, before any step, past it
+    only_321 = PatternClass("only-321", tuple(p for p in permutations((1, 2, 3))
+                                              if p != (3, 2, 1)))
+    g = game(only_321, WALK_MAX_RANK)
+    top = tuple(range(WALK_MAX_RANK, 0, -1))
+    assert [hit[:2] for hit in g.first_hits(lambda *state: False)] == [(top, WALK_MAX_RANK)]
+    assert optimal_strike_set(g).strike_set.members == {(1,)}
+    g = game(only_321, WALK_MAX_RANK + 1)
+    for walk in (g.first_hits(lambda *state: False), optimal_strike_set(g).stops()):
+        with pytest.raises(LimitError, match="past 255"):
+            next(walk)
 
 
 def test_values_past_the_tree_cap_match_closed_forms():

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import beststop.optimizer
 import beststop.strategy
@@ -37,7 +39,7 @@ from beststop import (
     simulate,
     threshold_strategy,
 )
-from beststop.permutations import _label, is_eligible
+from beststop.permutations import _label, is_eligible, perm_to_str
 from beststop.rng import walk_node, walks
 from beststop.strategy import member_names, members_str
 
@@ -609,3 +611,22 @@ def test_simulate_deterministic():
 def test_describe_orders_null_first():
     s = Strategy(kind="trigger", members=frozenset({(2, 1), (), (1,)}))
     assert s.describe() == "trigger:{null,1,21}"
+
+
+PREFIXES = st.integers(min_value=1, max_value=12).flatmap(
+    lambda k: st.permutations(list(range(1, k + 1))).map(tuple))
+
+
+@given(st.sets(PREFIXES, max_size=40), st.booleans())
+def test_member_names_match_perm_to_str(members, null):
+    # tuples and bytes (one byte an entry, as OptimalResult.stops gives
+    # them) are named alike, in (size, prefix) order
+    members |= {()} if null else set()
+    ordered = sorted(members, key=lambda p: (len(p), p))
+    want = ["null" if p == () else perm_to_str(p) for p in ordered]
+    assert member_names(members) == want
+    assert member_names(bytes(p) for p in members) == want
+    # members are split by ";" exactly when one is written with commas
+    sep = ";" if any("," in name for name in want) else ","
+    assert members_str(want) == "{" + sep.join(want) + "}"
+    assert (sep == ";") == any(len(p) >= 10 for p in members)

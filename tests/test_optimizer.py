@@ -239,7 +239,6 @@ def test_first_hits_matches_definition():
             assert strike.state(()) == res.state(()) == (0, 0)
 
 
-
 def test_walks_hold_ranks_up_to_a_byte():
     # the walks carry prefixes as bytes: the class whose only member at each
     # rank is the decreasing order stays under the member cap, so its walk

@@ -348,9 +348,23 @@ def perm_to_str(p: Sequence[int]) -> str:
     return _perm_str(validate_permutation(p))
 
 
-def _perm_str(p: Perm) -> str:
-    """perm_to_str without its check, for prefixes read off a tree."""
-    return ("" if len(p) <= 9 else ",").join(map(str, p))
+# byte v to the ASCII digit of v, for entries up to 9 (other bytes map to
+# themselves), and each value a byte holds as a numeral: two constant
+# tables, about 20 us to make
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_NUMERALS = [str(v) for v in range(256)]
+
+
+def _perm_str(p: Perm | bytes) -> str:
+    """perm_to_str without its check, for prefixes read off a tree, given
+    as a tuple or as bytes, one byte an entry.  A prefix of size k holds
+    1..k, so up to size 9 the name is one translate to digits, and up to
+    size 255 each numeral is read off a table."""
+    if len(p) <= 9:
+        return bytes(p).translate(_DIGITS).decode()
+    if len(p) < len(_NUMERALS):
+        return ",".join([_NUMERALS[v] for v in p])
+    return ",".join(map(str, p))
 
 
 def perm_from_str(text: str) -> Perm:

@@ -48,6 +48,7 @@ from .permutations import (
     PatternClass,
     Perm,
     _label,
+    _perm_str,
     extend,
     is_eligible,
     pattern_class,
@@ -118,13 +119,7 @@ def member_names(members: Iterable[Perm] | Iterable[bytes]) -> list[str]:
     # by length follows
     ordered = sorted(members)
     ordered.sort(key=len)
-    if not ordered:
-        return []
-    digits = bytes.maketrans(bytes(range(10)), b"0123456789")
-    numerals = [str(v) for v in range(len(ordered[-1]) + 1)]
-    # a prefix of size k holds 1..k, so up to size 9 each entry is one digit
-    return ["null" if not p else bytes(p).translate(digits).decode() if len(p) <= 9
-            else ",".join([numerals[v] for v in p]) for p in ordered]
+    return ["null" if not p else _perm_str(p) for p in ordered]
 
 
 def members_str(names: Sequence[str]) -> str:

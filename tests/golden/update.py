@@ -20,7 +20,6 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "cli.tsv"
@@ -118,19 +117,16 @@ def commands() -> list[list[str]]:
 
 def replay(argvs: list[list[str]]) -> list[str]:
     """Each argv's corpus line, run in turn through cli.main: the argv, the
-    exit code and the sha256 of stdout and of stderr.  The commands share
-    one parser, since building it costs as much as most commands and an
-    argparse parser may parse any number of argument lists."""
+    exit code and the sha256 of stdout and of stderr."""
     from beststop import cli
 
-    parser, lines = cli._build_parser(), []
-    with mock.patch.object(cli, "_build_parser", lambda: parser):
-        for argv in argvs:
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli.main(list(argv))
-            digests = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
-            lines.append("\t".join([shlex.join(argv), str(code), *digests]))
+    lines = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+        digests = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
+        lines.append("\t".join([shlex.join(argv), str(code), *digests]))
     return lines
 
 

@@ -1,6 +1,6 @@
 """The byte-identity corpus: every command of tests/golden/cli.tsv still
 exits and prints exactly as recorded (see tests/golden/update.py, which
-rewrites the file).  The replay of its 1,227 commands takes about 3.3 s
+rewrites the file).  The replay of its 1,227 commands takes 2.0-2.6 s
 on a 2-vCPU Xeon."""
 from __future__ import annotations
 

@@ -35,6 +35,7 @@ from beststop import (
     prefix_flattening,
     validate_permutation,
 )
+from beststop.permutations import _perm_str
 from oracles import value_saturated_count
 
 perms = st.integers(min_value=1, max_value=9).flatmap(
@@ -321,6 +322,11 @@ def test_perm_str_round_trip():
     long = tuple(range(1, 12))
     assert perm_from_str(perm_to_str(long)) == long
     assert "," in perm_to_str(long)
+    # names read off the numeral table up to size 255, and past it too
+    for n in (255, 256, 300):
+        p = tuple(range(n, 0, -1))
+        assert perm_to_str(p) == ",".join(str(v) for v in p)
+        assert perm_from_str(perm_to_str(p)) == p
     for bad in ("", "1,x", "102"):
         with pytest.raises(InvalidInputError):
             perm_from_str(bad)
@@ -333,3 +339,6 @@ def test_perm_str_round_trip():
 )
 def test_perm_str_round_trip_property(p):
     assert perm_from_str(perm_to_str(p)) == p
+    # digits up to size 9, a comma join past it, for tuples and for bytes
+    want = ("" if len(p) <= 9 else ",").join(map(str, p))
+    assert perm_to_str(p) == _perm_str(bytes(p)) == want

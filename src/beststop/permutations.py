@@ -348,23 +348,29 @@ def perm_to_str(p: Sequence[int]) -> str:
     return _perm_str(validate_permutation(p))
 
 
-# byte v to the ASCII digit of v, for entries up to 9 (other bytes map to
-# themselves), and each value a byte holds as a numeral: two constant
-# tables, about 20 us to make
+# byte v to the ASCII digit of v, for entries up to 9; other bytes map to
+# themselves
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-_NUMERALS = [str(v) for v in range(256)]
+# the numerals of 0..k, k the size of the longest name asked for so far.
+# It is made on demand, since 256 numerals made at import raised the peak
+# RSS of a run that names nothing past size 9 by about 0.08 MiB; a name
+# reads it once into a local, so a table another thread swaps in is never
+# indexed past its end.
+_NUMERALS: list[str] = []
 
 
 def _perm_str(p: Perm | bytes) -> str:
     """perm_to_str without its check, for prefixes read off a tree, given
     as a tuple or as bytes, one byte an entry.  A prefix of size k holds
-    1..k, so up to size 9 the name is one translate to digits, and up to
-    size 255 each numeral is read off a table."""
+    1..k, so up to size 9 the name is one translate to digits, and past it
+    each numeral is read off a table."""
+    global _NUMERALS
     if len(p) <= 9:
         return bytes(p).translate(_DIGITS).decode()
-    if len(p) < len(_NUMERALS):
-        return ",".join([_NUMERALS[v] for v in p])
-    return ",".join(map(str, p))
+    numerals = _NUMERALS
+    if len(numerals) <= len(p):
+        numerals = _NUMERALS = [str(v) for v in range(len(p) + 1)]
+    return ",".join([numerals[v] for v in p])
 
 
 def perm_from_str(text: str) -> Perm:

@@ -36,28 +36,15 @@ from .closedform import (
     strike_prob_321,
     trigger_prob_321,
 )
-from .errors import (
-    BestStopError,
-    DepthError,
-    InconsistencyError,
-    InvalidInputError,
-    LimitError,
-    UsageError,
-)
+from .errors import (BestStopError, DepthError, InconsistencyError, InvalidInputError,
+                     LimitError, UsageError)
 from .optimizer import (Game, _check_caps, completion, game, optimal_strike_set,
                         optimal_trigger_set, successors)
-from .permutations import (
-    CLASSES,
-    _perm_str,
-    enumerate_class,
-    extend,
-    is_eligible,
-    pattern_class,
-    perm_from_str,
-    perm_to_str,
-)
+from .permutations import (CLASSES, _perm_str, enumerate_class, extend, is_eligible,
+                           pattern_class, perm_from_str, perm_to_str)
 from .prefixtree import build, tree_to_json
-from .strategy import Strategy, exact_success, member_names, members_str, parse_strategy, simulate
+from .strategy import (Strategy, _check_trials, exact_success, member_names, members_str,
+                       parse_strategy, simulate)
 from .tallies import Tally, ballot, cmp_as_rational, decimal_str
 
 CLASS_CHOICES = sorted(CLASSES)
@@ -414,8 +401,7 @@ def _cmd_simulate(args) -> int:
     s = parse_strategy(args.strategy, cls, args.n)
     if s.kind == "strike":
         _check_caps(cls, args.n)  # its completion needs the game: caps before trial count
-    if args.trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {args.trials}")
+    _check_trials(args.trials, args.n)
     s, g = _given_strategy(s, cls, args.n)
     rep = simulate(s, g, args.trials, seed=args.seed)
     if args.json:

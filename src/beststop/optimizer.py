@@ -33,11 +33,12 @@ prefixtree.build read the same moves directly.  The optimal set's listing,
 strike-set completion, successors and the naming of a strike set's first
 uncovered leaf read them through one first-hit walk, from the null prefix,
 the root or any prefix p (state finds p's (k, label)), under the tree's
-caps.  The walk carries each prefix as bytes, one byte an entry, so a
-child costs one translate and one append, and it refuses ranks past
-WALK_MAX_RANK.  stops hands those bytes on, which the command line sorts
-and names with no tuples made; first_hits and strike_set turn them into
-tuples.
+caps.  The walk carries each prefix as bytes, one byte an entry, stepped
+by permutations._shifts, so a child costs one translate and one append,
+and it refuses ranks past WALK_MAX_RANK.  hit reads those bytes and the
+walk yields them; stops hands them on, which the command line sorts and
+names with no tuples made, and a caller makes tuples only of what it
+returns (strike_set, completion, successors).
 """
 from __future__ import annotations
 
@@ -46,8 +47,9 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidInputError, LimitError, NotFoundError
-from .permutations import (PatternClass, Perm, _free, _label, _opened, _relabel, is_eligible,
-                           is_permutation, pattern_class, perm_to_str, prefix_flattening)
+from .permutations import (WALK_MAX_RANK, PatternClass, Perm, _free, _label, _opened, _relabel,
+                           _shifts, is_eligible, is_permutation, pattern_class, perm_to_str,
+                           prefix_flattening)
 from .tallies import Tally
 
 # Trees are only materialized up to this rank and this many members (leaves)
@@ -67,10 +69,6 @@ DEFAULT_TREE_CAP = 1_000_000
 # both modes takes 2.4-3.5 s, peaking at 89 MiB in a fresh Python 3.11
 # process on a 2-vCPU Xeon; rank 20 is refused after 1.9-2.3 s.
 DAG_STATE_CAP = 1_000_000
-
-# The walks carry a prefix as bytes, one byte an entry, so they refuse a
-# game past this rank; the tree's caps stop every command far below it.
-WALK_MAX_RANK = 255
 
 # states[k][label] = (member total, z0, z1, strike best below, trigger best below)
 State = tuple[int, int, int, int, int]
@@ -135,36 +133,21 @@ class Game:
         raise NotFoundError(f"prefix {p!r} is not a node of the rank-{self.rank} "
                             f"tree for class {self.pattern_class.name}")
 
-    def first_hits(self, hit: Callable[[Perm, int, int, bool], bool],
-                   start: Perm = ()) -> Iterator[tuple[Perm, int, int, bool, bool]]:
+    def first_hits(self, hit: Callable[[bytes, int, int, bool], bool],
+                   start: Perm = ()) -> Iterator[tuple[bytes, int, int, bool, bool]]:
         """(p, k, label, eligible, hit there) of the first prefix on each path
         at or below start, a node (see state) that defaults to the null
         prefix, where hit(p, k, label, eligible) holds, or of the path's
-        leaf: depth-first with children in ascending value.  Each p is a
-        tuple, made from the walk's bytes (see _first_hits).  Refused past
-        the tree's member cap and past rank WALK_MAX_RANK."""
-        for p, k, label, eligible, stop in self._first_hits(
-                lambda p, k, label, eligible: hit(tuple(p), k, label, eligible), start):
-            yield tuple(p), k, label, eligible, stop
-
-    def _first_hits(self, hit: Callable[[bytes, int, int, bool], bool],
-                    start: Perm) -> Iterator[tuple[bytes, int, int, bool, bool]]:
-        """first_hits with each prefix carried, and handed to hit, as bytes,
-        one byte an entry: the child of p by value c is p with each entry
-        >= c raised by one, one translate by a table made per walk, then c."""
+        leaf: depth-first with children in ascending value.  Each p, as hit
+        gets it and as it is yielded, is bytes, one byte an entry, stepped
+        by the tables of permutations._shifts.  Refused past the tree's
+        member cap and past rank WALK_MAX_RANK."""
         n, total = self.rank, self.states[0][0][0]
         if total > DEFAULT_TREE_CAP:
             raise LimitError(f"class {self.pattern_class.name} has {total} members "
                              f"at rank {n}, over the cap {DEFAULT_TREE_CAP}")
-        if n > WALK_MAX_RANK:
-            raise LimitError(f"rank {n} is past {WALK_MAX_RANK}, the largest rank "
-                             "whose prefixes the walk holds as bytes")
+        shift, last = _shifts(n)
         k, label = self.state(start)
-        # shift[c] raises each entry >= c by one; no entry reaches 255 before
-        # a child is made, so that byte maps to itself
-        shift = [b""] + [bytes(range(c)) + bytes(range(c + 1, 256)) + b"\xff"
-                         for c in range(1, n + 1)]
-        last = [bytes((c,)) for c in range(n + 1)]
         stack = [(bytes(start), k, label, is_eligible(start), self.moves[k][label])]
         while stack:
             p, k, label, eligible, node = stack.pop()
@@ -203,7 +186,7 @@ class OptimalResult:
     def stops(self) -> Iterator[bytes]:
         """The first stopping prefix or leaf on each path, depth-first with
         children in ascending value, each as bytes, one byte an entry,
-        walked afresh on each call (see Game._first_hits).  Refused past the
+        walked afresh on each call (see Game.first_hits).  Refused past the
         tree's member cap."""
         states, trigger = self.game.states, self.mode == "trigger"
 
@@ -211,7 +194,7 @@ class OptimalResult:
             _, z0, z1, strike, below = states[k][label]
             return z1 > below if trigger else eligible and z0 > strike
 
-        hits = self.game._first_hits(stop, start=() if trigger else (1,))
+        hits = self.game.first_hits(stop, start=() if trigger else (1,))
         return (p for p, _, _, _, _ in hits)
 
     @cached_property
@@ -275,8 +258,9 @@ def completion(S: Iterable[Perm], g: Game) -> StrikeSet:
     base = {tuple(p) for p in S}
     for p in base:
         g.state(p, least=1)  # the null prefix is no strike point
-    hits = g.first_hits(lambda p, k, label, el: p in base, start=(1,))
-    members = frozenset(p for p, _, _, _, _ in hits)
+    raw = {bytes(p) for p in base}  # as the walk holds its prefixes
+    hits = g.first_hits(lambda p, k, label, el: p in raw, start=(1,))
+    members = frozenset(tuple(p) for p, _, _, _, _ in hits)
     # a member of S the walk passed by lies below another
     for b in (b for b in base if b not in members):
         a = next(a for j in range(1, len(b)) if (a := prefix_flattening(b, j)) in base)
@@ -300,8 +284,8 @@ def successors(g: Game, p: Perm) -> tuple[Perm, ...]:
         raise InvalidInputError(f"prefix {p!r} is not eligible")
     if k == g.rank:
         return ()
-    return tuple(q for q, _, _, _, _ in g.first_hits(lambda q, j, label, el: el and j > k,
-                                                        start=p))
+    return tuple(tuple(q) for q, _, _, _, _ in g.first_hits(
+        lambda q, j, label, el: el and j > k, start=p))
 
 
 def optimal_strike_set(g: Game) -> OptimalResult:

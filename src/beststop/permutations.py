@@ -14,9 +14,11 @@ the child adds, answers which values c a prefix allows (child_indices) and
 whether an order is a member (contains_pattern, PatternClass.is_member).
 enumerate_class carries it down the tree and the optimizer's sweep steps
 it across the label DAG, never rescanning a prefix; a point query steps
-it along one order.  For the single-pattern classes every member extends,
-so the tree of prefixes at rank N contains the whole class at every
-smaller rank and grows like the Catalan numbers rather than n!.
+it along one order.  extend is the validated child step; every walk down
+the tree holds a prefix as bytes and takes the same step by _shifts's
+tables.  For the single-pattern classes every member extends, so the tree
+of prefixes at rank N contains the whole class at every smaller rank and
+grows like the Catalan numbers rather than n!.
 """
 from __future__ import annotations
 
@@ -32,6 +34,10 @@ Perm = tuple[int, ...]
 
 # Ceiling on the number of members a single enumeration may visit.
 DEFAULT_ENUM_CAP = 5_000_000
+
+# The walks hold a prefix as bytes, one byte an entry (see _shifts), so they
+# refuse a game past this rank; the tree's caps stop every command far below.
+WALK_MAX_RANK = 255
 
 
 def is_permutation(entries: Sequence[int]) -> bool:
@@ -273,6 +279,19 @@ def extend(p: Sequence[int], c: int) -> Perm:
     return tuple([v + (v >= c) for v in p]) + (c,)
 
 
+def _shifts(n: int) -> tuple[list[bytes], list[bytes]]:
+    """extend for a walk of rank n that holds a prefix as bytes, one byte an
+    entry: the child of p by c is p.translate(shift[c]) + last[c].  shift[c]
+    raises each entry >= c by one; no entry reaches 255 before a child is
+    made, so that byte maps to itself.  LimitError past WALK_MAX_RANK."""
+    if n > WALK_MAX_RANK:
+        raise LimitError(f"rank {n} is past {WALK_MAX_RANK}, the largest rank "
+                         "whose prefixes the walk holds as bytes")
+    shift = [b""] + [bytes(range(c)) + bytes(range(c + 1, 256)) + b"\xff"
+                     for c in range(1, n + 1)]
+    return shift, [bytes((c,)) for c in range(n + 1)]
+
+
 def child_indices(p: Sequence[int], cls: PatternClass) -> set[int]:
     """Values c for which extend(p, c) stays inside cls.
 
@@ -298,10 +317,12 @@ def child_indices(p: Sequence[int], cls: PatternClass) -> set[int]:
 def enumerate_class(
     cls: PatternClass, n: int, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[Perm]:
-    """Stream every member of cls at rank n, in generating-tree order.
+    """Stream every member of cls at rank n, in generating-tree order: depth
+    first, children in ascending value, each prefix held as bytes (_shifts).
 
     Raises LimitError before any work when the class size is known to
-    exceed cap, or during iteration once cap members have been produced.
+    exceed cap or n is past WALK_MAX_RANK, or during iteration once cap
+    members have been produced.
     """
     if n < 1:
         raise InvalidInputError(f"rank must be >= 1, got {n}")
@@ -310,11 +331,12 @@ def enumerate_class(
         raise LimitError(
             f"class {cls.name} has {known} members at rank {n}, over the cap {cap}"
         )
+    shift, last = _shifts(n)
     opened = _opened(cls, n)
     count = 0
-
-    def walk(p: Perm, label: int) -> Iterator[Perm]:
-        nonlocal count
+    stack = [(b"", 0)]
+    while stack:
+        p, label = stack.pop()
         k = len(p)
         if k == n:
             count += 1
@@ -322,19 +344,11 @@ def enumerate_class(
                 raise LimitError(
                     f"enumeration of class {cls.name} at rank {n} exceeded cap {cap}"
                 )
-            yield p
-            return
-        for c in _free(label, k):
-            yield from walk(tuple([v + (v >= c) for v in p]) + (c,),
-                            _relabel(label, c, opened[k][c]))
-
-    try:
-        yield from walk((), 0)
-    finally:
-        # walk's closure holds walk itself: dropping the name breaks that
-        # cycle, so a finished, refused or abandoned enumeration goes by
-        # reference counting
-        del walk
+            yield tuple(p)
+            continue
+        row = opened[k]
+        stack.extend([(p.translate(shift[c]) + last[c], _relabel(label, c, row[c]))
+                      for c in reversed(_free(label, k))])
 
 
 def perm_to_str(p: Sequence[int]) -> str:

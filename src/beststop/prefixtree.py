@@ -17,7 +17,8 @@ but never a strike point.
 build reads the tallies off one game, the optimizer's sweep of the label
 DAG: a node is its state's member total, z0 (its strike wins when eligible)
 and z1 (its trigger wins), and its children are the state's moves, so one
-rule counts the wins of the tree and of the optimizer in both modes.
+rule counts the wins of the tree and of the optimizer in both modes.  It
+steps each prefix as bytes by permutations._shifts, as every walk does.
 
 Only readers of every node build a tree.  Optimal sets, strategy scoring,
 strike-set completion, a node's successors and a one-node lookup read a
@@ -35,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .errors import LimitError, NotFoundError
 from .optimizer import DEFAULT_TREE_CAP, State, _check_caps, game
-from .permutations import PatternClass, Perm, _perm_str
+from .permutations import PatternClass, Perm, _perm_str, _shifts
 from .tallies import Tally
 
 
@@ -111,17 +112,19 @@ def build(cls: PatternClass, n: int, cap: int = DEFAULT_TREE_CAP) -> PrefixTree:
     g = game(cls, n)
     if g.states[0][0][0] > cap:
         raise LimitError(f"tree for class {cls.name} at rank {n} exceeded cap {cap}")
-    null = _node(g.states, (), False, 0, g.moves[0][0])
+    null = _node(g.states, _shifts(n), b"", False, 0, g.moves[0][0])
     return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0])
 
 
-def _node(states: list[dict[int, State]], p: Perm, eligible: bool, label: int,
-          moves: tuple) -> TreeNode:
-    """The node of prefix p, whose state is (len(p), label) with these
+def _node(states: list[dict[int, State]], steps: tuple[list[bytes], list[bytes]], p: bytes,
+          eligible: bool, label: int, moves: tuple) -> TreeNode:
+    """The node of prefix p, held as bytes and stepped by steps, the tables
+    of permutations._shifts, whose state is (len(p), label) with these
     moves, and every node below it."""
     total, z0, z1, _, _ = states[len(p)][label]
-    return TreeNode(p, eligible, z0 if eligible else 0, z1, total, tuple(
-        [_node(states, tuple([v + (v >= c) for v in p]) + (c,), el, sub, kids)
+    shift, last = steps
+    return TreeNode(tuple(p), eligible, z0 if eligible else 0, z1, total, tuple(
+        [_node(states, steps, p.translate(shift[c]) + last[c], el, sub, kids)
          for c, sub, _, kids, el in moves]))
 
 

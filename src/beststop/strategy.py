@@ -31,36 +31,28 @@ is the oracle simulate is checked against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 from typing import Iterable, Sequence
 
 from .closedform import ThresholdTable, continuation_triangle, optimal_boundary
-from .errors import (
-    DepthError,
-    IncompleteStrategyError,
-    InvalidInputError,
-)
+from .errors import DepthError, IncompleteStrategyError, InvalidInputError, LimitError
 from .optimizer import Game, _check_caps
-from .permutations import (
-    PatternClass,
-    Perm,
-    _label,
-    _perm_str,
-    extend,
-    is_eligible,
-    pattern_class,
-    perm_from_str,
-    perm_to_str,
-    prefix_flattening,
-    validate_permutation,
-)
+from .permutations import (PatternClass, Perm, _label, _perm_str, _shifts, extend, is_eligible,
+                           pattern_class, perm_from_str, perm_to_str, prefix_flattening,
+                           validate_permutation)
 from .rng import SplitMix64, walk_node, walks
 from .tallies import Tally
 
 KINDS = ("strike", "trigger", "positional", "threshold")
+
+# Ceiling on a simulation's draws, trials times rank, since time is what
+# fails, about 0.3 us a draw: at the cap, in a fresh Python 3.11 process on
+# a 2-vCPU Xeon, the 321 threshold at rank 12 takes 6.7-7.2 s, the 312
+# trigger one 9.5 s, and strike:{12} on the unrestricted rank-9 game 8.1 s.
+DRAW_CAP = 20_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +150,11 @@ def _check_rank(s: Strategy, cl: PatternClass | None, n: int) -> None:
 
 
 def _fires(s: Strategy, n: int, k: int, label: int | None, eligible: bool,
-           prefix: Perm | None) -> bool:
+           prefix: Perm | bytes | None) -> bool:
     """Does s act on this size-k prefix of a rank-n order?  Strike kinds
     accept there (a threshold only on a candidate); the others arm.  A set
-    reads the prefix itself, a threshold only the prefix's label in its
+    reads the prefix itself, in the form its members take (tuples in play,
+    bytes in the walk table), a threshold only the prefix's label in its
     class, the others neither."""
     if s.kind == "positional":
         return k == s.position
@@ -293,17 +286,25 @@ def _draw_table(s: Strategy, g: Game) -> tuple[list[tuple[list[int], list[int]]]
     wins are the sum of its kids', so one pass from the deepest node up to
     the root fills wins.  A set acts on the prefix, so until it acts its
     nodes also carry the prefix while it is shorter than the deepest
-    member.  A leaf a strike set leaves uncovered is a leaf node whose seen
-    is still None: the set is refused at the first such leaf in depth-first
-    order, which Game.first_hits names.  The weights are raw member totals:
+    member, as bytes (see permutations._shifts), and compare it with the
+    set made bytes once per table.  A leaf a strike set leaves uncovered is
+    a leaf node whose seen is still None: the set is refused at the first
+    such leaf in depth-first order, which Game.first_hits names.  The weights are raw member totals:
     simulate alone turns them into rng.walk_node fields, so scoring meets no
     word limit."""
     n, moves, members, strikes = g.rank, g.moves, s.members, s.strikes
+    if members is not None:  # as bytes: an entry past a byte never fires
+        try:
+            members = frozenset(map(bytes, members))
+        except ValueError:
+            members = frozenset(bytes(p) for p in members if all(0 <= v <= 255 for v in p))
+        s = replace(s, members=members)
     deepest = max(map(len, members or ()), default=0)
+    shift, last = _shifts(n) if deepest else (None, None)
 
-    def enter(k: int, seen: int | None, p: Perm | None, c: int, sub: int, eligible: bool) -> tuple:
+    def enter(k: int, seen: int | None, p: bytes | None, c: int, sub: int, eligible: bool) -> tuple:
         """The node of extend(p, c), whose label is sub, from a size-k node."""
-        q = None if p is None else tuple([v + (v >= c) for v in p]) + (c,)
+        q = None if p is None else p.translate(shift[c]) + last[c]
         if seen is not None:
             seen = min(seen + eligible, 2)
         elif _fires(s, n, k + 1, sub, eligible, q):
@@ -312,9 +313,9 @@ def _draw_table(s: Strategy, g: Game) -> tuple[list[tuple[list[int], list[int]]]
 
     # nodes are numbered as they are found, depth by depth down from the
     # root; ids[k] maps a size-k node's (label, seen, prefix) to its number
-    armed = None if strikes or not _fires(s, n, 0, 0, False, ()) else 0
+    armed = None if strikes or not _fires(s, n, 0, 0, False, b"") else 0
     (c, sub, _, _, eligible), = moves[0][0]
-    root = enter(0, armed, () if deepest else None, c, sub, eligible)
+    root = enter(0, armed, b"" if deepest else None, c, sub, eligible)
     nodes = [(1, *root)]
     ids: list[dict[tuple, int]] = [{} for _ in range(n + 2)]
     ids[1][root] = 0
@@ -352,6 +353,16 @@ class SimReport:
     seed: int
 
 
+def _check_trials(trials: int, n: int) -> None:
+    """Refuse a simulation of fewer than one trial, or of more than DRAW_CAP
+    draws (trials times the rank n), before any work."""
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    if trials * n > DRAW_CAP:
+        raise LimitError(f"{trials} trials at rank {n} draw {trials * n} prefixes, "
+                         f"over the draw cap {DRAW_CAP}")
+
+
 def simulate(s: Strategy, g: Game, trials: int, seed: int = 0) -> SimReport:
     """Monte Carlo estimate of the strategy's success probability over
     uniformly random orders from the game g.
@@ -366,9 +377,8 @@ def simulate(s: Strategy, g: Game, trials: int, seed: int = 0) -> SimReport:
     rng.words(seed) stream in turn, made a block of words at a time:
     SplitMix64's word i is a function of seed + i*gamma alone, so the block
     holds exactly the words SplitMix64(seed).next64() would return, in
-    order."""
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    order.  Refused before any work past DRAW_CAP (see _check_trials)."""
+    _check_trials(trials, g.rank)
     _check_rank(s, g.pattern_class, g.rank)
     _check_caps(g.pattern_class, g.rank)
     table, won = _draw_table(s, g)

@@ -170,7 +170,7 @@ def score_by_first_hits(s, g):
     prefix for the others.  A strike set raises IncompleteStrategyError at
     the first leaf it leaves uncovered, in depth-first order."""
     n, states = g.rank, g.states
-    hits = g.first_hits(lambda p, k, label, eligible: _fires(s, n, k, label, eligible, p),
+    hits = g.first_hits(lambda p, k, label, eligible: _fires(s, n, k, label, eligible, tuple(p)),
                         start=(1,) if s.strikes else ())
     wins = 0
     for p, k, label, eligible, fired in hits:

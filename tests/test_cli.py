@@ -14,7 +14,7 @@ import beststop.bijections
 import beststop.cli
 import beststop.prefixtree
 from beststop.cli import main
-from beststop.strategy import member_names, parse_strategy
+from beststop.strategy import DRAW_CAP, member_names, parse_strategy
 
 
 @pytest.fixture(autouse=True)
@@ -202,6 +202,22 @@ def test_simulate_checks_trials_before_any_game(capsys, monkeypatch):
         cls = "321" if strategy.startswith("threshold") else "none"
         assert run(capsys, "simulate", "--class", cls, "--n", "9", "--strategy", strategy,
                    "--trials", "0") == (1, "", "error: trials must be >= 1, got 0\n")
+
+
+def test_simulate_caps_draws_before_any_game(capsys, monkeypatch):
+    # draws are trials times rank: one trial past the cap is refused with
+    # exit 2 before the label DAG is swept, for a set and for a threshold
+    def refuse(*args):
+        raise AssertionError("the label DAG was swept")
+
+    monkeypatch.setattr(beststop.cli, "game", refuse)
+    trials = DRAW_CAP // 9 + 1
+    for strategy in ("strike:{12}", "threshold:strike"):
+        cls = "321" if strategy.startswith("threshold") else "none"
+        assert run(capsys, "simulate", "--class", cls, "--n", "9", "--strategy", strategy,
+                   "--trials", str(trials)) == (
+            2, "", f"error: {trials} trials at rank 9 draw {trials * 9} prefixes, "
+                   f"over the draw cap {DRAW_CAP}\n")
 
 
 def test_verify_builds_each_tree_once(capsys, monkeypatch):

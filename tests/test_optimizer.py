@@ -222,8 +222,9 @@ def test_first_hits_matches_definition():
                         lambda *state: False, lambda *state: True):
 
                 def visit(node):
+                    # the walk hands hit, and yields, each prefix as bytes
                     p = node.prefix
-                    state = (p, len(p), _label(p, forbidden) if p else 0, node.eligible)
+                    state = (bytes(p), len(p), _label(p, forbidden) if p else 0, node.eligible)
                     return *state, hit(*state)
 
                 for start in (tree.null, *tree.nodes()):
@@ -247,7 +248,8 @@ def test_walks_hold_ranks_up_to_a_byte():
                                               if p != (3, 2, 1)))
     g = game(only_321, WALK_MAX_RANK)
     top = tuple(range(WALK_MAX_RANK, 0, -1))
-    assert [hit[:2] for hit in g.first_hits(lambda *state: False)] == [(top, WALK_MAX_RANK)]
+    assert [hit[:2] for hit in g.first_hits(lambda *state: False)] == [(bytes(top),
+                                                                         WALK_MAX_RANK)]
     assert optimal_strike_set(g).strike_set.members == {(1,)}
     g = game(only_321, WALK_MAX_RANK + 1)
     for walk in (g.first_hits(lambda *state: False), optimal_strike_set(g).stops()):

@@ -35,7 +35,7 @@ from beststop import (
     prefix_flattening,
     validate_permutation,
 )
-from beststop.permutations import _perm_str
+from beststop.permutations import _perm_str, _shifts
 from oracles import value_saturated_count
 
 perms = st.integers(min_value=1, max_value=9).flatmap(
@@ -228,6 +228,42 @@ def test_enumerate_class_caps():
     assert len(list(enumerate_class(lazy, 4, cap=100))) == 8
 
 
+def test_enumerate_class_is_the_walks_leaves():
+    # enumerate_class and the game's first-hit walk, hitting nowhere, walk
+    # the same generating tree: the same leaves, in the same order
+    for name, cls in CLASSES.items():
+        for n in range(1, 8):
+            leaves = [tuple(p) for p, *_ in game(cls, n).first_hits(lambda *state: False)]
+            assert list(enumerate_class(cls, n)) == leaves, (name, n)
+
+
+def test_enumerate_class_holds_ranks_up_to_a_byte():
+    # enumerate_class holds its prefixes as bytes: the class whose only
+    # member at each rank is the decreasing order, of no known size, is
+    # enumerated at rank 255 and refused, before any step, past it
+    only_321 = PatternClass("only-321", tuple(p for p in permutations((1, 2, 3))
+                                              if p != (3, 2, 1)))
+    assert list(enumerate_class(only_321, 255)) == [tuple(range(255, 0, -1))]
+    with pytest.raises(LimitError, match="rank 256 is past 255"):
+        next(enumerate_class(only_321, 256))
+
+
+@given(st.integers(0, 254).flatmap(lambda k: st.permutations(list(range(1, k + 1))).map(tuple)),
+       st.data())
+def test_shifts_step_is_extend(p, data):
+    # the walks' step on bytes, by the tables of any rank the child fits
+    c = data.draw(st.integers(1, len(p) + 1))
+    shift, last = _shifts(data.draw(st.integers(len(p) + 1, 255)))
+    assert tuple(bytes(p).translate(shift[c]) + last[c]) == extend(p, c)
+
+
+def test_shifts_refused_past_a_byte():
+    shift, last = _shifts(255)
+    assert len(shift) == len(last) == 256
+    with pytest.raises(LimitError, match="rank 256 is past 255"):
+        _shifts(256)
+
+
 def test_extend():
     assert extend((2, 1, 3), 2) == (3, 1, 4, 2)
     assert extend((), 1) == (1,)
@@ -287,8 +323,8 @@ def test_tree_walks_skip_the_checks(monkeypatch):
 
 
 def test_enumeration_is_freed_by_reference_counting():
-    # walk's closure refers to walk itself; a finished enumeration, and one
-    # its cap refused, must not leave that cycle to the cyclic collector
+    # a finished enumeration, and one its cap refused, must leave no
+    # reference cycle to the cyclic collector
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()

@@ -41,7 +41,7 @@ from beststop import (
 )
 from beststop.permutations import _label, is_eligible, perm_to_str
 from beststop.rng import walk_node, walks
-from beststop.strategy import member_names, members_str
+from beststop.strategy import DRAW_CAP, member_names, members_str
 
 
 def test_play_strike_trace():
@@ -568,6 +568,33 @@ def test_sample_uniform_support_and_spread():
     draws = [sample_uniform(g, rng) for _ in range(5)]
     assert draws == [(3, 4, 1, 6, 2, 5), (1, 3, 5, 6, 2, 4), (3, 6, 1, 2, 4, 5),
                      (1, 4, 2, 6, 3, 5), (1, 6, 2, 3, 4, 5)]
+
+
+def test_simulate_caps_draws_before_any_work(monkeypatch):
+    # simulate refuses trials times rank past DRAW_CAP before it builds its
+    # walk table; the cap itself is admitted
+    def refuse(*args):
+        raise AssertionError("built the walk table")
+
+    monkeypatch.setattr(beststop.strategy, "_draw_table", refuse)
+    for s, g in ((threshold_strategy("strike", "321", 9), game("321", 9)),
+                 (Strategy(kind="trigger", members=frozenset({()})), game("231", 12))):
+        with pytest.raises(LimitError, match="over the draw cap"):
+            simulate(s, g, trials=DRAW_CAP // g.rank + 1)
+        beststop.strategy._check_trials(DRAW_CAP // g.rank, g.rank)
+
+
+def test_set_members_past_a_byte_never_fire():
+    # the walk table compares a set as bytes: a member with an entry no
+    # byte holds is no prefix of the game and never fires, as in play
+    g = game("321", 5)
+    for kind, base in (("strike", {(1,)}), ("trigger", {(), (2, 1)})):
+        plain = Strategy(kind=kind, members=frozenset(base))
+        wide = Strategy(kind=kind, members=frozenset(base | {(300, 1), (1, 256, 2)}))
+        assert exact_success(wide, g) == exact_success(plain, g), kind
+        assert simulate(wide, g, 200, seed=1).wins == simulate(plain, g, 200, seed=1).wins
+        assert [play(wide, pi) for pi in enumerate_class(AV321, 5)] == \
+            [play(plain, pi) for pi in enumerate_class(AV321, 5)]
 
 
 def test_simulate_deterministic():

@@ -289,9 +289,9 @@ def _draw_table(s: Strategy, g: Game) -> tuple[list[tuple[list[int], list[int]]]
     member, as bytes (see permutations._shifts), and compare it with the
     set made bytes once per table.  A leaf a strike set leaves uncovered is
     a leaf node whose seen is still None: the set is refused at the first
-    such leaf in depth-first order, which Game.first_hits names.  The weights are raw member totals:
-    simulate alone turns them into rng.walk_node fields, so scoring meets no
-    word limit."""
+    such leaf in depth-first order, which Game.first_hits names.  The
+    weights are raw member totals: simulate alone turns them into
+    rng.walk_node fields, so scoring meets no word limit."""
     n, moves, members, strikes = g.rank, g.moves, s.members, s.strikes
     if members is not None:  # as bytes: an entry past a byte never fires
         try:

@@ -7,9 +7,9 @@ won by stopping exactly on the best candidate overall.  This package
 restricts the interview order to a permutation class given by a single
 forbidden pattern of size three (or no restriction), and provides
 
-  - exact win tallies for every observable prefix (prefixtree),
   - optimal stopping sets by backward induction on the label DAG, one
-    sweep per game that all its readers share, with no tree (optimizer),
+    sweep per game that all its readers share, and exact win tallies for
+    every observable prefix off one walk of it, with no tree (optimizer),
   - closed forms, recursion-based tallies, and the continuation triangle
     with its threshold boundaries (closedform),
   - playable strategies, exact evaluation, and simulation (strategy),
@@ -87,13 +87,6 @@ from .permutations import (
     perm_to_str,
     prefix_flattening,
     validate_permutation,
-)
-from .prefixtree import (
-    PrefixTree,
-    TreeNode,
-    build,
-    tree_to_dict,
-    tree_to_json,
 )
 from .rng import SplitMix64
 from .strategy import (

@@ -13,27 +13,31 @@ Three maps carry one game to another:
 
 For 321 versus 312 the trees are isomorphic but no single relabeling of
 prefixes realizes the isomorphism; west_correspondence reads the node
-pairing off the two prefix trees instead, matching sorted child lists in
-reverse order except that the new-maximum child always pairs with the
-new-maximum child.  verify_tree_isomorphism builds each of its two trees
-once and hands them to the pairing it checks.
+pairing off the two games' moves in lockstep instead, matching sorted child
+lists in reverse order except that the new-maximum child always pairs with
+the new-maximum child.  verify_tree_isomorphism sweeps each of its two games
+once and checks each node of the first, off its walk (optimizer.Game.walk),
+against its partner's state in the second.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .errors import DomainError, InvalidInputError, NotFoundError
+from .optimizer import Game, _check_caps, game
 from .permutations import (
     PatternClass,
     Perm,
+    _shifts,
     contains_pattern,
     flatten,
     has_inversion,
+    is_eligible,
     pattern_class,
     validate_permutation,
 )
-from .prefixtree import PrefixTree, TreeNode, build
 
 
 def _flat(seq: Sequence[int]) -> Perm:
@@ -123,30 +127,33 @@ def convert_132_to_231(p: Sequence[int]) -> Perm:
     return left + (n,) + tuple(v + m for v in right)
 
 
-def west_correspondence(t321: PrefixTree, t312: PrefixTree) -> dict[Perm, Perm]:
+def west_correspondence(g321: Game, g312: Game) -> dict[Perm, Perm]:
     """The tree isomorphism from 321-avoiding to 312-avoiding prefixes of
-    size up to the trees' common rank, read off the two trees: sorted child
-    lists are paired largest-with-largest (both are the new-maximum
-    extension) and the rest in reverse order."""
-    if (t321.pattern_class.name, t312.pattern_class.name) != ("321", "312"):
+    size up to the games' common rank, read off the two games' moves in
+    lockstep: sorted child lists are paired largest-with-largest (both are
+    the new-maximum extension) and the rest in reverse order.  Refused past
+    the tree's caps."""
+    if (g321.pattern_class.name, g312.pattern_class.name) != ("321", "312"):
         raise InvalidInputError(
-            f"west_correspondence needs the 321 and 312 trees, got "
-            f"{t321.pattern_class.name} and {t312.pattern_class.name}"
+            f"west_correspondence needs the 321 and 312 games, got "
+            f"{g321.pattern_class.name} and {g312.pattern_class.name}"
         )
-    if t321.rank != t312.rank:
-        raise InvalidInputError(f"tree ranks differ: {t321.rank} vs {t312.rank}")
+    if g321.rank != g312.rank:
+        raise InvalidInputError(f"game ranks differ: {g321.rank} vs {g312.rank}")
+    _check_caps(g321.pattern_class, g321.rank)
+    shift, last = _shifts(g321.rank)
     mapping: dict[Perm, Perm] = {}
-    stack = [(t321.null, t312.null)]
+    stack = [(b"", b"", g321.moves[0][0], g312.moves[0][0])]
     while stack:
-        a, b = stack.pop()
-        mapping[a.prefix] = b.prefix
-        ca, cb = a.children, b.children
-        if len(ca) != len(cb):
+        a, b, ma, mb = stack.pop()
+        mapping[tuple(a)] = tuple(b)
+        if len(ma) != len(mb):
             raise InvalidInputError(
-                f"child counts differ under {a.prefix!r} / {b.prefix!r}: {len(ca)} vs {len(cb)}"
+                f"child counts differ under {tuple(a)!r} / {tuple(b)!r}: {len(ma)} vs {len(mb)}"
             )
-        # ca[t] pairs with cb[m-2-t], except that the last pairs with the last
-        stack.extend(zip(ca, cb[-2::-1] + cb[-1:]))
+        # ma[t] pairs with mb[m-2-t], except that the last pairs with the last
+        stack.extend((a.translate(shift[c]) + last[c], b.translate(shift[d]) + last[d], ka, kb)
+                     for (c, _, _, ka, _), (d, _, _, kb, _) in zip(ma, mb[-2::-1] + mb[-1:]))
     return mapping
 
 
@@ -167,28 +174,39 @@ class TreeIsomorphismReport:
 
 
 def _pair_by_map(
-    ta: PrefixTree, tb: PrefixTree, partner_of
+    ga: Game, gb: Game, partner_of
 ) -> tuple[bool, bool, tuple[Perm, Perm] | None]:
+    """Each node of ga's walk against its partner's state in gb."""
     value_miss: tuple[Perm, Perm] | None = None
-    for node in ta.nodes():
-        partner = partner_of(node.prefix)
+    for p, k, label, eligible, _ in ga.walk(start=(1,)):
+        p = tuple(p)
+        partner = partner_of(p)
         if partner is None:
-            return False, False, (node.prefix, ())
+            return False, False, (p, ())
         try:
-            other = tb.node(partner)
+            j, sub = gb.state(partner)
         except NotFoundError:
-            return False, False, (node.prefix, partner)
-        if len(node.children) != len(other.children) or node.eligible != other.eligible:
-            return False, False, (node.prefix, partner)
-        same = node.strike_wins == other.strike_wins and node.total == other.total
+            return False, False, (p, partner)
+        if len(ga.moves[k][label]) != len(gb.moves[j][sub]) or eligible != is_eligible(partner):
+            return False, False, (p, partner)
+        (total, z0, *_), (other_total, other_z0, *_) = ga.states[k][label], gb.states[j][sub]
+        same = total == other_total and (not eligible or z0 == other_z0)
         if not same and value_miss is None:
-            value_miss = (node.prefix, partner)
+            value_miss = (p, partner)
     return True, value_miss is None, value_miss
 
 
-def _shape_key(node: TreeNode) -> tuple:
-    kids = tuple(sorted(_shape_key(c) for c in node.children))
-    return (node.eligible, node.strike_wins, node.total, kids)
+def _shape_key(g: Game):
+    """The canonical form of g's subtree at a state (k, label) entered with
+    eligibility: that, its strike wins, total and children's forms sorted."""
+
+    @cache
+    def key(k: int, label: int, eligible: bool) -> tuple:
+        total, z0, *_ = g.states[k][label]
+        kids = tuple(sorted(key(k + 1, sub, el) for _, sub, _, _, el in g.moves[k][label]))
+        return (eligible, z0 if eligible else 0, total, kids)
+
+    return key
 
 
 _UPSILON_PAIRS = {("231", "132"), ("132", "231")}
@@ -211,25 +229,25 @@ def verify_tree_isomorphism(
     pair = (ca.name, cb.name)
     if pair not in _UPSILON_PAIRS | _WEST_PAIRS and n > 6:
         raise InvalidInputError("search method is limited to rank <= 6")
-    ta = build(ca, n)
-    tb = build(cb, n)
+    _check_caps(ca, n)  # the pairs' classes have one size; search stops at rank 6
+    ga, gb = game(ca, n), game(cb, n)
 
     if pair in _UPSILON_PAIRS:
         method = "upsilon"
         fn = convert_231_to_132 if ca.name == "231" else convert_132_to_231
-        s_ok, v_ok, miss = _pair_by_map(ta, tb, fn)
+        s_ok, v_ok, miss = _pair_by_map(ga, gb, fn)
     elif pair in _WEST_PAIRS:
         method = "west"
         if ca.name == "321":
-            raw = west_correspondence(ta, tb)
+            raw = west_correspondence(ga, gb)
         else:
-            raw = {v: k for k, v in west_correspondence(tb, ta).items()}
-        s_ok, v_ok, miss = _pair_by_map(ta, tb, raw.get)
+            raw = {v: k for k, v in west_correspondence(gb, ga).items()}
+        s_ok, v_ok, miss = _pair_by_map(ga, gb, raw.get)
     else:
         method = "search"
-        ok = _shape_key(ta.root) == _shape_key(tb.root)
+        ok = _shape_key(ga)(*ga.state((1,)), True) == _shape_key(gb)(*gb.state((1,)), True)
         s_ok = v_ok = ok
-        miss = None if ok else (ta.root.prefix, tb.root.prefix)
+        miss = None if ok else ((1,), (1,))
 
     return TreeIsomorphismReport(
         classes=pair,

@@ -40,9 +40,8 @@ from .errors import (BestStopError, DepthError, InconsistencyError, InvalidInput
                      LimitError, UsageError)
 from .optimizer import (Game, _check_caps, completion, game, optimal_strike_set,
                         optimal_trigger_set, successors)
-from .permutations import (CLASSES, _perm_str, enumerate_class, extend, is_eligible,
-                           pattern_class, perm_from_str, perm_to_str)
-from .prefixtree import build, tree_to_json
+from .permutations import (CLASSES, _perm_str, extend, is_eligible, pattern_class,
+                           perm_from_str, perm_to_str)
 from .strategy import (Strategy, _check_trials, exact_success, member_names, members_str,
                        parse_strategy, simulate)
 from .tallies import Tally, ballot, cmp_as_rational, decimal_str
@@ -247,21 +246,18 @@ def _verify_triangle(report) -> bool:
 
 def _verify_figures_321(report) -> bool:
     """Strike/trigger recursions agree with tree tallies on every prefix."""
-    cls = pattern_class("321")
     ok = True
     for n in range(2, 8):
-        tree = build(cls, n)
-        for node in tree.nodes():
-            s = strike_prob_321(node.prefix, n)
-            if s != node.strike:
-                report(f"figures-321: strike {perm_to_str(node.prefix)} at {n}: "
-                       f"recursion {s}, tree {node.strike}")
-                ok = False
-            tr = trigger_prob_321(node.prefix, n)
-            if tr != node.trigger:
-                report(f"figures-321: trigger {perm_to_str(node.prefix)} at {n}: "
-                       f"recursion {tr}, tree {node.trigger}")
-                ok = False
+        g = game("321", n)
+        for p, k, label, eligible, _ in g.walk(start=(1,)):
+            p, (total, z0, z1, _, _) = tuple(p), g.states[k][label]
+            for mode, recursion, tree in (
+                    ("strike", strike_prob_321(p, n), Tally(z0 if eligible else 0, total)),
+                    ("trigger", trigger_prob_321(p, n), Tally(z1, total))):
+                if recursion != tree:
+                    report(f"figures-321: {mode} {perm_to_str(p)} at {n}: "
+                           f"recursion {recursion}, tree {tree}")
+                    ok = False
     return ok
 
 
@@ -350,12 +346,11 @@ def _verify_upsilon(report) -> bool:
     from .bijections import convert_132_to_231, convert_231_to_132
 
     ok = _check_isomorphism(report, "upsilon", "231", "132")
-    cls = pattern_class("231")
-    for n in range(1, 8):
-        for p in enumerate_class(cls, n):
-            if convert_132_to_231(convert_231_to_132(p)) != p:
-                report(f"upsilon: round trip fails at {perm_to_str(p)}")
-                return False
+    # the rank-7 walk's prefixes are every member of sizes 1-7
+    for p, *_ in game("231", 7).walk(start=(1,)):
+        if convert_132_to_231(convert_231_to_132(p := tuple(p))) != p:
+            report(f"upsilon: round trip fails at {perm_to_str(p)}")
+            return False
     return ok
 
 
@@ -418,36 +413,55 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_tree(args) -> int:
     cls = pattern_class(args.cls)
-    if args.prefix is not None:
-        p = () if args.prefix == "null" else perm_from_str(args.prefix)
-        _check_caps(cls, args.n)
-        g = game(cls, args.n)
-        k, label = g.state(p)
-        total, z0, z1, _, _ = g.states[k][label]
-        eligible = is_eligible(p)
-        strike, trigger = Tally(z0 if eligible else 0, total), Tally(z1, total)
-        name = "null" if p == () else _perm_str(p)
-        if args.json:
-            print(json.dumps({
-                "prefix": name, "eligible": eligible,
-                "strike": str(strike), "trigger": str(trigger),
-                "children": [_perm_str(extend(p, c)) for c, *_ in g.moves[k][label]],
-            }, indent=2))
-        else:
-            print(f"node {name}: eligible={eligible} strike={strike} trigger={trigger}")
-            if eligible and k < args.n:
-                print("successors: " + ", ".join(_perm_str(q) for q in successors(g, p)))
+    p = None if args.prefix is None else () if args.prefix == "null" else perm_from_str(args.prefix)
+    _check_caps(cls, args.n)
+    g = game(cls, args.n)
+    if p is None:
+        _print_tree(g, args.json)
         return 0
-    tree = build(cls, args.n)
+    k, label = g.state(p)
+    total, z0, z1, _, _ = g.states[k][label]
+    eligible = is_eligible(p)
+    strike, trigger = Tally(z0 if eligible else 0, total), Tally(z1, total)
+    name = "null" if p == () else _perm_str(p)
     if args.json:
-        print(tree_to_json(tree))
+        print(json.dumps({
+            "prefix": name, "eligible": eligible,
+            "strike": str(strike), "trigger": str(trigger),
+            "children": [_perm_str(extend(p, c)) for c, *_ in g.moves[k][label]],
+        }, indent=2))
     else:
-        for node in tree.nodes():
-            pad = "  " * (len(node.prefix) - 1)
-            mark = "*" if node.eligible else " "
-            print(f"{pad}{_perm_str(node.prefix)} {mark} "
-                  f"strike={node.strike} trigger={node.trigger}")
+        print(f"node {name}: eligible={eligible} strike={strike} trigger={trigger}")
+        if eligible and k < args.n:
+            print("successors: " + ", ".join(_perm_str(q) for q in successors(g, p)))
     return 0
+
+
+def _print_tree(g: Game, as_json: bool) -> None:
+    """Every node from the root down, a line each off the game's walk, or
+    with as_json the bytes json.dumps(..., indent=2) gives for the nested
+    nodes, written a node at a time: no tree and no whole document is held."""
+    n, states, write, depth = g.rank, g.states, sys.stdout.write, 0
+    # ends[j] closes a node at depth j < n; a leaf, at depth n, closes itself
+    ends = [f"\n{'    ' * (j - 1)}  ]\n{'    ' * (j - 1)}}}" for j in range(n)]
+    for p, k, label, eligible, _ in g.walk(start=(1,)):
+        total, z0, z1, _, _ = states[k][label]
+        strike, trigger = f"{z0 if eligible else 0}/{total}", f"{z1}/{total}"
+        if not as_json:
+            write(f"{'  ' * (k - 1)}{_perm_str(p)} {'*' if eligible else ' '} "
+                  f"strike={strike} trigger={trigger}\n")
+            continue
+        # after its parent, or after a leaf: close the leaf's ancestors down to a sibling
+        if depth:
+            write("\n" if k > depth else "".join(reversed(ends[k:depth])) + ",\n")
+        pad = "    " * (k - 1)
+        write(f'{pad}{{\n{pad}  "prefix": "{_perm_str(p)}",\n'
+              f'{pad}  "eligible": {"true" if eligible else "false"},\n'
+              f'{pad}  "strike": "{strike}",\n{pad}  "trigger": "{trigger}",\n'
+              f'{pad}  "children": [' + (f"]\n{pad}}}" if k == n else ""))
+        depth = k
+    if as_json:
+        write("".join(reversed(ends[1:])) + "\n")
 
 
 COMMANDS = {

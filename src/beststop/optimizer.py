@@ -24,21 +24,22 @@ are dropped, as the tree prunes them.
 
 game(cls, n) is the sweep, a Game its caller keeps for every question; its
 two mode views read one mode's best below in value, stops, strike_set and
-per_node_values, and hold the game, which holds no view.  The optimal set
-is listed by walking the moves down from the root (the null prefix for
-trigger) only when stops or strike_set is read, so a value alone costs
-only the sweep; the moves are built once per game, on their first read.
-The strategy walk table that scores and simulates a strategy, sampling and
-prefixtree.build read the same moves directly.  The optimal set's listing,
-strike-set completion, successors and the naming of a strike set's first
-uncovered leaf read them through one first-hit walk, from the null prefix,
-the root or any prefix p (state finds p's (k, label)), under the tree's
-caps.  The walk carries each prefix as bytes, one byte an entry, stepped
-by permutations._shifts, so a child costs one translate and one append,
-and it refuses ranks past WALK_MAX_RANK.  hit reads those bytes and the
-walk yields them; stops hands them on, which the command line sorts and
-names with no tuples made, and a caller makes tuples only of what it
-returns (strike_set, completion, successors).
+per_node_values, and hold the game, which holds no view.  The moves are
+built once per game, on their first read; the strategy walk table,
+sampling, the West pairing and prefixtree.build read them directly.  Every
+other reader of nodes reads one preorder walk, Game.walk, from the null
+prefix, the root or any prefix p (state finds p's (k, label)), under the
+tree's caps: the whole-tree printout, the figures and isomorphism checks,
+and through its pruned form first_hits, which descends below no hit, the
+optimal set's listing (walked only when stops or strike_set is read, so a
+value alone costs only the sweep), strike-set completion, successors and
+the naming of a strike set's first uncovered leaf.  The walk carries each
+prefix as bytes, one byte an entry, stepped by permutations._shifts, so a
+child costs one translate and one append, and it refuses ranks past
+WALK_MAX_RANK.  hit reads those bytes and the walk yields them; stops hands
+them on, which the command line sorts and names with no tuples made, and a
+caller makes tuples only of what it returns (strike_set, completion,
+successors).
 """
 from __future__ import annotations
 
@@ -52,14 +53,12 @@ from .permutations import (WALK_MAX_RANK, PatternClass, Perm, _free, _label, _op
                            prefix_flattening)
 from .tallies import Tally
 
-# Trees are only materialized up to this rank and this many members (leaves)
-# unless the caller raises the caps.  A tree holds about 230 B per leaf (the
-# unrestricted class at rank 9, 362,880 leaves and 409,114 nodes: 79 MiB of
-# objects by tracemalloc, 97 MiB peak RSS in a fresh Python 3.11 process;
-# the Catalan classes at rank 12 peak at 324-335 B per leaf, the sweep's
-# states included), so the member cap keeps a build to about 0.3 GB.
-# Reading index, as an isomorphism check does, adds about 50 B a node.  The
-# walks keep the same caps.
+# The walks over a game's nodes answer only up to this rank and this many
+# members (leaves).  No walk holds the tree, so the member cap bounds output
+# time, not memory: the unrestricted class at rank 9 (362,880 leaves and
+# 409,114 nodes) prints its whole tree in 1.0-1.5 s as 21 MB of text and in
+# 1.3-1.6 s as 135 MB of JSON, each peaking at 17 MiB RSS in a fresh Python
+# 3.11 process on a 2-vCPU Xeon, stdout to /dev/null.
 DEFAULT_MAX_RANK = 12
 DEFAULT_TREE_CAP = 1_000_000
 
@@ -133,15 +132,14 @@ class Game:
         raise NotFoundError(f"prefix {p!r} is not a node of the rank-{self.rank} "
                             f"tree for class {self.pattern_class.name}")
 
-    def first_hits(self, hit: Callable[[bytes, int, int, bool], bool],
-                   start: Perm = ()) -> Iterator[tuple[bytes, int, int, bool, bool]]:
-        """(p, k, label, eligible, hit there) of the first prefix on each path
-        at or below start, a node (see state) that defaults to the null
-        prefix, where hit(p, k, label, eligible) holds, or of the path's
-        leaf: depth-first with children in ascending value.  Each p, as hit
-        gets it and as it is yielded, is bytes, one byte an entry, stepped
-        by the tables of permutations._shifts.  Refused past the tree's
-        member cap and past rank WALK_MAX_RANK."""
+    def walk(self, hit: Callable[[bytes, int, int, bool], bool] | None = None,
+             start: Perm = (), inner: bool = True) -> Iterator[tuple[bytes, int, int, bool, bool]]:
+        """(p, k, label, eligible, hit there) of each node at or below start
+        (a node, see state; the null prefix by default) in preorder, children
+        in ascending value, going below no node where hit(p, k, label,
+        eligible) holds; without inner, only the hits and leaves.  Each p is
+        bytes, one byte an entry, stepped by permutations._shifts's tables.
+        Refused past the tree's member cap and past rank WALK_MAX_RANK."""
         n, total = self.rank, self.states[0][0][0]
         if total > DEFAULT_TREE_CAP:
             raise LimitError(f"class {self.pattern_class.name} has {total} members "
@@ -151,13 +149,18 @@ class Game:
         stack = [(bytes(start), k, label, is_eligible(start), self.moves[k][label])]
         while stack:
             p, k, label, eligible, node = stack.pop()
-            if hit(p, k, label, eligible):
-                yield p, k, label, eligible, True
-            elif k == n:
-                yield p, k, label, eligible, False
-            else:
+            stop = hit is not None and hit(p, k, label, eligible)
+            if inner or stop or k == n:
+                yield p, k, label, eligible, stop
+            if not stop and k < n:
                 stack.extend([(p.translate(shift[c]) + last[c], k + 1, sub, eligible, kids)
                               for c, sub, _, kids, eligible in reversed(node)])
+
+    def first_hits(self, hit: Callable[[bytes, int, int, bool], bool],
+                   start: Perm = ()) -> Iterator[tuple[bytes, int, int, bool, bool]]:
+        """The walk pruned to its hits and leaves: the first prefix on each
+        path at or below start where hit holds, or the path's leaf."""
+        return self.walk(hit, start, inner=False)
 
 
 @dataclass(frozen=True)

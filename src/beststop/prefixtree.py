@@ -1,4 +1,6 @@
-"""Materialized tree of prefix flattenings with exact strike/trigger tallies.
+"""Materialized tree of prefix flattenings with exact strike/trigger tallies,
+the oracle that the game's one walk (optimizer.Game.walk) is checked
+against: no module of the package reads a tree.
 
 Nodes at depth k are the rank-k members of the class; the children of a node
 are its one-entry extensions inside the class.  Leaves sit at depth N (the
@@ -11,24 +13,12 @@ it:
             candidate and accepting the next left-to-right maximum wins.
 
 A virtual null node above the root represents the empty prefix, which is a
-legal trigger point ("accept the first candidate that is a running maximum")
-but never a strike point.
-
-build reads the tallies off one game, the optimizer's sweep of the label
-DAG: a node is its state's member total, z0 (its strike wins when eligible)
-and z1 (its trigger wins), and its children are the state's moves, so one
-rule counts the wins of the tree and of the optimizer in both modes.  It
-steps each prefix as bytes by permutations._shifts, as every walk does.
-
-Only readers of every node build a tree.  Optimal sets, strategy scoring,
-strike-set completion, a node's successors and a one-node lookup read a
-game and its walk over prefixes instead.  No tree is cached: each reader
-(the whole-tree command, the figures check, an isomorphism check) calls
-build once per tree it reads.
+legal trigger point but never a strike point.  build unfolds one game along
+its moves: a node is its state's member total, z0 (its strike wins when
+eligible) and z1 (its trigger wins).  perfbench traces build and reads index.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -36,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .errors import LimitError, NotFoundError
 from .optimizer import DEFAULT_TREE_CAP, State, _check_caps, game
-from .permutations import PatternClass, Perm, _perm_str, _shifts
+from .permutations import PatternClass, Perm, _shifts
 from .tallies import Tally
 
 
@@ -77,8 +67,7 @@ class PrefixTree:
     @cached_property
     def index(self) -> dict[Perm, TreeNode]:
         """Every node by prefix, the null node under (); built on the
-        first read, so only node lookups (an isomorphism check pairing
-        nodes by a map) pay for it."""
+        first read, so only node lookups pay for it."""
         index = {(): self.null}
         index.update((node.prefix, node) for node in self.nodes())
         return index
@@ -126,25 +115,6 @@ def _node(states: list[dict[int, State]], steps: tuple[list[bytes], list[bytes]]
     return TreeNode(tuple(p), eligible, z0 if eligible else 0, z1, total, tuple(
         [_node(states, steps, p.translate(shift[c]) + last[c], el, sub, kids)
          for c, sub, _, kids, el in moves]))
-
-
-def tree_to_dict(tree: PrefixTree) -> dict:
-    """JSON-ready nested representation of the tree."""
-
-    def render(node: TreeNode) -> dict:
-        return {
-            "prefix": _perm_str(node.prefix),
-            "eligible": node.eligible,
-            "strike": str(node.strike),
-            "trigger": str(node.trigger),
-            "children": [render(c) for c in node.children],
-        }
-
-    return render(tree.root)
-
-
-def tree_to_json(tree: PrefixTree) -> str:
-    return json.dumps(tree_to_dict(tree), indent=2)
 
 
 # perfbench/worker.py reads cached_tree.cache_info().hits and .misses for two

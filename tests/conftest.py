@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from beststop import build, pattern_class
+from beststop import pattern_class
+from beststop.prefixtree import build
 
 
 @pytest.fixture(scope="session")

@@ -6,13 +6,16 @@ disagree loudly when one of them is wrong.  Two exceptions read the
 package's trees: build_by_scan, which mirrors prefixtree.build's node order
 and refusals to check the labelled build node by node, rescanning every
 prefix for its children with this module's own interval scan (spans,
-children_by_scan); and optimize_tree, the backward induction on every node
-of a built tree that the label-DAG optimizer is checked against.  A third
+children_by_scan); optimize_tree, the backward induction on every node
+of a built tree that the label-DAG optimizer is checked against; and
+render_tree, the whole-tree output that `beststop tree` streams off the
+game's walk, rendered from a built tree.  A third
 reads a game: score_by_first_hits, the prefix walk that the walk table's
 backward pass in strategy.exact_success is checked against.
 """
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, bisect_right, insort
 from itertools import combinations, permutations, product
 from math import comb
@@ -438,6 +441,23 @@ def build_by_scan(cls, n, cap=DEFAULT_TREE_CAP):
         raise InvalidInputError(f"class {cls.name} has no members at rank {n}")
     null = TreeNode((), False, 0, trigger_wins[0], total, tuple(kids[0]))
     return PrefixTree(pattern_class=cls, rank=n, null=null, root=null.children[0])
+
+
+def render_tree(tree, as_json=False):
+    """What `beststop tree` prints for a built tree: a line per node in
+    preorder, indented by depth, or with as_json the nested nodes as one
+    json.dumps document with indent 2."""
+
+    def nested(node):
+        return {"prefix": perm_to_str(node.prefix), "eligible": node.eligible,
+                "strike": str(node.strike), "trigger": str(node.trigger),
+                "children": [nested(child) for child in node.children]}
+
+    if as_json:
+        return json.dumps(nested(tree.root), indent=2) + "\n"
+    return "".join(f"{'  ' * (len(node.prefix) - 1)}{perm_to_str(node.prefix)} "
+                   f"{'*' if node.eligible else ' '} strike={node.strike} "
+                   f"trigger={node.trigger}\n" for node in tree.nodes())
 
 
 def optimize_tree(tree, use_trigger):

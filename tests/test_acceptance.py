@@ -242,7 +242,7 @@ def test_criterion_11_bijections(tree_for):
         for n in range(2, 9):
             assert verify_tree_isomorphism("231", "132", n).ok, n
             assert verify_tree_isomorphism("321", "312", n).ok, n
-        table = west_correspondence(tree_for("321", 4), tree_for("312", 4))
+        table = west_correspondence(game("321", 4), game("312", 4))
         for a, b in WEST4.items():
             assert table[a] == b, a
         # sliding the maximum transfers winnability: for every eligible

@@ -2,17 +2,19 @@ from __future__ import annotations
 
 import pytest
 
+import beststop.prefixtree
 import oracles
 from beststop import (
     AV312,
     AV321,
     DomainError,
     InvalidInputError,
-    build,
+    LimitError,
     contains_pattern,
     convert_132_to_231,
     convert_231_to_132,
     flatten,
+    game,
     remove_minimum,
     slide_max,
     verify_tree_isomorphism,
@@ -44,8 +46,8 @@ WEST4 = {
 
 
 def west(n):
-    """The rank-n West pairing, read off freshly built 321 and 312 trees."""
-    return west_correspondence(build(AV321, n), build(AV312, n))
+    """The rank-n West pairing, read off fresh 321 and 312 games."""
+    return west_correspondence(game(AV321, n), game(AV312, n))
 
 
 def test_slide_max_examples():
@@ -147,6 +149,16 @@ def test_west_correspondence_matches_child_rule_oracle():
         assert west(n) == oracles.west_pairs(n), n
 
 
+def test_west_correspondence_of_games_builds_no_tree(monkeypatch):
+    # the pairing walks the two games' moves in lockstep; no tree is built
+    def refuse(*args):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(beststop.prefixtree, "build", refuse)
+    for n in range(1, 9):
+        assert west_correspondence(game("321", n), game("312", n)) == oracles.west_pairs(n), n
+
+
 def test_west_correspondence_is_a_bijection():
     for n in range(1, 7):
         m = west(n)
@@ -162,13 +174,16 @@ def test_west_correspondence_is_a_bijection():
 
 
 def test_west_correspondence_refuses_other_trees():
-    t321, t312 = build(AV321, 4), build(AV312, 4)
-    with pytest.raises(InvalidInputError, match="needs the 321 and 312 trees"):
-        west_correspondence(t312, t321)
-    with pytest.raises(InvalidInputError, match="needs the 321 and 312 trees"):
-        west_correspondence(t321, t321)
-    with pytest.raises(InvalidInputError, match="tree ranks differ: 4 vs 5"):
-        west_correspondence(t321, build(AV312, 5))
+    # the games of other classes or ranks, and ranks past the tree's caps
+    g321, g312 = game(AV321, 4), game(AV312, 4)
+    with pytest.raises(InvalidInputError, match="needs the 321 and 312 games"):
+        west_correspondence(g312, g321)
+    with pytest.raises(InvalidInputError, match="needs the 321 and 312 games"):
+        west_correspondence(g321, g321)
+    with pytest.raises(InvalidInputError, match="game ranks differ: 4 vs 5"):
+        west_correspondence(g321, game(AV312, 5))
+    with pytest.raises(LimitError, match="rank 13 exceeds the tree cap"):
+        west_correspondence(game(AV321, 13), game(AV312, 13))
 
 
 def test_west_preserves_eligibility_and_new_max_children():
@@ -201,8 +216,6 @@ def test_verify_isomorphism_detects_difference():
 def test_all_single_pattern_trees_same_shape_without_values():
     # forgetting the win counts, all six single-pattern trees at rank 4
     # have the same number of complete antichains; with values they split
-    from beststop import build, pattern_class
-
     rep = verify_tree_isomorphism("123", "213", 4)
     assert rep.method == "search"
     assert isinstance(rep.ok, bool)

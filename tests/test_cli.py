@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +15,8 @@ import pytest
 import beststop.bijections
 import beststop.cli
 import beststop.prefixtree
+import oracles
+from beststop import pattern_class
 from beststop.cli import main
 from beststop.strategy import DRAW_CAP, member_names, parse_strategy
 
@@ -104,6 +108,49 @@ def test_tree_output_pinned(capsys, name, view):
     assert hashlib.sha256(out.encode()).hexdigest() == TREE_SHA256[name, view]
 
 
+@pytest.mark.parametrize("name", sorted(beststop.cli.CLASSES))
+def test_tree_streams_the_oracle_rendering(capsys, name):
+    # the whole tree, as text and as JSON, written off the game's walk is
+    # the rendering of the scan-built tree, byte for byte
+    for n in range(1, 7):
+        tree = oracles.build_by_scan(pattern_class(name), n)
+        for flags, as_json in (((), False), (("--json",), True)):
+            got = run(capsys, "tree", "--class", name, "--n", str(n), *flags)
+            assert got == (0, oracles.render_tree(tree, as_json), ""), (n, flags)
+
+
+class _Counted:
+    """A stdout that keeps only the count of characters written to it."""
+
+    size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_tree_json_holds_no_whole_tree():
+    # tree --json writes each node as the walk reaches it: the command's
+    # traced peak (about 48 kB) stays under a fiftieth of the 8.6 MB
+    # document, where the nested dicts and the one string of a materialized
+    # tree peaked at 5.5 times the document.  The shared parser is built
+    # first, as its one build would count otherwise.
+    beststop.cli._build_parser()
+    out = _Counted()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            assert main(["tree", "--class", "231", "--n", "10", "--json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.size > 8_000_000
+    assert peak < out.size / 50, (peak, out.size)
+
+
 def test_tree_prefixes_print_unchecked(capsys, monkeypatch):
     # every prefix solve and tree print comes from the tree, so printing
     # them never re-validates a permutation; the output is unchanged
@@ -124,9 +171,9 @@ def test_tree_prefixes_print_unchecked(capsys, monkeypatch):
 
 
 def patch_build(monkeypatch, replacement):
-    """Put replacement in place of build at every module that looks it up."""
-    for module in (beststop.prefixtree, beststop.bijections, beststop.cli):
-        monkeypatch.setattr(module, "build", replacement)
+    """Put replacement in place of build at every module that looks it up:
+    only prefixtree, since no command reads a built tree."""
+    monkeypatch.setattr(beststop.prefixtree, "build", replacement)
 
 
 def refuse_build(*args):
@@ -220,20 +267,23 @@ def test_simulate_caps_draws_before_any_game(capsys, monkeypatch):
                    f"over the draw cap {DRAW_CAP}\n")
 
 
-def test_verify_builds_each_tree_once(capsys, monkeypatch):
-    # each isomorphism check builds its two trees once, and the West
-    # pairing reads the same two trees: one build per (class, rank)
-    built = []
-    real = beststop.prefixtree.build
+def test_verify_builds_no_tree_and_sweeps_one_game_per_check(capsys, monkeypatch):
+    # figures-321 and the upsilon round trip walk the games the command
+    # line sweeps, and each isomorphism check walks its two games, which
+    # the West pairing reads too: no tree, and one sweep per (class, rank)
+    # in each check
+    swept = {}
+    for module in (beststop.cli, beststop.bijections):
+        def counted(cls, n, sweep=module.game, site=swept.setdefault(module.__name__, [])):
+            site.append((getattr(cls, "name", cls), n))
+            return sweep(cls, n)
 
-    def counted(cls, n, *args):
-        built.append((cls.name, n))
-        return real(cls, n, *args)
-
-    patch_build(monkeypatch, counted)
-    code, out, err = run(capsys, "verify", "west", "upsilon")
-    assert (code, out, err) == (0, "ok   west\nok   upsilon\n", "")
-    assert sorted(built) == sorted(
+        monkeypatch.setattr(module, "game", counted)
+    patch_build(monkeypatch, refuse_build)
+    code, out, err = run(capsys, "verify", "figures-321", "west", "upsilon")
+    assert (code, out, err) == (0, "ok   figures-321\nok   west\nok   upsilon\n", "")
+    assert swept["beststop.cli"] == [("321", n) for n in range(2, 8)] + [("231", 7)]
+    assert sorted(swept["beststop.bijections"]) == sorted(
         (name, n) for name in ("321", "312", "231", "132") for n in range(2, 8))
 
 

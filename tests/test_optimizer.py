@@ -16,7 +16,6 @@ from beststop import (
     PatternClass,
     SplitMix64,
     Tally,
-    build,
     catalan,
     continuation_triangle,
     game,
@@ -28,6 +27,7 @@ from beststop import (
 )
 from beststop.optimizer import WALK_MAX_RANK
 from beststop.permutations import _label
+from beststop.prefixtree import build
 
 # exhaustive antichain enumeration is exponential: the unrestricted tree
 # already has 24 million complete antichains at rank 5

@@ -308,7 +308,7 @@ def test_tree_walks_skip_the_checks(monkeypatch):
     # they step each child's label from its parent's, so they never walk
     # a prefix's label from the root
     import beststop.permutations
-    from beststop import build
+    from beststop.prefixtree import build
 
     def refuse(*args):
         raise AssertionError("a tree walk re-checked its own prefix")

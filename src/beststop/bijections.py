@@ -17,7 +17,7 @@ pairing off the two games' moves in lockstep instead, matching sorted child
 lists in reverse order except that the new-maximum child always pairs with
 the new-maximum child.  verify_tree_isomorphism sweeps each of its two games
 once and checks each node of the first, off its walk (optimizer.Game.walk),
-against its partner's state in the second.
+against its partner's state in the second, found along the second's moves.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from .errors import DomainError, InvalidInputError, NotFoundError
+from .errors import DomainError, InvalidInputError
 from .optimizer import Game, _check_caps, game
 from .permutations import (
     PatternClass,
@@ -34,7 +34,6 @@ from .permutations import (
     contains_pattern,
     flatten,
     has_inversion,
-    is_eligible,
     pattern_class,
     validate_permutation,
 )
@@ -176,20 +175,27 @@ class TreeIsomorphismReport:
 def _pair_by_map(
     ga: Game, gb: Game, partner_of
 ) -> tuple[bool, bool, tuple[Perm, Perm] | None]:
-    """Each node of ga's walk against its partner's state in gb."""
+    """Each node of ga's walk against its partner's state in gb.  A partner
+    must extend its parent's partner (the null prefix's, for the root), and
+    its state is the move of that partner's state whose value is its last
+    entry."""
     value_miss: tuple[Perm, Perm] | None = None
+    shift, last = _shifts(ga.rank)
+    # above[k]: the partner of the walk's last node of size k, as bytes, and its moves
+    above: list[tuple[bytes, tuple]] = [(b"", gb.moves[0][0])] * (ga.rank + 1)
     for p, k, label, eligible, _ in ga.walk(start=(1,)):
         p = tuple(p)
-        partner = partner_of(p)
-        if partner is None:
-            return False, False, (p, ())
-        try:
-            j, sub = gb.state(partner)
-        except NotFoundError:
+        partner = partner_of(p) or ()
+        parent, moves = above[k - 1]
+        c = partner[-1] if partner else 0
+        move = next((m for m in moves if m[0] == c), None)
+        if move is None or (q := bytes(partner)) != parent.translate(shift[c]) + last[c]:
             return False, False, (p, partner)
-        if len(ga.moves[k][label]) != len(gb.moves[j][sub]) or eligible != is_eligible(partner):
+        _, sub, _, moves, other_eligible = move
+        if len(ga.moves[k][label]) != len(moves) or eligible != other_eligible:
             return False, False, (p, partner)
-        (total, z0, *_), (other_total, other_z0, *_) = ga.states[k][label], gb.states[j][sub]
+        above[k] = (q, moves)
+        (total, z0, *_), (other_total, other_z0, *_) = ga.states[k][label], gb.states[k][sub]
         same = total == other_total and (not eligible or z0 == other_z0)
         if not same and value_miss is None:
             value_miss = (p, partner)

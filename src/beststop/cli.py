@@ -36,8 +36,8 @@ from .closedform import (
     strike_prob_321,
     trigger_prob_321,
 )
-from .errors import (BestStopError, DepthError, InconsistencyError, InvalidInputError,
-                     LimitError, UsageError)
+from .errors import (FORMULA_MAX_RANK, BestStopError, DepthError, InconsistencyError,
+                     InvalidInputError, LimitError, UsageError)
 from .optimizer import (Game, _check_caps, completion, game, optimal_strike_set,
                         optimal_trigger_set, successors)
 from .permutations import (CLASSES, _perm_str, extend, is_eligible, pattern_class,
@@ -99,13 +99,6 @@ def _build_parser() -> _Parser:
 
 
 # --- solve ------------------------------------------------------------------
-
-
-# Every closed form's value has catalan(n) as its denominator, and 7,152 is
-# the largest n whose catalan(n) has at most 4,300 digits, the most that
-# CPython turns into a string by default; past it the value could not be
-# printed, so the rank is refused before any work.
-FORMULA_MAX_RANK = 7152
 
 
 def _solve_formula(name: str, n: int, mode: str) -> tuple[str, Tally]:
@@ -394,8 +387,6 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     cls = pattern_class(args.cls)
     s = parse_strategy(args.strategy, cls, args.n)
-    if s.kind == "strike":
-        _check_caps(cls, args.n)  # its completion needs the game: caps before trial count
     _check_trials(args.trials, args.n)
     s, g = _given_strategy(s, cls, args.n)
     rep = simulate(s, g, args.trials, seed=args.seed)

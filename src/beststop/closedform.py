@@ -50,6 +50,7 @@ from operator import add, floordiv, ge, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    TRIANGLE_CAP,
     DepthError,
     FitError,
     InconsistencyError,
@@ -66,10 +67,6 @@ from .permutations import (
 from .tallies import Tally, ballot, ballot_row, catalan, shifted_ballot
 
 MODES = ("strike", "trigger")
-
-# the tree cap's figure: the largest full triangle under it, 1,414 rows (998,991
-# entries), peaks at 212 MiB in either mode, and a full 2,000-row one at 538 MiB
-TRIANGLE_CAP = 1_000_000
 
 # rules[i-1] is the value-saturation threshold that fires when N - k == i;
 # None marks "never fires on this diagonal"

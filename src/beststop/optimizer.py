@@ -36,10 +36,10 @@ value alone costs only the sweep), strike-set completion, successors and
 the naming of a strike set's first uncovered leaf.  The walk carries each
 prefix as bytes, one byte an entry, stepped by permutations._shifts, so a
 child costs one translate and one append, and it refuses ranks past
-WALK_MAX_RANK.  hit reads those bytes and the walk yields them; stops hands
-them on, which the command line sorts and names with no tuples made, and a
-caller makes tuples only of what it returns (strike_set, completion,
-successors).
+errors.WALK_MAX_RANK.  hit reads those bytes and the walk yields them;
+stops hands them on, which the command line sorts and names with no tuples
+made, and a caller makes tuples only of what it returns (strike_set,
+completion, successors); enumerate_class yields the leaves as tuples.
 """
 from __future__ import annotations
 
@@ -47,27 +47,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .errors import InvalidInputError, LimitError, NotFoundError
-from .permutations import (WALK_MAX_RANK, PatternClass, Perm, _free, _label, _opened, _relabel,
-                           _shifts, is_eligible, is_permutation, pattern_class, perm_to_str,
+from .errors import (DAG_STATE_CAP, DEFAULT_MAX_RANK, DEFAULT_TREE_CAP, InvalidInputError,
+                     LimitError, NotFoundError)
+from .permutations import (PatternClass, Perm, _free, _label, _opened, _relabel, _shifts,
+                           is_eligible, is_permutation, pattern_class, perm_to_str,
                            prefix_flattening)
 from .tallies import Tally
-
-# The walks over a game's nodes answer only up to this rank and this many
-# members (leaves).  No walk holds the tree, so the member cap bounds output
-# time, not memory: the unrestricted class at rank 9 (362,880 leaves and
-# 409,114 nodes) prints its whole tree in 1.0-1.5 s as 21 MB of text and in
-# 1.3-1.6 s as 135 MB of JSON, each peaking at 17 MiB RSS in a fresh Python
-# 3.11 process on a 2-vCPU Xeon, stdout to /dev/null.
-DEFAULT_MAX_RANK = 12
-DEFAULT_TREE_CAP = 1_000_000
-
-# Ceiling on the states, (depth, label) pairs, that one sweep may visit,
-# since time is what fails.  132 and 312 have 2^(k-1) labels at depth k,
-# the other classes at most k: at rank 19, 524,288 states, the one sweep of
-# both modes takes 2.4-3.5 s, peaking at 89 MiB in a fresh Python 3.11
-# process on a 2-vCPU Xeon; rank 20 is refused after 1.9-2.3 s.
-DAG_STATE_CAP = 1_000_000
 
 # states[k][label] = (member total, z0, z1, strike best below, trigger best below)
 State = tuple[int, int, int, int, int]

@@ -12,13 +12,14 @@ and shifting the old values >= c up by one.  One bitmask label of a
 prefix's forbidden values, stepped from parent to child by the one entry
 the child adds, answers which values c a prefix allows (child_indices) and
 whether an order is a member (contains_pattern, PatternClass.is_member).
-enumerate_class carries it down the tree and the optimizer's sweep steps
-it across the label DAG, never rescanning a prefix; a point query steps
-it along one order.  extend is the validated child step; every walk down
-the tree holds a prefix as bytes and takes the same step by _shifts's
-tables.  For the single-pattern classes every member extends, so the tree
-of prefixes at rank N contains the whole class at every smaller rank and
-grows like the Catalan numbers rather than n!.
+The optimizer's sweep steps it across the label DAG, never rescanning a
+prefix, and a point query steps it along one order.  extend is the
+validated child step; every walk down the tree holds a prefix as bytes and
+takes the same step by _shifts's tables, and enumerate_class lists the
+leaves of the game's one walk (optimizer.Game.walk).  For the
+single-pattern classes every member extends, so the tree of prefixes at
+rank N contains the whole class at every smaller rank and grows like the
+Catalan numbers rather than n!.
 """
 from __future__ import annotations
 
@@ -27,17 +28,10 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
 
-from .errors import InvalidInputError, LimitError
+from .errors import WALK_MAX_RANK, InvalidInputError, LimitError
 from .tallies import catalan
 
 Perm = tuple[int, ...]
-
-# Ceiling on the number of members a single enumeration may visit.
-DEFAULT_ENUM_CAP = 5_000_000
-
-# The walks hold a prefix as bytes, one byte an entry (see _shifts), so they
-# refuse a game past this rank; the tree's caps stop every command far below.
-WALK_MAX_RANK = 255
 
 
 def is_permutation(entries: Sequence[int]) -> bool:
@@ -314,41 +308,14 @@ def child_indices(p: Sequence[int], cls: PatternClass) -> set[int]:
     return set(_free(label, len(perm)))
 
 
-def enumerate_class(
-    cls: PatternClass, n: int, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[Perm]:
-    """Stream every member of cls at rank n, in generating-tree order: depth
-    first, children in ascending value, each prefix held as bytes (_shifts).
+def enumerate_class(cls: PatternClass, n: int) -> Iterator[Perm]:
+    """Stream every member of cls at rank n, in generating-tree order (depth
+    first, children in ascending value): the leaves of the rank-n game's
+    walk, under its caps (see optimizer.Game.walk)."""
+    from .optimizer import game  # optimizer imports this module
 
-    Raises LimitError before any work when the class size is known to
-    exceed cap or n is past WALK_MAX_RANK, or during iteration once cap
-    members have been produced.
-    """
-    if n < 1:
-        raise InvalidInputError(f"rank must be >= 1, got {n}")
-    known = cls.size(n)
-    if known is not None and known > cap:
-        raise LimitError(
-            f"class {cls.name} has {known} members at rank {n}, over the cap {cap}"
-        )
-    shift, last = _shifts(n)
-    opened = _opened(cls, n)
-    count = 0
-    stack = [(b"", 0)]
-    while stack:
-        p, label = stack.pop()
-        k = len(p)
-        if k == n:
-            count += 1
-            if count > cap:
-                raise LimitError(
-                    f"enumeration of class {cls.name} at rank {n} exceeded cap {cap}"
-                )
-            yield tuple(p)
-            continue
-        row = opened[k]
-        stack.extend([(p.translate(shift[c]) + last[c], _relabel(label, c, row[c]))
-                      for c in reversed(_free(label, k))])
+    for p, _, _, _, _ in game(cls, n).walk(inner=False):
+        yield tuple(p)
 
 
 def perm_to_str(p: Sequence[int]) -> str:

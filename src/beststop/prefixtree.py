@@ -24,8 +24,8 @@ from functools import cached_property
 from types import SimpleNamespace
 from typing import Iterator, Sequence
 
-from .errors import LimitError, NotFoundError
-from .optimizer import DEFAULT_TREE_CAP, State, _check_caps, game
+from .errors import DEFAULT_TREE_CAP, LimitError, NotFoundError
+from .optimizer import State, _check_caps, game
 from .permutations import PatternClass, Perm, _shifts
 from .tallies import Tally
 

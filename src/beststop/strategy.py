@@ -38,7 +38,8 @@ from math import sqrt
 from typing import Iterable, Sequence
 
 from .closedform import ThresholdTable, continuation_triangle, optimal_boundary
-from .errors import DepthError, IncompleteStrategyError, InvalidInputError, LimitError
+from .errors import (DRAW_CAP, DepthError, IncompleteStrategyError, InvalidInputError,
+                     LimitError)
 from .optimizer import Game, _check_caps
 from .permutations import (PatternClass, Perm, _label, _perm_str, _shifts, extend, is_eligible,
                            pattern_class, perm_from_str, perm_to_str, prefix_flattening,
@@ -47,12 +48,6 @@ from .rng import SplitMix64, walk_node, walks
 from .tallies import Tally
 
 KINDS = ("strike", "trigger", "positional", "threshold")
-
-# Ceiling on a simulation's draws, trials times rank, since time is what
-# fails, about 0.3 us a draw: at the cap, in a fresh Python 3.11 process on
-# a 2-vCPU Xeon, the 321 threshold at rank 12 takes 6.7-7.2 s, the 312
-# trigger one 9.5 s, and strike:{12} on the unrestricted rank-9 game 8.1 s.
-DRAW_CAP = 20_000_000
 
 
 @dataclass(frozen=True, eq=False)

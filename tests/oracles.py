@@ -20,8 +20,8 @@ from bisect import bisect_left, bisect_right, insort
 from itertools import combinations, permutations, product
 from math import comb
 
-from beststop.errors import IncompleteStrategyError, InvalidInputError, LimitError
-from beststop.optimizer import DEFAULT_MAX_RANK, DEFAULT_TREE_CAP
+from beststop.errors import (DEFAULT_MAX_RANK, DEFAULT_TREE_CAP, IncompleteStrategyError,
+                             InvalidInputError, LimitError)
 from beststop.permutations import PatternClass, extend, perm_to_str
 from beststop.prefixtree import PrefixTree, TreeNode
 from beststop.strategy import _fires

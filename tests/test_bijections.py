@@ -208,6 +208,21 @@ def test_verify_isomorphism_detects_difference():
         verify_tree_isomorphism("321", "231", 7)
 
 
+def test_pairing_needs_each_partner_to_extend_its_parents():
+    # (1, 2, 3) is a node of the 132 game with the counts and children of
+    # (2, 1, 3) in the 231 game, but it does not extend (2, 1), the partner
+    # of (2, 1): a structure mismatch, as is a missing partner
+    from beststop.bijections import _pair_by_map
+
+    ga, gb = game("231", 4), game("132", 4)
+    assert _pair_by_map(ga, gb, convert_231_to_132) == (True, True, None)
+    moved = {(2, 1, 3): (1, 2, 3)}
+    assert _pair_by_map(ga, gb, lambda p: moved.get(p) or convert_231_to_132(p)) == (
+        False, False, ((2, 1, 3), (1, 2, 3)))
+    assert _pair_by_map(ga, gb, lambda p: None if p == (1, 3, 2) else convert_231_to_132(p)) \
+        == (False, False, ((1, 3, 2), ()))
+
+
 def test_all_single_pattern_trees_same_shape_without_values():
     # forgetting the win counts, all six single-pattern trees at rank 4
     # have the same number of complete antichains; with values they split

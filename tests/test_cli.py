@@ -18,7 +18,8 @@ import beststop.prefixtree
 import oracles
 from beststop import pattern_class
 from beststop.cli import main
-from beststop.strategy import DRAW_CAP, member_names, parse_strategy
+from beststop.errors import DRAW_CAP
+from beststop.strategy import member_names, parse_strategy
 
 
 @pytest.fixture(autouse=True)
@@ -267,6 +268,33 @@ def test_simulate_caps_draws_before_any_game(capsys, monkeypatch):
                    f"over the draw cap {DRAW_CAP}\n")
 
 
+def test_simulate_checks_each_cap_once_before_the_sweep(capsys, monkeypatch):
+    # the command line checks the draws, then the tree's caps, once each and
+    # before its one sweep, so a strike set past both is refused for its draws
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in ("_check_trials", "_check_caps", "game"):
+        monkeypatch.setattr(beststop.cli, name, counted(name, getattr(beststop.cli, name)))
+    for strategy in ("strike:{12}", "threshold:strike"):
+        calls.clear()
+        code, _, err = run(capsys, "simulate", "--class", "321", "--n", "6",
+                           "--strategy", strategy, "--trials", "10")
+        assert (code, err, calls) == (0, "", ["_check_trials", "_check_caps", "game"]), strategy
+    calls.clear()
+    trials = DRAW_CAP // 13 + 1
+    assert run(capsys, "simulate", "--class", "321", "--n", "13", "--strategy", "strike:{12}",
+               "--trials", str(trials)) == (
+        2, "", f"error: {trials} trials at rank 13 draw {trials * 13} prefixes, "
+               f"over the draw cap {DRAW_CAP}\n")
+    assert calls == ["_check_trials"]
+
+
 def test_verify_builds_no_tree_and_sweeps_one_game_per_check(capsys, monkeypatch):
     # figures-321 and the upsilon round trip walk the games the command
     # line sweeps, and each isomorphism check walks its two games, which
@@ -446,6 +474,30 @@ def test_closed_stdout_ends_quietly(tmp_path):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_limits_refuse_in_a_small_process(tmp_path):
+    # each limit the command line can reach (rank, members, triangle
+    # entries, closed-form rank, draws) ends with exit 2 and one error line
+    # before any work, in a child process held to 256 MiB of address space
+    # and 20 s, one child at a time
+    import resource
+
+    def small():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = str(Path(beststop.cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "BESTSTOP_CACHE": str(tmp_path / "cache"),
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv in ("tree --class 321 --n 13", "solve --class none --n 10",
+                 "triangle --rows 100000", "solve --class 321 --n 7153 --formula",
+                 "simulate --class 321 --n 10 --strategy threshold:strike --trials 100000000"):
+        proc = subprocess.run([sys.executable, "-m", "beststop.cli", *argv.split()], env=env,
+                              preexec_fn=small, capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), argv
+        assert "Traceback" not in proc.stderr, argv
+    assert not (tmp_path / "cache").exists()
 
 
 def test_triangle_csv(capsys):

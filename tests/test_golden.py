@@ -1,6 +1,6 @@
 """The byte-identity corpus: every command of tests/golden/cli.tsv still
 exits and prints exactly as recorded (see tests/golden/update.py, which
-rewrites the file).  The replay of its 1,229 commands takes 2.1-2.7 s
+rewrites the file).  The replay of its 1,230 commands takes 2.1-2.7 s
 on a 2-vCPU Xeon, the 8.6 MB rank-10 312 tree as JSON included."""
 from __future__ import annotations
 

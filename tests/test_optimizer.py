@@ -25,7 +25,7 @@ from beststop import (
     optimal_success_231,
     optimal_trigger_set,
 )
-from beststop.optimizer import WALK_MAX_RANK
+from beststop.errors import WALK_MAX_RANK
 from beststop.permutations import _label
 from beststop.prefixtree import build
 

@@ -218,29 +218,40 @@ def test_enumerate_class_matches_oracle():
             assert got == sorted(oracles.members(name, n)), (name, n)
 
 
-def test_enumerate_class_caps():
-    with pytest.raises(LimitError):
-        list(enumerate_class(UNRESTRICTED, 4, cap=10))
-    # unknown-size classes only hit the cap during iteration
+def test_enumerate_class_caps(monkeypatch):
+    # every listing meets the walk's one member cap, read off the game's
+    # member count before the first member, whether or not the class size
+    # is known
+    import beststop.optimizer
+
     lazy = PatternClass("pair", ((1, 3, 2), (2, 1, 3)))
-    with pytest.raises(LimitError):
-        list(enumerate_class(lazy, 4, cap=3))
-    assert len(list(enumerate_class(lazy, 4, cap=100))) == 8
+    monkeypatch.setattr(beststop.optimizer, "DEFAULT_TREE_CAP", 10)
+    with pytest.raises(LimitError, match="class none has 24 members at rank 4"):
+        next(enumerate_class(UNRESTRICTED, 4))
+    monkeypatch.setattr(beststop.optimizer, "DEFAULT_TREE_CAP", 3)
+    with pytest.raises(LimitError, match="class pair has 8 members at rank 4"):
+        next(enumerate_class(lazy, 4))
+    monkeypatch.setattr(beststop.optimizer, "DEFAULT_TREE_CAP", 8)
+    assert len(list(enumerate_class(lazy, 4))) == 8
 
 
-def test_enumerate_class_is_the_walks_leaves():
-    # enumerate_class and the game's first-hit walk, hitting nowhere, walk
-    # the same generating tree: the same leaves, in the same order
+def test_enumerate_class_streams_generating_tree_order():
+    # depth first with children in ascending value is the order of each
+    # member's code c_1..c_n, c_k one plus the number of earlier entries
+    # below entry k (the value that extend appends at step k)
+    def code(w):
+        return tuple(1 + sum(u < v for u in w[:k]) for k, v in enumerate(w))
+
     for name, cls in CLASSES.items():
         for n in range(1, 8):
-            leaves = [tuple(p) for p, *_ in game(cls, n).first_hits(lambda *state: False)]
-            assert list(enumerate_class(cls, n)) == leaves, (name, n)
+            want = sorted(oracles.members(name, n), key=code)
+            assert list(enumerate_class(cls, n)) == want, (name, n)
 
 
 def test_enumerate_class_holds_ranks_up_to_a_byte():
     # enumerate_class holds its prefixes as bytes: the class whose only
     # member at each rank is the decreasing order, of no known size, is
-    # enumerated at rank 255 and refused, before any step, past it
+    # enumerated at rank 255 and refused, before its first member, past it
     only_321 = PatternClass("only-321", tuple(p for p in permutations((1, 2, 3))
                                               if p != (3, 2, 1)))
     assert list(enumerate_class(only_321, 255)) == [tuple(range(255, 0, -1))]
@@ -322,17 +333,20 @@ def test_tree_walks_skip_the_checks(monkeypatch):
     assert len(optimal_strike_set(game(AV312, 6)).strike_set.members) == 76
 
 
-def test_enumeration_is_freed_by_reference_counting():
-    # a finished enumeration, and one its cap refused, must leave no
-    # reference cycle to the cyclic collector
+def test_enumeration_is_freed_by_reference_counting(monkeypatch):
+    # a finished enumeration, and one the walk's cap refused before its
+    # first member, must leave no reference cycle to the cyclic collector
+    import beststop.optimizer
+
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         assert len(list(enumerate_class(AV321, 8))) == 1430
         assert gc.collect() == 0
+        monkeypatch.setattr(beststop.optimizer, "DEFAULT_TREE_CAP", 10)
         try:
-            list(enumerate_class(PatternClass("pair", oracles.FORBIDDEN["pair"]), 9, cap=10))
+            next(enumerate_class(PatternClass("pair", oracles.FORBIDDEN["pair"]), 9))
         except LimitError:
             pass
         else:

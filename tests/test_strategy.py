@@ -41,7 +41,8 @@ from beststop import (
 from beststop.permutations import _label, is_eligible, perm_to_str
 from beststop.prefixtree import build
 from beststop.rng import walk_node, walks
-from beststop.strategy import DRAW_CAP, member_names, members_str
+from beststop.errors import DRAW_CAP
+from beststop.strategy import member_names, members_str
 
 
 def test_play_strike_trace():

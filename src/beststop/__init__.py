@@ -14,7 +14,7 @@ forbidden pattern of size three (or no restriction), and provides
     with its threshold boundaries (closedform),
   - playable strategies, exact evaluation, and simulation (strategy),
   - structure-preserving maps between the games (bijections),
-  - a small disk cache and a command line front end (cache, cli).
+  - a disk cache of sigma tables and a command line front end (cache, cli).
 
 All probabilities are exact: unreduced win/total tallies backed by
 integer arithmetic, convertible to Fraction.
@@ -30,7 +30,7 @@ from .bijections import (
     verify_tree_isomorphism,
     west_correspondence,
 )
-from .cache import cached_triangle, load_triangle, store_triangle
+from .cache import cached_boundary, load_triangle, store_triangle
 from .closedform import (
     ContinuationTriangle,
     FitResult,

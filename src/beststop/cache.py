@@ -1,22 +1,18 @@
-"""Disk cache for computed continuation triangles.
+"""Disk cache for the sigma tables of full continuation triangles.
 
-Only full, unfrozen triangles are cached: they are the expensive shared
-artifact and they are deterministic in (mode, depth).  A lookup opens only
-the file for its exact (mode, depth).  Frozen-boundary and band triangles
-are cheap one-offs and are never written.
+Only a full, unfrozen triangle's sigma is written: it is deterministic in
+(mode, rows), and its rows numbers read back far faster than the sweep
+makes them.  Band and frozen triangles, and the entries `triangle` prints
+as CSV or as a row, are never cached.
 
-Files live under $BESTSTOP_CACHE (default ~/.cache/beststop), one per
-(mode, depth).  A file is a JSON head line with the schema tag, mode,
-depth and the sigma the sweep recorded (depth entries, null where a
-diagonal has no optimal stop), then one JSON array per diagonal i = 1 ..
-depth-1 holding that diagonal's depth-i entries, the lists exactly as the
-triangle holds them; it is written and read one line at a time.  Writes
-go through a temporary file and os.replace, and both reads and writes
-hold an advisory lock on a sidecar file, so concurrent processes see
-either the old or the new file, never a torn one.  A file that fails to parse, carries an unknown schema
-(files of earlier schemas included) or does not hold exactly the
-triangle's sigma and integer diagonals is treated as absent and rebuilt,
-with a warning.
+Files live under $BESTSTOP_CACHE (default ~/.cache/beststop), one JSON line
+per (mode, rows): the schema tag, mode, rows and sigma(i) for 0 <= i < rows,
+the first optimal column 1 .. rows-i of diagonal i, or null where none is.
+Writes go through a temporary file and os.replace, and reads and writes hold
+an advisory lock on a sidecar file, so concurrent processes never see a torn
+file.  A file that fails to parse, carries another schema (earlier ones
+included) or holds no such sigma is treated as absent and rebuilt, with a
+warning.
 """
 from __future__ import annotations
 
@@ -25,12 +21,12 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from types import NoneType
 
-from .closedform import ContinuationTriangle, continuation_triangle
+from .closedform import (ContinuationTriangle, ThresholdTable, _check_triangle,
+                         continuation_triangle, optimal_boundary)
 from .errors import InvalidInputError
 
-SCHEMA = 3
+SCHEMA = 4
 
 try:
     import fcntl
@@ -72,23 +68,17 @@ class _Locked:
 
 
 def store_triangle(t: ContinuationTriangle) -> Path:
-    """Write a full unfrozen triangle to the cache and return its path."""
+    """Cache the sigma of a full unfrozen triangle; return the file's path."""
     if t.frozen_rules is not None or t.max_diag is not None:
         raise InvalidInputError("only full, unfrozen triangles are cached")
     path = _triangle_path(t.mode, t.max_n)
-    compact = (",", ":")
-    head = json.dumps({"schema": SCHEMA, "mode": t.mode, "max_n": t.max_n, "sigma": t.sigma},
-                      separators=compact)
+    line = json.dumps({"schema": SCHEMA, "mode": t.mode, "max_n": t.max_n, "sigma": t.sigma},
+                      separators=(",", ":"))
     with _Locked(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                # json.dumps runs the C encoder, which json.dump never does;
-                # one call per diagonal keeps each string it builds small
-                fh.write(head + "\n")
-                for diag in t.diags:
-                    fh.write(json.dumps(diag, separators=compact) + "\n")
+                fh.write(line + "\n")
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -96,47 +86,39 @@ def store_triangle(t: ContinuationTriangle) -> Path:
     return path
 
 
-def load_triangle(mode: str, max_n: int) -> ContinuationTriangle | None:
-    """Read a cached triangle, or None when absent or unusable."""
+def load_triangle(mode: str, max_n: int) -> ThresholdTable | None:
+    """Read a cached threshold table, or None when absent or unusable."""
     path = _triangle_path(mode, max_n)
     if not path.exists():
         return None
     with _Locked(path):
         try:
             with open(path) as fh:
+                # one line: an earlier schema's diagonals after it stay unread
                 head = json.loads(fh.readline())
-                if (
-                    not isinstance(head, dict)
-                    or head.get("schema") != SCHEMA
-                    or head.get("mode") != mode
-                    or head.get("max_n") != max_n
-                ):
-                    warnings.warn(f"discarding cache file {path} with unexpected contents")
-                    return None
-                sigma = head.get("sigma")
-                if type(sigma) is not list or len(sigma) != max_n \
-                        or not set(map(type, sigma)) <= {int, NoneType}:
-                    warnings.warn(
-                        f"discarding cache file {path}: sigma is not {max_n} ints or nulls")
-                    return None
-                diags = [json.loads(line) for line in fh]
         except (OSError, ValueError) as e:  # JSONDecodeError and bad UTF-8 included
             warnings.warn(f"discarding unreadable cache file {path}: {e}")
             return None
-    # diagonal i holds max_n - i plain ints (int() would truncate a float)
-    if len(diags) != max_n - 1 or not all(
-        type(diag) is list and len(diag) == max_n - i and set(map(type, diag)) == {int}
-        for i, diag in enumerate(diags, 1)
-    ):
-        warnings.warn(f"discarding cache file {path}: entries are not the expected rows 2..{max_n}")
+    if not isinstance(head, dict) or head.get("schema") != SCHEMA \
+            or head.get("mode") != mode or head.get("max_n") != max_n:
+        warnings.warn(f"discarding cache file {path} with unexpected contents")
         return None
-    return ContinuationTriangle(
-        mode=mode, max_n=max_n, max_diag=None, frozen_rules=None, diags=diags, sigma=sigma
-    )
+    sigma = head.get("sigma")
+    # diagonal i has columns 1 .. max_n - i; a bool is not a column
+    if type(sigma) is not list or len(sigma) != max_n or not all(
+        v is None or (type(v) is int and 1 <= v <= max_n - i) for i, v in enumerate(sigma)
+    ):
+        warnings.warn(f"discarding cache file {path}: sigma is not {max_n} entries, "
+                      f"each null or a column 1..{max_n}-i of its diagonal i")
+        return None
+    return ThresholdTable(mode=mode, depth=max_n, values=dict(enumerate(sigma)))
 
 
-def cached_triangle(mode: str, max_n: int) -> ContinuationTriangle:
-    """Load the triangle from disk or compute and store it."""
+def cached_boundary(mode: str, max_n: int) -> ThresholdTable:
+    """The full max_n-row triangle's threshold table, read from the cache or
+    swept and stored.  The arguments and the triangle cap are checked before
+    any file is read, so no file answers what the sweep would refuse."""
+    _check_triangle(mode, max_n)
     found = load_triangle(mode, max_n)
     if found is not None:
         return found
@@ -145,4 +127,4 @@ def cached_triangle(mode: str, max_n: int) -> ContinuationTriangle:
         store_triangle(t)
     except OSError as e:  # cache is an optimization, never a failure
         warnings.warn(f"could not write triangle cache: {e}")
-    return t
+    return optimal_boundary(t)

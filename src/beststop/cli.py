@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .cache import cached_triangle
+from .cache import cached_boundary
 from .closedform import (
     continuation_triangle,
     fit_shifted_ballot,
@@ -180,7 +180,7 @@ def _parse_frozen(text: str) -> tuple:
 
 def _cmd_triangle(args) -> int:
     frozen = _parse_frozen(args.frozen) if args.frozen else None
-    # argument errors surface before the sweep (and before any cache write)
+    # argument errors surface before the sweep
     if args.emit == "row":
         if args.n is None:
             raise UsageError("--emit row needs --n")
@@ -189,25 +189,23 @@ def _cmd_triangle(args) -> int:
         # a --max-diag below 1 is left to the sweep, which names it
         if args.max_diag is not None and 1 <= args.max_diag < args.n - 1:
             raise DepthError(f"row {args.n} was not fully computed (band triangle)")
-    if args.emit == "sigma" and frozen is not None:
-        raise InvalidInputError("sigma tables come from unfrozen triangles")
-
-    if frozen is None and args.max_diag is None:
-        t = cached_triangle(args.mode, args.rows)
-    else:
-        t = continuation_triangle(args.mode, args.rows, frozen_rules=frozen,
-                                  max_diag=args.max_diag)
-
-    if args.emit == "row":
-        print(",".join(str(v) for v in t.row(args.n)))
+    if args.emit == "sigma":
+        if frozen is not None:
+            raise InvalidInputError("sigma tables come from unfrozen triangles")
+        # only the full table is cached; a band is swept every time
+        if args.max_diag is None:
+            table = cached_boundary(args.mode, args.rows)
+        else:
+            table = optimal_boundary(continuation_triangle(args.mode, args.rows,
+                                                           max_diag=args.max_diag))
+        print("i,sigma")
+        for i, v in table.values.items():
+            print(f"{i},{'' if v is None else v}")
         return 0
 
-    if args.emit == "sigma":
-        table = optimal_boundary(t)
-        print("i,sigma")
-        for i in range(0, t.diag_limit + 1):
-            v = table.get(i)
-            print(f"{i},{'' if v is None else v}")
+    t = continuation_triangle(args.mode, args.rows, frozen_rules=frozen, max_diag=args.max_diag)
+    if args.emit == "row":
+        print(",".join(str(v) for v in t.row(args.n)))
         return 0
 
     print("N,k,numerator,denominator,optimal")

@@ -243,6 +243,23 @@ class ContinuationTriangle:
         return tuple(self.diags[n - k - 1][k - 1] for k in range(1, n))
 
 
+def _check_triangle(mode: str, max_n: int, max_diag: int | None = None) -> int:
+    """Refuse a bad mode, row count or band, or a triangle past TRIANGLE_CAP
+    entries, before any work; return the number of diagonals it computes."""
+    if mode not in MODES:
+        raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
+    if max_n < 2:
+        raise InvalidInputError(f"max_n must be >= 2, got {max_n}")
+    if max_diag is not None and max_diag < 1:
+        raise InvalidInputError(f"max_diag must be >= 1, got {max_diag}")
+    diag_cap = max_n - 1 if max_diag is None else min(max_diag, max_n - 1)
+    size = diag_cap * max_n - diag_cap * (diag_cap + 1) // 2  # diagonal i holds max_n - i
+    if size > TRIANGLE_CAP:
+        raise LimitError(f"{max_n} rows over {diag_cap} diagonals hold {size} entries, "
+                         f"over the triangle cap {TRIANGLE_CAP}")
+    return diag_cap
+
+
 def continuation_triangle(
     mode: str,
     max_n: int,
@@ -256,18 +273,8 @@ def continuation_triangle(
     optimum).  max_diag restricts computation to diagonals N - k <= max_diag.
     Raises LimitError past TRIANGLE_CAP entries.
     """
-    if mode not in MODES:
-        raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
-    if max_n < 2:
-        raise InvalidInputError(f"max_n must be >= 2, got {max_n}")
-    if max_diag is not None and max_diag < 1:
-        raise InvalidInputError(f"max_diag must be >= 1, got {max_diag}")
+    diag_cap = _check_triangle(mode, max_n, max_diag)
     rules = tuple(frozen_rules) if frozen_rules is not None else None
-    diag_cap = max_n - 1 if max_diag is None else min(max_diag, max_n - 1)
-    size = diag_cap * max_n - diag_cap * (diag_cap + 1) // 2  # diagonal i holds max_n - i
-    if size > TRIANGLE_CAP:
-        raise LimitError(f"{max_n} rows over {diag_cap} diagonals hold {size} entries, "
-                         f"over the triangle cap {TRIANGLE_CAP}")
 
     # entries and M of the previous diagonal, indexed like the diagonals;
     # both terms of the recurrence lie there: M(N, k+1) at column k+1 and

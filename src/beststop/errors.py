@@ -52,11 +52,12 @@ DAG_STATE_CAP = 1_000_000
 # entry (permutations._shifts), so no walk can step past this rank.
 WALK_MAX_RANK = 255
 # Entries of one continuation triangle, checked from its rows and diagonals
-# before the sweep (closedform.continuation_triangle).  The largest full
-# triangle under it, 1,414 rows (998,991 entries), sweeps in 0.8 s (strike)
-# and 1.1 s (trigger) at 213 MiB; with the disk cache, cold, `--emit sigma`
-# takes 4.4 s and writes 346 MB, and the whole CSV 13 s.  A full 2,000-row
-# triangle would peak at 538 MiB.
+# before the sweep and before any cache file is read
+# (closedform._check_triangle).  The largest full triangle under it, 1,414
+# rows (998,991 entries), sweeps in 0.6-0.8 s (strike) and 0.8-1.1 s
+# (trigger) at 213 MiB, which is what a cold `--emit sigma` costs; it caches
+# a 7 KB file, read back warm in 0.07 s at 16 MiB.  The whole CSV takes 10 s.
+# A full 2,000-row triangle would peak at 538 MiB.
 TRIANGLE_CAP = 1_000_000
 # Not a resource bound: every closed form's value has catalan(n) as its
 # denominator, and 7,152 is the largest n whose catalan(n) has at most 4,300

@@ -539,6 +539,8 @@ def test_triangle_row_and_band(capsys):
     assert code == 0
     assert out.strip().split(",")[0] == "18292738"
     assert out.strip().split(",")[-1] == "1"
+    assert run(capsys, "triangle", "--rows", "6", "--emit", "row", "--n", "6") == \
+        (0, "71,48,25,9,1\n", "")
     code, out, _ = run(capsys, "triangle", "--rows", "30", "--max-diag", "3",
                        "--emit", "row", "--n", "30")
     assert code == 2  # full rows are unavailable in band mode

@@ -264,9 +264,9 @@ def test_optimal_boundary_matches_is_optimal_scan(tmp_path, monkeypatch):
             want = _boundary_by_is_optimal(t)
             assert optimal_boundary(t).values == want, (mode, max_n, max_diag)
         # the record a cache file carries, read back with no sweep
-        store_triangle(continuation_triangle(mode, 80))
-        loaded = load_triangle(mode, 80)
-        assert optimal_boundary(loaded).values == _boundary_by_is_optimal(loaded), mode
+        t = continuation_triangle(mode, 80)
+        store_triangle(t)
+        assert load_triangle(mode, 80).values == _boundary_by_is_optimal(t), mode
 
 
 @settings(max_examples=60, deadline=None)

@@ -127,6 +127,27 @@ def test_schema_3_file_rewritten(isolated_cache):
     _check_rewritten(path, t)
 
 
+@pytest.mark.parametrize("row", [[[1, 1, 1, 1, 5.7], [3, 5, 7, 9]],
+                                 [[1, 1, 1, 1, 1, 9], [3, 5, 7]]])
+def test_wrong_entry_discarded(isolated_cache, capsys, row):
+    # a schema-3 file whose first two diagonals hold a float numerator at
+    # (6, 5), or (6, 4) moved to the end of diagonal 1: row output sweeps and
+    # leaves the file alone; sigma output discards it and rewrites it
+    t = continuation_triangle("strike", 6)
+    path = isolated_cache / "triangle-strike-6.json"
+    head = {"schema": 3, "mode": "strike", "max_n": 6, "sigma": t.sigma}
+    path.write_text("".join(json.dumps(v) + "\n" for v in (head, *row, *t.diags[2:])))
+    planted = path.read_text()
+    assert main(["triangle", "--rows", "6", "--emit", "row", "--n", "6"]) == 0
+    assert capsys.readouterr().out == "71,48,25,9,1\n"
+    assert path.read_text() == planted
+    with pytest.warns(UserWarning, match="unexpected contents"):
+        assert main(["triangle", "--rows", "6", "--emit", "sigma"]) == 0
+    capsys.readouterr()
+    assert path.read_text().startswith('{"schema":4,')
+    assert load_triangle("strike", 6).values == optimal_boundary(t).values
+
+
 @pytest.mark.parametrize("sigma", [
     [1, 1, 4, None, None],  # one entry short
     [1, 1, 4, None, None, None, None],  # one entry too many

@@ -100,7 +100,12 @@ def commands() -> list[list[str]]:
                   ["triangle", "--rows", "40", "--emit", "sigma", "--mode", mode],
                   ["triangle", "--rows", "30", "--emit", "row", "--n", "17", "--mode", mode],
                   ["triangle", "--rows", "30", "--max-diag", "4", "--mode", mode],
-                  ["triangle", "--rows", "20", "--frozen", "1,-,3", "--mode", mode]]
+                  ["triangle", "--rows", "20", "--frozen", "1,-,3", "--mode", mode],
+                  ["triangle", "--rows", "300", "--emit", "row", "--n", "300", "--mode", mode],
+                  ["triangle", "--rows", "600", "--max-diag", "25", "--emit", "sigma",
+                   "--mode", mode]]
+    # the 321 and 312 closed forms read entry (n, 1) off the triangle's last diagonal
+    argvs += [["solve", "--class", cls, "--n", "300", "--formula"] for cls in ("321", "312")]
     argvs.append(["simulate", "--class", "321", "--n", "9", "--strategy", "threshold:strike",
                   "--json", "--seed", "4", "--trials", "500"])
     # the optimal-set listings past rank 7: the benchmark's tree-solve

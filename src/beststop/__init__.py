@@ -44,6 +44,7 @@ from .closedform import (
     optimal_success_213,
     optimal_success_231,
     positional_success_321,
+    sigma_table,
     strike_numerator,
     strike_prob_321,
     trigger_numerator,

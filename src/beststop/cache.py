@@ -22,8 +22,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from .closedform import (ContinuationTriangle, ThresholdTable, _check_triangle,
-                         continuation_triangle, optimal_boundary)
+from .closedform import ThresholdTable, _check_triangle, sigma_table
 from .errors import InvalidInputError
 
 SCHEMA = 4
@@ -67,13 +66,14 @@ class _Locked:
         return False
 
 
-def store_triangle(t: ContinuationTriangle) -> Path:
-    """Cache the sigma of a full unfrozen triangle; return the file's path."""
-    if t.frozen_rules is not None or t.max_diag is not None:
-        raise InvalidInputError("only full, unfrozen triangles are cached")
-    path = _triangle_path(t.mode, t.max_n)
-    line = json.dumps({"schema": SCHEMA, "mode": t.mode, "max_n": t.max_n, "sigma": t.sigma},
-                      separators=(",", ":"))
+def store_triangle(table: ThresholdTable) -> Path:
+    """Cache the threshold table of a full triangle, sigma(i) for every
+    0 <= i < its depth; return the file's path."""
+    if not isinstance(table, ThresholdTable) or len(table.values) != table.depth:
+        raise InvalidInputError("only full triangles' sigma tables are cached")
+    path = _triangle_path(table.mode, table.depth)
+    line = json.dumps({"schema": SCHEMA, "mode": table.mode, "max_n": table.depth,
+                       "sigma": list(table.values.values())}, separators=(",", ":"))
     with _Locked(path):
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
@@ -116,15 +116,16 @@ def load_triangle(mode: str, max_n: int) -> ThresholdTable | None:
 
 def cached_boundary(mode: str, max_n: int) -> ThresholdTable:
     """The full max_n-row triangle's threshold table, read from the cache or
-    swept and stored.  The arguments and the triangle cap are checked before
-    any file is read, so no file answers what the sweep would refuse."""
+    swept, one diagonal at a time, and stored.  The arguments and the
+    triangle cap are checked before any file is read, so no file answers
+    what the sweep would refuse."""
     _check_triangle(mode, max_n)
     found = load_triangle(mode, max_n)
     if found is not None:
         return found
-    t = continuation_triangle(mode, max_n)
+    table = sigma_table(mode, max_n)
     try:
-        store_triangle(t)
+        store_triangle(table)
     except OSError as e:  # cache is an optimization, never a failure
         warnings.warn(f"could not write triangle cache: {e}")
-    return optimal_boundary(t)
+    return table

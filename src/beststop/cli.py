@@ -28,12 +28,14 @@ from .closedform import (
     continuation_triangle,
     fit_shifted_ballot,
     limit_of_combination,
-    optimal_boundary,
     optimal_success_123,
     optimal_success_213,
     optimal_success_231,
     positional_success_321,
+    sigma_table,
+    strike_numerator,
     strike_prob_321,
+    sweep,
     trigger_prob_321,
 )
 from .errors import (FORMULA_MAX_RANK, BestStopError, DepthError, InconsistencyError,
@@ -116,8 +118,13 @@ def _solve_formula(name: str, n: int, mode: str) -> tuple[str, Tally]:
         if n == 1:
             return "strike:{1}", Tally(1, 1)
         return optimal_success_123(n)
-    t = continuation_triangle("strike", max(n, 2))
-    return "threshold:strike", t.value(n, 1)
+    # the best value below the first candidate, entry (n, 1), is the first
+    # column of the sweep's last diagonal, n - 1; at n = 1 it is the zero
+    # column k = n
+    below = 0
+    for diagonal, _ in sweep("strike", n) if n > 1 else ():
+        below = diagonal[0]
+    return "threshold:strike", Tally(max(below, strike_numerator(n, 1)), ballot(n, 1))
 
 
 def _given_strategy(s: Strategy, cls, n: int) -> tuple[Strategy, Game]:
@@ -196,18 +203,21 @@ def _cmd_triangle(args) -> int:
         if args.max_diag is None:
             table = cached_boundary(args.mode, args.rows)
         else:
-            table = optimal_boundary(continuation_triangle(args.mode, args.rows,
-                                                           max_diag=args.max_diag))
+            table = sigma_table(args.mode, args.rows, max_diag=args.max_diag)
         print("i,sigma")
         for i, v in table.values.items():
             print(f"{i},{'' if v is None else v}")
         return 0
 
-    t = continuation_triangle(args.mode, args.rows, frozen_rules=frozen, max_diag=args.max_diag)
     if args.emit == "row":
-        print(",".join(str(v) for v in t.row(args.n)))
+        # entry (n, n - i) lies on diagonal i, so diagonals 0 .. n - 1 give
+        # the row from k = n down, one entry each
+        diagonals = sweep(args.mode, args.rows, frozen_rules=frozen, max_diag=args.max_diag)
+        row = [diagonal[args.n - 1 - i] for i, (diagonal, _) in zip(range(args.n), diagonals)]
+        print(",".join(map(str, reversed(row[1:]))))
         return 0
 
+    t = continuation_triangle(args.mode, args.rows, frozen_rules=frozen, max_diag=args.max_diag)
     print("N,k,numerator,denominator,optimal")
     for n, k, e, d, optimal in t.by_row():
         print(f"{n},{k},{e},{d},{int(optimal)}")

@@ -36,8 +36,11 @@ list of the diagonal before: C(k+i, i+1) = sum_{j<=k} C(j+i-1, i) is a
 running sum, and the trigger list scales it column by column.  The same
 pass takes M as the columnwise max of the entries and those numerators,
 and records sigma(i), the first column where stopping is optimal, so the
-threshold table needs no second scan.  Along a row the CSV steps them
-with C(m, j+1) = C(m, j)*(m-j)/(j+1) instead.
+threshold table needs no second scan.  The sweep yields each diagonal in
+turn and keeps only the one before, so the threshold table, a row and
+entry (N, 1) are read off it in memory linear in the rows; only the
+triangle itself keeps every diagonal.  Along a row the CSV steps the
+numerators with C(m, j+1) = C(m, j)*(m-j)/(j+1) instead.
 """
 from __future__ import annotations
 
@@ -260,48 +263,74 @@ def _check_triangle(mode: str, max_n: int, max_diag: int | None = None) -> int:
     return diag_cap
 
 
-def continuation_triangle(
+def sweep(
     mode: str,
     max_n: int,
     frozen_rules: FrozenRules | None = None,
     max_diag: int | None = None,
-) -> ContinuationTriangle:
-    """Compute the triangle for 2 <= N <= max_n.
+) -> Iterator[tuple[list[int], int | None]]:
+    """The triangle's diagonals i = 0, 1, ... in turn, each as (its
+    entries indexed by column, sigma(i)), keeping only the diagonal before.
 
-    frozen_rules replaces the pointwise max with a fixed stopping boundary
-    (the value of that specific threshold strategy, a lower bound on the
-    optimum).  max_diag restricts computation to diagonals N - k <= max_diag.
-    Raises LimitError past TRIANGLE_CAP entries.
+    Diagonal 0 is the implicit zero column k = N.  sigma(i) is the first
+    column where stopping is optimal on diagonal i, or None where no column
+    is; a frozen sweep gives None throughout.  The arguments and
+    TRIANGLE_CAP are checked on the call, before the first diagonal.
     """
     diag_cap = _check_triangle(mode, max_n, max_diag)
-    rules = tuple(frozen_rules) if frozen_rules is not None else None
+    return _sweep(mode, max_n, None if frozen_rules is None else tuple(frozen_rules), diag_cap)
 
+
+def _sweep(mode: str, max_n: int, rules: FrozenRules | None,
+           diag_cap: int) -> Iterator[tuple[list[int], int | None]]:
     # entries and M of the previous diagonal, indexed like the diagonals;
     # both terms of the recurrence lie there: M(N, k+1) at column k+1 and
-    # the running sum of X over columns 1..k.  Diagonal 0 is the implicit
-    # zero column k = N, where a strike always stops (an eligible full
-    # prefix) and a trigger never wins (its numerators are 0)
+    # the running sum of X over columns 1..k.  On diagonal 0 a strike
+    # always stops (an eligible full prefix) and a trigger never wins (its
+    # numerators are 0)
     below = [0] * max_n
-    best, sigma = ([1] * max_n, [1]) if mode == "strike" else (below, [None])
-    diags: list[list[int]] = []
+    best = [1] * max_n if mode == "strike" else below
+    sigma = 1 if mode == "strike" and rules is None else None
+    yield below, sigma
     for i, xs in zip(range(1, diag_cap + 1), _numerator_diagonals(mode, max_n)):
         below = list(map(add, islice(best, 1, None),
                          accumulate(below if mode == "strike" else best)))
-        diags.append(below)
         # the old M and numerators go before the new ones are made, so that
         # one list of each is alive at a time
         del best
         if rules is None:
             # every numerator off diagonal 0 is positive, so the first
             # column with x >= e is the first optimal stop
-            sigma.append(next(compress(count(1), map(ge, xs, below)), None))
+            sigma = next(compress(count(1), map(ge, xs, below)), None)
             best = list(map(max, below, xs))
         else:
             first = rules[i - 1] if i <= len(rules) else None  # fires from column first on
             cut = len(below) if first is None else max(first - 1, 0)
             best = below[:cut] + xs[cut:]
         del xs
+        yield below, sigma
 
+
+def continuation_triangle(
+    mode: str,
+    max_n: int,
+    frozen_rules: FrozenRules | None = None,
+    max_diag: int | None = None,
+) -> ContinuationTriangle:
+    """Compute the triangle for 2 <= N <= max_n, every diagonal of the sweep
+    kept.
+
+    frozen_rules replaces the pointwise max with a fixed stopping boundary
+    (the value of that specific threshold strategy, a lower bound on the
+    optimum).  max_diag restricts computation to diagonals N - k <= max_diag.
+    Raises LimitError past TRIANGLE_CAP entries.
+    """
+    rules = None if frozen_rules is None else tuple(frozen_rules)
+    diags, sigma = [], []
+    for below, s in sweep(mode, max_n, rules, max_diag):
+        diags.append(below)
+        sigma.append(s)
+    del diags[0]  # diagonal 0, the zero column, is implicit in the triangle
     return ContinuationTriangle(
         mode=mode, max_n=max_n, max_diag=max_diag, frozen_rules=rules, diags=diags,
         sigma=sigma if rules is None else None,
@@ -328,6 +357,14 @@ class ThresholdTable:
             raise DepthError(
                 f"sigma({i}) was not computed (table depth {self.depth})"
             ) from None
+
+
+def sigma_table(mode: str, max_n: int, max_diag: int | None = None) -> ThresholdTable:
+    """The threshold table of the max_n-row triangle, or of its band of
+    max_diag diagonals, read off the sweep one diagonal at a time: no
+    triangle is kept."""
+    diagonals = sweep(mode, max_n, max_diag=max_diag)
+    return ThresholdTable(mode=mode, depth=max_n, values=dict(enumerate(s for _, s in diagonals)))
 
 
 def optimal_boundary(t: ContinuationTriangle) -> ThresholdTable:

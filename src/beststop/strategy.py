@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import sqrt
 from typing import Iterable, Sequence
 
-from .closedform import ThresholdTable, continuation_triangle, optimal_boundary
+from .closedform import ThresholdTable, sigma_table
 from .errors import (DRAW_CAP, DepthError, IncompleteStrategyError, InvalidInputError,
                      LimitError)
 from .optimizer import Game, _check_caps
@@ -229,7 +229,7 @@ def threshold_strategy(mode: str, cls: PatternClass | str, n: int) -> Strategy:
 
 @lru_cache(maxsize=None)
 def _cached_boundary(mode: str, depth: int) -> ThresholdTable:
-    return optimal_boundary(continuation_triangle(mode, depth))
+    return sigma_table(mode, depth)
 
 
 def exact_success(s: Strategy, g: Game) -> Tally:

@@ -6,6 +6,7 @@ import pytest
 
 from beststop import InvalidInputError, continuation_triangle, optimal_boundary
 from beststop.cache import cache_dir, cached_boundary, load_triangle, store_triangle
+from beststop.closedform import sigma_table
 from beststop.cli import main
 
 
@@ -23,7 +24,7 @@ def test_store_and_load_round_trip():
     for mode in ("strike", "trigger"):
         for n in (2, 3, 60):
             t = continuation_triangle(mode, n)
-            path = store_triangle(t)
+            path = store_triangle(optimal_boundary(t))
             assert path.exists()
             back = load_triangle(mode, n)
             assert back is not None
@@ -54,7 +55,7 @@ def test_cached_boundary_computes_then_hits(isolated_cache):
 
 
 def test_corrupt_file_recomputed(isolated_cache):
-    store_triangle(continuation_triangle("strike", 6))
+    store_triangle(sigma_table("strike", 6))
     path = isolated_cache / "triangle-strike-6.json"
     path.write_text("{not json")
     with pytest.warns(UserWarning, match="unreadable"):
@@ -70,14 +71,14 @@ def test_corrupt_file_recomputed(isolated_cache):
 
 
 def test_file_is_one_line(isolated_cache):
-    store_triangle(continuation_triangle("strike", 6))
+    store_triangle(sigma_table("strike", 6))
     assert (isolated_cache / "triangle-strike-6.json").read_text() == (
         '{"schema":4,"mode":"strike","max_n":6,"sigma":[1,1,4,null,null,null]}\n'
     )
 
 
 def test_wrong_schema_discarded(isolated_cache):
-    store_triangle(continuation_triangle("strike", 6))
+    store_triangle(sigma_table("strike", 6))
     path = isolated_cache / "triangle-strike-6.json"
     head = _head(path)
     head["schema"] = 99
@@ -161,7 +162,7 @@ def test_wrong_entry_discarded(isolated_cache, capsys, row):
 ], ids=["short", "long", "float", "bool", "string", "absent", "zero", "negative",
         "past-diagonal"])
 def test_malformed_sigma_discarded(isolated_cache, sigma):
-    store_triangle(continuation_triangle("strike", 6))
+    store_triangle(sigma_table("strike", 6))
     path = isolated_cache / "triangle-strike-6.json"
     head = _head(path)
     if sigma is None:
@@ -174,10 +175,12 @@ def test_malformed_sigma_discarded(isolated_cache, sigma):
 
 
 def test_only_full_triangles_stored():
+    # a band's table, and a triangle, which the store took before it took
+    # the sigma table
     with pytest.raises(InvalidInputError):
-        store_triangle(continuation_triangle("strike", 9, max_diag=3))
+        store_triangle(sigma_table("strike", 9, max_diag=3))
     with pytest.raises(InvalidInputError):
-        store_triangle(continuation_triangle("strike", 9, frozen_rules=(1, 4, 9)))
+        store_triangle(continuation_triangle("strike", 9))
 
 
 def test_only_full_sigma_runs_write_a_file(isolated_cache, capsys):

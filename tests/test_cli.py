@@ -451,7 +451,7 @@ def test_band_row_refused_before_the_sweep(capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the band was swept")
 
-    monkeypatch.setattr(beststop.cli, "continuation_triangle", no_sweep)
+    monkeypatch.setattr(beststop.cli, "sweep", no_sweep)
     code, out, err = run(capsys, "triangle", "--rows", "3000", "--max-diag", "3",
                          "--emit", "row", "--n", "2500")
     assert (code, out) == (2, "")
@@ -498,6 +498,38 @@ def test_limits_refuse_in_a_small_process(tmp_path):
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), argv
         assert "Traceback" not in proc.stderr, argv
     assert not (tmp_path / "cache").exists()
+
+
+def test_largest_triangle_reads_fit_a_small_process(tmp_path):
+    # the largest full triangle under the cap, 1,414 rows, read cold for its
+    # sigma table in both modes and for the 321 closed form: each keeps one
+    # diagonal of the sweep at a time, so each answers in a child process
+    # held to 96 MiB of address space, where the whole triangle would need
+    # over 200 MiB; the digests are of the outputs of that whole triangle
+    import hashlib
+    import resource
+
+    def small():
+        resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))
+
+    src = str(Path(beststop.cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "BESTSTOP_CACHE": str(tmp_path / "cache"),
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv, digest in (
+        ("triangle --rows 1414 --emit sigma --mode strike",
+         "28dde7ad10dd7ec3efb308b775c1e2edc227992fb4e4a806b262c79d41f69079"),
+        ("triangle --rows 1414 --emit sigma --mode trigger",
+         "041ba8dde8666e6a43184ca54b9cf52628301d23cc88899d893891c9b2b732cd"),
+        ("solve --class 321 --n 1414 --formula",
+         "049df9eb3244607a1ec25dabf406d5de9513411a94e8b82314e2ee11b265f36b"),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "beststop.cli", *argv.split()], env=env,
+                              preexec_fn=small, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()
+                  if p.suffix == ".json") == ["triangle-strike-1414.json",
+                                              "triangle-trigger-1414.json"]
 
 
 def test_triangle_csv(capsys):

@@ -30,7 +30,8 @@ from beststop import (
     trigger_prob_321,
 )
 from beststop.cache import load_triangle, store_triangle
-from beststop.closedform import _numerator_diagonals, _row_numerators
+from beststop.cli import _solve_formula, main
+from beststop.closedform import _numerator_diagonals, _row_numerators, sigma_table, sweep
 
 import oracles
 
@@ -265,8 +266,44 @@ def test_optimal_boundary_matches_is_optimal_scan(tmp_path, monkeypatch):
             assert optimal_boundary(t).values == want, (mode, max_n, max_diag)
         # the record a cache file carries, read back with no sweep
         t = continuation_triangle(mode, 80)
-        store_triangle(t)
+        store_triangle(optimal_boundary(t))
         assert load_triangle(mode, 80).values == _boundary_by_is_optimal(t), mode
+
+
+@pytest.mark.parametrize("mode", ["strike", "trigger"])
+def test_streamed_sigma_matches_the_triangle(mode):
+    # the table read off the sweep a diagonal at a time, against the kept
+    # triangle's record and a per-entry scan of it: every full triangle up
+    # to 80 rows, and every band of the 30-row one
+    for rows, max_diag in [(rows, None) for rows in range(2, 81)] + [
+            (30, d) for d in range(1, 30)]:
+        table = sigma_table(mode, rows, max_diag=max_diag)
+        t = continuation_triangle(mode, rows, max_diag=max_diag)
+        assert (table.mode, table.depth) == (mode, rows)
+        assert table.values == optimal_boundary(t).values == _boundary_by_is_optimal(t), \
+            (rows, max_diag)
+    # a frozen sweep records no sigma
+    assert [s for _, s in sweep(mode, 30, (1, None, 3))] == [None] * 30
+
+
+@pytest.mark.parametrize("mode", ["strike", "trigger"])
+def test_streamed_readers_match_the_triangle(mode, capsys):
+    # `triangle --emit row` reads its row off the sweep's first n diagonals
+    # and the 321 closed form reads entry (n, 1) off its last one; both
+    # against the kept triangle, frozen and banded rows included
+    t = continuation_triangle(mode, 80)
+    frozen = continuation_triangle(mode, 80, frozen_rules=(1, None, 3), max_diag=60)
+    for n in range(2, 81):
+        assert main(["triangle", "--rows", "80", "--emit", "row", "--n", str(n),
+                     "--mode", mode]) == 0
+        assert capsys.readouterr().out == ",".join(map(str, t.row(n))) + "\n", n
+        if n <= 61:
+            assert main(["triangle", "--rows", "80", "--emit", "row", "--n", str(n),
+                         "--frozen", "1,-,3", "--max-diag", "60", "--mode", mode]) == 0
+            assert capsys.readouterr().out == ",".join(map(str, frozen.row(n))) + "\n", n
+    if mode == "strike":
+        for n in range(1, 81):
+            assert _solve_formula("321", n, mode) == ("threshold:strike", t.value(n, 1)), n
 
 
 @settings(max_examples=60, deadline=None)

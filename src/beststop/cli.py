@@ -25,6 +25,7 @@ from functools import cache
 
 from .cache import cached_boundary
 from .closedform import (
+    _check_triangle,
     continuation_triangle,
     fit_shifted_ballot,
     limit_of_combination,
@@ -210,10 +211,12 @@ def _cmd_triangle(args) -> int:
         return 0
 
     if args.emit == "row":
-        # entry (n, n - i) lies on diagonal i, so diagonals 0 .. n - 1 give
-        # the row from k = n down, one entry each
-        diagonals = sweep(args.mode, args.rows, frozen_rules=frozen, max_diag=args.max_diag)
-        row = [diagonal[args.n - 1 - i] for i, (diagonal, _) in zip(range(args.n), diagonals)]
+        # no entry of row n reads a deeper row, so after the checks of the
+        # whole triangle an n-row sweep gives it: entry (n, n - i) lies on
+        # diagonal i, one entry each from k = n down
+        _check_triangle(args.mode, args.rows, args.max_diag)
+        diagonals = sweep(args.mode, args.n, frozen_rules=frozen)
+        row = [diagonal[args.n - 1 - i] for i, (diagonal, _) in enumerate(diagonals)]
         print(",".join(map(str, reversed(row[1:]))))
         return 0
 

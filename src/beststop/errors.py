@@ -54,10 +54,13 @@ WALK_MAX_RANK = 255
 # Entries of one continuation triangle, checked from its rows and diagonals
 # before the sweep and before any cache file is read
 # (closedform._check_triangle).  The largest full triangle under it, 1,414
-# rows (998,991 entries), sweeps in 0.6-0.8 s (strike) and 0.8-1.1 s
-# (trigger) at 213 MiB, which is what a cold `--emit sigma` costs; it caches
-# a 7 KB file, read back warm in 0.07 s at 16 MiB.  The whole CSV takes 10 s.
-# A full 2,000-row triangle would peak at 538 MiB.
+# rows (998,991 entries), is swept a diagonal at a time: a cold `--emit
+# sigma` takes 0.38-0.43 s (strike) and 0.66-0.67 s (trigger) at 18 MiB,
+# `--emit row --n 1414` 0.33-0.40 s (strike) and 0.58-0.69 s (trigger) at
+# 22-23 MiB, and the 321 and 312 closed forms at rank 1,414 0.38-0.40 s at
+# 18 MiB; the sigma table caches a 7 KB file, read back warm in 0.05 s at
+# 17 MiB.  Only the CSV keeps every diagonal: 8-10 s at 213 MiB, and a full
+# 2,000-row triangle would peak at 538 MiB.
 TRIANGLE_CAP = 1_000_000
 # Not a resource bound: every closed form's value has catalan(n) as its
 # denominator, and 7,152 is the largest n whose catalan(n) has at most 4,300

@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from beststop import InvalidInputError, continuation_triangle, optimal_boundary
+from beststop import InvalidInputError, continuation_triangle, optimal_boundary, sigma_table
 from beststop.cache import cache_dir, cached_boundary, load_triangle, store_triangle
-from beststop.closedform import sigma_table
 from beststop.cli import main
 
 

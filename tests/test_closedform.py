@@ -24,6 +24,7 @@ from beststop import (
     optimal_success_213,
     optimal_success_231,
     positional_success_321,
+    sigma_table,
     strike_numerator,
     strike_prob_321,
     trigger_numerator,
@@ -31,7 +32,7 @@ from beststop import (
 )
 from beststop.cache import load_triangle, store_triangle
 from beststop.cli import _solve_formula, main
-from beststop.closedform import _numerator_diagonals, _row_numerators, sigma_table, sweep
+from beststop.closedform import _numerator_diagonals, _row_numerators, sweep
 
 import oracles
 

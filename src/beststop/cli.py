@@ -212,11 +212,10 @@ def _cmd_triangle(args) -> int:
 
     if args.emit == "row":
         # no entry of row n reads a deeper row, so after the checks of the
-        # whole triangle an n-row sweep gives it: entry (n, n - i) lies on
-        # diagonal i, one entry each from k = n down
+        # whole triangle an n-row sweep gives it: entry (n, n - i) ends its
+        # diagonal i, from k = n down
         _check_triangle(args.mode, args.rows, args.max_diag)
-        diagonals = sweep(args.mode, args.n, frozen_rules=frozen)
-        row = [diagonal[args.n - 1 - i] for i, (diagonal, _) in enumerate(diagonals)]
+        row = [diagonal[-1] for diagonal, _ in sweep(args.mode, args.n, frozen_rules=frozen)]
         print(",".join(map(str, reversed(row[1:]))))
         return 0
 

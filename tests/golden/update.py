@@ -104,6 +104,11 @@ def commands() -> list[list[str]]:
                   ["triangle", "--rows", "300", "--emit", "row", "--n", "300", "--mode", mode],
                   ["triangle", "--rows", "600", "--max-diag", "25", "--emit", "sigma",
                    "--mode", mode]]
+        # bands whose sigma settles early (5000 x 20), stays unresolved past
+        # i = 54 (3000 x 60), or that hold a single row or diagonal
+        argvs += [["triangle", "--rows", rows, "--max-diag", diag, "--emit", "sigma",
+                   "--mode", mode]
+                  for rows, diag in (("5000", "20"), ("3000", "60"), ("3", "1"), ("2", "5"))]
     # the 321 and 312 closed forms read entry (n, 1) off the triangle's last diagonal
     argvs += [["solve", "--class", cls, "--n", "300", "--formula"] for cls in ("321", "312")]
     argvs.append(["simulate", "--class", "321", "--n", "9", "--strategy", "threshold:strike",

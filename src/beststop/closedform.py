@@ -25,31 +25,42 @@ The inner sum telescopes along diagonals, so each diagonal is computed in
 one pass from the previous one; a band of diagonals near k = N is therefore
 available for very large N without touching the huge inner columns.
 
-Along diagonal i = N - k the stop numerators are binomials with a fixed
-lower index,
+Along diagonal i = N - k the stop numerators are, by row N,
 
-  strike   C(k+i-1, i)
-  trigger  k*C(k+i-1, i-2) + C(k+i-1, i-1) = C(k+i-1, i-1)*(k*i+1)/(k+1)
+  strike   C(N-1, i)
+  trigger  (N-i)*C(N-1, i-2) + C(N-1, i-1)
 
-so the sweep makes each diagonal's numerators as one list from the strike
-list of the diagonal before: C(k+i, i+1) = sum_{j<=k} C(j+i-1, i) is a
-running sum, and the trigger list scales it column by column.  The same
+so the sweep steps the strike list of each diagonal from the one before by
+Pascal's rule, C(N-1, i) = C(N-2, i) + C(N-2, i-1), a running sum, and
+makes the trigger list from the strike lists of the two diagonals before,
+with one small multiply and one add an entry and no division.  The same
 pass takes M as the columnwise max of the entries and those numerators,
 and records sigma(i), the first column where stopping is optimal, so the
-threshold table needs no second scan.  The sweep yields each diagonal in
-turn and keeps only the one before, so the threshold table, a row and
-entry (N, 1) are read off it in memory linear in the rows; only the
-triangle itself keeps every diagonal.  Along a row the CSV steps the
-numerators with C(m, j+1) = C(m, j)*(m-j)/(j+1) instead.
+threshold table needs no second scan.
+
+The sweep runs over a block of rows at a time.  No entry reads a deeper
+row, so rows r0 .. r1-1 of each diagonal follow from the same rows of the
+diagonal before and two things carried from the rows above: the running
+sum of its X values, and its first strike numerator C(r0-1, i), stepped
+along row r0 from the diagonal before.  One block from row 1 covers the
+whole triangle and needs nothing carried in; it yields whole diagonals,
+each in turn, keeping only the one before, so a row, entry (N, 1) and the
+full threshold table are read off it in memory linear in the rows, and
+only the triangle itself keeps every diagonal.  A band's threshold table
+sweeps blocks of growing height instead and stops after the block in
+which every sigma(1..D) is found: the rows down to a found sigma(i) hold
+the same entries however many rows the band has, so it is final.
+Along a row the CSV steps the numerators with C(m, j+1) = C(m, j)*(m-j)/(j+1)
+instead.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, count, islice
-from math import comb
-from operator import add, floordiv, ge, mul
+from itertools import accumulate, compress, count, islice, repeat
+from math import comb, lcm
+from operator import add, ge, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -91,18 +102,32 @@ def _xnum(mode: str, n: int, k: int) -> int:
     return strike_numerator(n, k) if mode == "strike" else trigger_numerator(n, k)
 
 
-def _numerator_diagonals(mode: str, max_n: int) -> Iterator[list[int]]:
-    """Stop numerators down diagonals i = 1, 2, ... of a max_n-row
-    triangle, one list per diagonal: x(k + i, k) for k = 1 .. max_n - i.
-    Each list is made from the strike list of the diagonal before."""
-    row = [1] * max_n  # C(k+i-1, i) down diagonal i = 0
+def _numerator_diagonals(mode: str, r0: int, r1: int) -> Iterator[list[int]]:
+    """Stop numerators down diagonals i = 1, 2, ... on rows r0 .. r1-1, one
+    list per diagonal: x(N, N - i) for N from max(r0, i + 1).  A block from
+    row 1 starts every diagonal at its first row; a later block must start
+    below the first row of every diagonal asked for (r0 > i).
+
+    Each strike list is the running sum of the one before; past the first
+    block it starts from C(r0-1, i), stepped along row r0 from the diagonal
+    before.  A trigger list reads the strike lists of the two diagonals
+    before it, and the next strike list is made only if asked for.
+    """
+    # diagonal i starts one row below diagonal i - 1 in a block from row 1
+    off = 1 if r0 == 1 else 0
+    # C(N-1, i-2) and C(N-1, i-1) for diagonal i = 1, each from its own first row
+    lower, upper = repeat(0), [1] * (r1 - r0)
+    seed = None if off else 1  # C(r0-1, i-1)
     for i in count(1):
+        if mode == "trigger":
+            yield list(map(add, map(mul, islice(lower, 2 * off, None), count(max(r0 - i, 1))),
+                           islice(upper, off, None)))
+        if seed is not None:
+            seed = seed * (r0 - i) // i
+        strike = list(accumulate(islice(upper, len(upper) - 1), initial=seed))
         if mode == "strike":
-            row = list(accumulate(islice(row, len(row) - 1)))
-            yield row
-        else:  # C(k+i-1, i-1), the strike numerator at (k+i, k+1), times (k*i+1)/(k+1)
-            yield list(map(floordiv, map(mul, islice(row, 1, None), count(i + 1, i)), count(2)))
-            row = list(accumulate(islice(row, len(row) - 1)))
+            yield strike
+        lower, upper = upper, strike
 
 
 def _row_numerators(mode: str, n: int, k: int) -> Iterator[int]:
@@ -278,34 +303,51 @@ def sweep(
     TRIANGLE_CAP are checked on the call, before the first diagonal.
     """
     diag_cap = _check_triangle(mode, max_n, max_diag)
-    return _sweep(mode, max_n, None if frozen_rules is None else tuple(frozen_rules), diag_cap)
+    rules = None if frozen_rules is None else tuple(frozen_rules)
+    return _sweep(mode, rules, diag_cap, 1, max_n + 1, [None] * diag_cap)
 
 
-def _sweep(mode: str, max_n: int, rules: FrozenRules | None,
-           diag_cap: int) -> Iterator[tuple[list[int], int | None]]:
-    # entries and M of the previous diagonal, indexed like the diagonals;
-    # both terms of the recurrence lie there: M(N, k+1) at column k+1 and
-    # the running sum of X over columns 1..k.  On diagonal 0 a strike
-    # always stops (an eligible full prefix) and a trigger never wins (its
-    # numerators are 0)
-    below = [0] * max_n
-    best = [1] * max_n if mode == "strike" else below
+def _sweep(mode: str, rules: FrozenRules | None, diag_cap: int, r0: int, r1: int,
+           sums: list[int | None]) -> Iterator[tuple[list[int], int | None]]:
+    """Rows r0 .. r1-1 of diagonals 0 .. diag_cap, each yielded as (its
+    entries on those rows, the first column among them where stopping is
+    optimal).  A block from row 1 must reach row diag_cap + 1, the first row
+    of the last diagonal, and a later block start below it.  sums[i] is
+    diagonal i's running sum of X over the rows above the block (None above
+    its first row); the block carries it down to row r1 - 1."""
+    # entries and M of the previous diagonal on the block's rows; both terms
+    # of the recurrence lie there: M(N, k+1) in the same row and the running
+    # sum of X over the rows above.  On diagonal 0 a strike always stops (an
+    # eligible full prefix) and a trigger never wins (its numerators are 0)
+    off = 1 if r0 == 1 else 0  # diagonal i starts one row below diagonal i - 1
+    below = [0] * (r1 - r0)
+    best = [1] * len(below) if mode == "strike" else below
     sigma = 1 if mode == "strike" and rules is None else None
     yield below, sigma
-    for i, xs in zip(range(1, diag_cap + 1), _numerator_diagonals(mode, max_n)):
-        below = list(map(add, islice(best, 1, None),
-                         accumulate(below if mode == "strike" else best)))
+    for i, xs in zip(range(1, diag_cap + 1), _numerator_diagonals(mode, r0, r1)):
+        k0 = max(r0 - i, 1)  # the column of diagonal i's first entry in the block
+        if mode == "strike":
+            # M(N, k+1) plus the running sum of X = e above row N; the sum
+            # carried on runs through the block's last row
+            new = list(map(add, islice(best, 1, None) if off else best,
+                           accumulate(below, initial=sums[i - 1])))
+            sums[i - 1] = new[-1] - best[-1] + below[-1]
+        else:
+            # X = M, so the two terms make X's running sum through row N
+            new = list(islice(accumulate(best, initial=sums[i - 1]), 1, None))
+            sums[i - 1] = new[-1]
+        below = new
         # the old M and numerators go before the new ones are made, so that
         # one list of each is alive at a time
-        del best
+        del best, new
         if rules is None:
             # every numerator off diagonal 0 is positive, so the first
             # column with x >= e is the first optimal stop
-            sigma = next(compress(count(1), map(ge, xs, below)), None)
+            sigma = next(compress(count(k0), map(ge, xs, below)), None)
             best = list(map(max, below, xs))
         else:
             first = rules[i - 1] if i <= len(rules) else None  # fires from column first on
-            cut = len(below) if first is None else max(first - 1, 0)
+            cut = len(below) if first is None else max(first - k0, 0)
             best = below[:cut] + xs[cut:]
         del xs
         yield below, sigma
@@ -362,9 +404,25 @@ class ThresholdTable:
 def sigma_table(mode: str, max_n: int, max_diag: int | None = None) -> ThresholdTable:
     """The threshold table of the max_n-row triangle, or of its band of
     max_diag diagonals, read off the sweep one diagonal at a time: no
-    triangle is kept."""
-    diagonals = sweep(mode, max_n, max_diag=max_diag)
-    return ThresholdTable(mode=mode, depth=max_n, values=dict(enumerate(s for _, s in diagonals)))
+    triangle is kept.
+
+    The sweep runs in row blocks, the first 2(D+1) rows high for D
+    diagonals and each later one twice the one before, and stops after the
+    block in which every sigma(1..D) is found, or at the last row; a whole
+    triangle is one block.  Each diagonal's first optimal column is final
+    once found, since no entry reads a deeper row."""
+    diag_cap = _check_triangle(mode, max_n, max_diag)
+    sigma, sums = [None] * (diag_cap + 1), [None] * diag_cap
+    r0, height = 1, 2 * (diag_cap + 1)
+    while r0 <= max_n:
+        r1 = min(r0 + height, max_n + 1)
+        for i, (_, s) in enumerate(_sweep(mode, None, diag_cap, r0, r1, sums)):
+            if sigma[i] is None:
+                sigma[i] = s
+        if None not in islice(sigma, 1, None):
+            break
+        r0, height = r1, 2 * height
+    return ThresholdTable(mode=mode, depth=max_n, values=dict(enumerate(sigma)))
 
 
 def optimal_boundary(t: ContinuationTriangle) -> ThresholdTable:
@@ -443,15 +501,22 @@ def fit_shifted_ballot(
     b = [Fraction(t.entry(n, 1)) for n in rows]
     coeffs = dict(zip(shift_list, _solve_linear(a, b)))
 
+    # the check runs in integers: q clears every coefficient's denominator,
+    # and q * entry(n, k) must equal the combination scaled by q, whose
+    # shifted ballots are read off ballot(m, 1 .. m) for each rank m = n - i
+    q = lcm(*(c.denominator for c in coeffs.values()))
+    scaled = [(i, c.numerator * (q // c.denominator)) for i, c in coeffs.items()]
+    ballots = {m: list(ballot_row(m, 1)) for m in range(fit_start - shift_list[-1], stop + 1)}
     for n in range(fit_start, stop + 1):
+        terms = [(p, ballots[n - i]) for i, p in scaled]
         for k in range(1, n - diagonal + 1):
             if not t.has(n, k) or k == n:
                 continue
-            combo = combination_value(coeffs, n, k)
-            if combo != t.entry(n, k):
+            combo = sum(p * b[k - 1] for p, b in terms if k <= len(b))
+            if combo != q * t.entry(n, k):
                 raise InconsistencyError(
                     f"combination misses entry ({n}, {k}): "
-                    f"expected {t.entry(n, k)}, combination gives {combo}"
+                    f"expected {t.entry(n, k)}, combination gives {Fraction(combo, q)}"
                 )
     return FitResult(
         coefficients=coeffs,

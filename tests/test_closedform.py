@@ -32,7 +32,8 @@ from beststop import (
 )
 from beststop.cache import load_triangle, store_triangle
 from beststop.cli import _solve_formula, main
-from beststop.closedform import _numerator_diagonals, _row_numerators, sweep
+from beststop import closedform
+from beststop.closedform import _numerator_diagonals, _row_numerators, _sweep, sweep
 
 import oracles
 
@@ -224,10 +225,14 @@ def test_sigma_tables_depth_600_and_a_6000_row_band():
 
 
 def test_diagonal_numerators_match_point_formulas():
-    # diagonals 1..200 of a 201-row triangle, each stepped from the one before
+    # diagonals 1..200 of a 201-row triangle, each stepped from the one
+    # before, and diagonals 1..60 on rows 150..259, a later row block seeded
+    # by one comb per diagonal
     for mode, point in (("strike", strike_numerator), ("trigger", trigger_numerator)):
-        for i, got in zip(range(1, 201), _numerator_diagonals(mode, 201)):
+        for i, got in zip(range(1, 201), _numerator_diagonals(mode, 1, 202)):
             assert got == [point(k + i, k) for k in range(1, 202 - i)], (mode, i)
+        for i, got in zip(range(1, 61), _numerator_diagonals(mode, 150, 260)):
+            assert got == [point(n, n - i) for n in range(150, 260)], (mode, i)
 
 
 def test_row_numerators_match_point_formulas():
@@ -283,8 +288,62 @@ def test_streamed_sigma_matches_the_triangle(mode):
         assert (table.mode, table.depth) == (mode, rows)
         assert table.values == optimal_boundary(t).values == _boundary_by_is_optimal(t), \
             (rows, max_diag)
+    # bands swept in several row blocks: every band of 600 rows up to 40
+    # diagonals (sigma(25..40) unresolved, so those run to the last row),
+    # whose scan reads the 40-diagonal band, and two bands of 5,000 rows,
+    # one settled early and one with sigma(71..80) unresolved
+    scan = _boundary_by_is_optimal(continuation_triangle(mode, 600, max_diag=40))
+    for d in range(1, 41):
+        t = continuation_triangle(mode, 600, max_diag=d)
+        assert sigma_table(mode, 600, max_diag=d).values == optimal_boundary(t).values \
+            == {i: scan[i] for i in range(d + 1)}, d
+    for d in (20, 80):
+        t = continuation_triangle(mode, 5000, max_diag=d)
+        assert sigma_table(mode, 5000, max_diag=d).values == optimal_boundary(t).values \
+            == _boundary_by_is_optimal(t), d
     # a frozen sweep records no sigma
     assert [s for _, s in sweep(mode, 30, (1, None, 3))] == [None] * 30
+
+
+@pytest.mark.parametrize("mode", ["strike", "trigger"])
+def test_row_blocks_carry_the_whole_sweep(mode):
+    # a sweep split into row blocks, each carrying its diagonals' running
+    # sums into the next, makes the same entries and first optimal columns
+    # as one block from row 1, frozen rules included
+    for max_n, diag_cap, cuts in ((80, 7, (9, 10, 33, 70)), (80, 30, (32, 50)),
+                                  (40, 1, (3, 4, 5, 40)), (61, 60, ())):
+        for rules in (None, (1, 4, 9), (2, None, 5, 1), (0,)):
+            whole = list(_sweep(mode, rules, diag_cap, 1, max_n + 1, [None] * diag_cap))
+            sums, pieces, firsts = [None] * diag_cap, [[] for _ in whole], [None] * len(whole)
+            bounds = (1, *cuts, max_n + 1)
+            for r0, r1 in zip(bounds, bounds[1:]):
+                for i, (below, s) in enumerate(_sweep(mode, rules, diag_cap, r0, r1, sums)):
+                    pieces[i] += below
+                    firsts[i] = s if firsts[i] is None else firsts[i]
+            assert pieces == [below for below, _ in whole], (max_n, diag_cap, cuts, rules)
+            assert firsts == [s for _, s in whole], (max_n, diag_cap, cuts, rules)
+
+
+def test_band_sigma_stops_at_the_block_that_settles_it(monkeypatch):
+    # sigma(20) settles at row 420 (strike, 400 + 20) and row 384 (trigger,
+    # 364 + 20), so the 5,000-row band of 20 diagonals sweeps its first
+    # 630 rows in four blocks (42, 84, 168 and 336 rows), not all 5,000:
+    # 13,020 entries of the 104,790 a whole band makes, diagonal 0 included,
+    # counted off each diagonal the sweep yields
+    made = []
+
+    def counted(*args):
+        for below, s in inner(*args):
+            made.append(len(below))
+            yield below, s
+
+    inner = closedform._sweep
+    monkeypatch.setattr(closedform, "_sweep", counted)
+    for mode, last in (("strike", 400), ("trigger", 364)):
+        made.clear()
+        table = sigma_table(mode, 5000, max_diag=20)
+        assert table.values[20] == last and None not in list(table.values.values())[1:]
+        assert sum(made) == 21 * 630 - 20 * 21 // 2, mode
 
 
 @pytest.mark.parametrize("mode", ["strike", "trigger"])
@@ -398,6 +457,24 @@ def test_fit_trigger_bound():
     # fewer shifts cannot express the tail: the verify pass must catch it
     with pytest.raises(InconsistencyError):
         fit_shifted_ballot(frozen, diagonal=6, shifts=range(1, 8), fit_start=11)
+
+
+def test_fit_names_the_entry_it_misses():
+    # the check runs in integers; its message names the first missed entry
+    # and gives the combination's value there as a reduced fraction
+    frozen = continuation_triangle("strike", 30, frozen_rules=(1, 4, 9))
+    right = frozen.entry(25, 3)
+    frozen.diags[25 - 3 - 1][3 - 1] += 1  # one entry past the fit rows, planted wrong
+    with pytest.raises(InconsistencyError) as planted:
+        fit_shifted_ballot(frozen, diagonal=5, shifts=range(1, 9), fit_start=11)
+    assert str(planted.value) == (f"combination misses entry (25, 3): expected {right + 1}, "
+                                  f"combination gives {right}")
+    assert right == 1168252175736
+    frozen = continuation_triangle("trigger", 40, frozen_rules=(1, 1, 3, 8))
+    with pytest.raises(InconsistencyError) as short:
+        fit_shifted_ballot(frozen, diagonal=6, shifts=range(1, 8), fit_start=11)
+    assert str(short.value) == ("combination misses entry (11, 2): expected 21964, "
+                                "combination gives 7094370/323")
 
 
 def test_fit_smaller_truncations():

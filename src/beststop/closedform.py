@@ -122,12 +122,12 @@ def _numerator_diagonals(mode: str, r0: int, r1: int) -> Iterator[list[int]]:
         if mode == "trigger":
             yield list(map(add, map(mul, islice(lower, 2 * off, None), count(max(r0 - i, 1))),
                            islice(upper, off, None)))
+            lower = upper
         if seed is not None:
             seed = seed * (r0 - i) // i
-        strike = list(accumulate(islice(upper, len(upper) - 1), initial=seed))
+        upper = list(accumulate(islice(upper, len(upper) - 1), initial=seed))
         if mode == "strike":
-            yield strike
-        lower, upper = upper, strike
+            yield upper
 
 
 def _row_numerators(mode: str, n: int, k: int) -> Iterator[int]:
@@ -304,17 +304,18 @@ def sweep(
     """
     diag_cap = _check_triangle(mode, max_n, max_diag)
     rules = None if frozen_rules is None else tuple(frozen_rules)
-    return _sweep(mode, rules, diag_cap, 1, max_n + 1, [None] * diag_cap)
+    return _sweep(mode, rules, diag_cap, 1, max_n + 1)
 
 
 def _sweep(mode: str, rules: FrozenRules | None, diag_cap: int, r0: int, r1: int,
-           sums: list[int | None]) -> Iterator[tuple[list[int], int | None]]:
+           sums: list[int | None] | None = None) -> Iterator[tuple[list[int], int | None]]:
     """Rows r0 .. r1-1 of diagonals 0 .. diag_cap, each yielded as (its
     entries on those rows, the first column among them where stopping is
     optimal).  A block from row 1 must reach row diag_cap + 1, the first row
-    of the last diagonal, and a later block start below it.  sums[i] is
-    diagonal i's running sum of X over the rows above the block (None above
-    its first row); the block carries it down to row r1 - 1."""
+    of the last diagonal, and a later block start below it.  In a sweep of
+    several blocks, sums[i] is diagonal i's running sum of X over the rows
+    above the block (None above its first row), and the block carries it
+    down to row r1 - 1; one block from row 1 needs none."""
     # entries and M of the previous diagonal on the block's rows; both terms
     # of the recurrence lie there: M(N, k+1) in the same row and the running
     # sum of X over the rows above.  On diagonal 0 a strike always stops (an
@@ -326,16 +327,18 @@ def _sweep(mode: str, rules: FrozenRules | None, diag_cap: int, r0: int, r1: int
     yield below, sigma
     for i, xs in zip(range(1, diag_cap + 1), _numerator_diagonals(mode, r0, r1)):
         k0 = max(r0 - i, 1)  # the column of diagonal i's first entry in the block
-        if mode == "strike":
-            # M(N, k+1) plus the running sum of X = e above row N; the sum
-            # carried on runs through the block's last row
+        carried = None if sums is None else sums[i - 1]
+        # M(N, k+1) plus the running sum of X above row N; a sweep in
+        # several blocks carries X's sum through the block's last row on
+        if mode == "strike":  # X = e
             new = list(map(add, islice(best, 1, None) if off else best,
-                           accumulate(below, initial=sums[i - 1])))
-            sums[i - 1] = new[-1] - best[-1] + below[-1]
-        else:
-            # X = M, so the two terms make X's running sum through row N
-            new = list(islice(accumulate(best, initial=sums[i - 1]), 1, None))
-            sums[i - 1] = new[-1]
+                           accumulate(below, initial=carried)))
+            if sums is not None:
+                sums[i - 1] = new[-1] - best[-1] + below[-1]
+        else:  # X = M, so the two terms make X's running sum through row N
+            new = list(islice(accumulate(best, initial=carried), 1, None))
+            if sums is not None:
+                sums[i - 1] = new[-1]
         below = new
         # the old M and numerators go before the new ones are made, so that
         # one list of each is alive at a time
@@ -412,8 +415,8 @@ def sigma_table(mode: str, max_n: int, max_diag: int | None = None) -> Threshold
     triangle is one block.  Each diagonal's first optimal column is final
     once found, since no entry reads a deeper row."""
     diag_cap = _check_triangle(mode, max_n, max_diag)
-    sigma, sums = [None] * (diag_cap + 1), [None] * diag_cap
     r0, height = 1, 2 * (diag_cap + 1)
+    sigma, sums = [None] * (diag_cap + 1), None if height >= max_n else [None] * diag_cap
     while r0 <= max_n:
         r1 = min(r0 + height, max_n + 1)
         for i, (_, s) in enumerate(_sweep(mode, None, diag_cap, r0, r1, sums)):

@@ -309,11 +309,11 @@ def test_streamed_sigma_matches_the_triangle(mode):
 def test_row_blocks_carry_the_whole_sweep(mode):
     # a sweep split into row blocks, each carrying its diagonals' running
     # sums into the next, makes the same entries and first optimal columns
-    # as one block from row 1, frozen rules included
+    # as one block from row 1 with nothing carried, frozen rules included
     for max_n, diag_cap, cuts in ((80, 7, (9, 10, 33, 70)), (80, 30, (32, 50)),
                                   (40, 1, (3, 4, 5, 40)), (61, 60, ())):
         for rules in (None, (1, 4, 9), (2, None, 5, 1), (0,)):
-            whole = list(_sweep(mode, rules, diag_cap, 1, max_n + 1, [None] * diag_cap))
+            whole = list(_sweep(mode, rules, diag_cap, 1, max_n + 1))
             sums, pieces, firsts = [None] * diag_cap, [[] for _ in whole], [None] * len(whole)
             bounds = (1, *cuts, max_n + 1)
             for r0, r1 in zip(bounds, bounds[1:]):

@@ -34,9 +34,12 @@ so the sweep steps the strike list of each diagonal from the one before by
 Pascal's rule, C(N-1, i) = C(N-2, i) + C(N-2, i-1), a running sum, and
 makes the trigger list from the strike lists of the two diagonals before,
 with one small multiply and one add an entry and no division.  The same
-pass takes M as the columnwise max of the entries and those numerators,
-and records sigma(i), the first column where stopping is optimal, so the
-threshold table needs no second scan.
+pass records sigma(i), the first column where stopping is optimal, so the
+threshold table needs no second scan, and takes M as the columnwise max of
+the entries and those numerators from that column on: before it every
+numerator is below its entry, so M is the entry.  In trigger mode, where
+X = M, each entry is the running sum of M down the diagonal before, one
+add an entry.
 
 The sweep runs over a block of rows at a time.  No entry reads a deeper
 row, so rows r0 .. r1-1 of each diagonal follow from the same rows of the
@@ -50,6 +53,7 @@ only the triangle itself keeps every diagonal.  A band's threshold table
 sweeps blocks of growing height instead and stops after the block in
 which every sigma(1..D) is found: the rows down to a found sigma(i) hold
 the same entries however many rows the band has, so it is final.
+
 Along a row the CSV steps the numerators with C(m, j+1) = C(m, j)*(m-j)/(j+1)
 instead.
 """
@@ -345,14 +349,18 @@ def _sweep(mode: str, rules: FrozenRules | None, diag_cap: int, r0: int, r1: int
         del best, new
         if rules is None:
             # every numerator off diagonal 0 is positive, so the first
-            # column with x >= e is the first optimal stop
+            # column with x >= e is the first optimal stop; before it M is
+            # the entry, and only the columns from it on take a max
             sigma = next(compress(count(k0), map(ge, xs, below)), None)
-            best = list(map(max, below, xs))
+            cut = len(below) if sigma is None else sigma - k0
+            rest = map(max, islice(below, cut, None), islice(xs, cut, None))
         else:
             first = rules[i - 1] if i <= len(rules) else None  # fires from column first on
             cut = len(below) if first is None else max(first - k0, 0)
-            best = below[:cut] + xs[cut:]
-        del xs
+            rest = islice(xs, cut, None)
+        best = below[:cut]
+        best += rest
+        del xs, rest
         yield below, sigma
 
 

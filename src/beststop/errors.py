@@ -55,12 +55,15 @@ WALK_MAX_RANK = 255
 # before the sweep and before any cache file is read
 # (closedform._check_triangle).  The largest full triangle under it, 1,414
 # rows (998,991 entries), is swept a diagonal at a time: a cold `--emit
-# sigma` takes 0.38-0.43 s (strike) and 0.66-0.67 s (trigger) at 18 MiB,
-# `--emit row --n 1414` 0.33-0.40 s (strike) and 0.58-0.69 s (trigger) at
-# 22-23 MiB, and the 321 and 312 closed forms at rank 1,414 0.38-0.40 s at
-# 18 MiB; the sigma table caches a 7 KB file, read back warm in 0.05 s at
+# sigma` takes 0.22-0.28 s (strike) and 0.30-0.35 s (trigger) at 17 MiB,
+# `--emit row --n 1414` 0.23-0.24 s (strike) and 0.29-0.31 s (trigger) at
+# 22-23 MiB, and the 321 and 312 closed forms at rank 1,414 0.22-0.23 s at
+# 17 MiB; the sigma table caches a 7 KB file, read back warm in 0.05 s at
 # 17 MiB.  Only the CSV keeps every diagonal: 8-10 s at 213 MiB, and a full
-# 2,000-row triangle would peak at 538 MiB.
+# 2,000-row triangle would peak at 538 MiB.  The cap counts the rows asked
+# for, though a band's `--emit sigma` stops after the rows that settle it:
+# 50,000 rows over 20 diagonals (999,790 entries) sweep 630 rows, 0.03 s at
+# 16 MiB.
 TRIANGLE_CAP = 1_000_000
 # Not a resource bound: every closed form's value has catalan(n) as its
 # denominator, and 7,152 is the largest n whose catalan(n) has at most 4,300

@@ -39,10 +39,6 @@ from .permutations import (
 )
 
 
-def _flat(seq: Sequence[int]) -> Perm:
-    return flatten(seq) if seq else ()
-
-
 def slide_max(p: Sequence[int]) -> Perm:
     """Swap the maximum rightward, one adjacent step at a time, until the
     result avoids 231.  Always makes at least one swap, so the prefix must
@@ -83,28 +79,35 @@ def remove_minimum(p: Sequence[int]) -> Perm:
     return flatten(tuple(v for v in perm if v != 1))
 
 
+def _exchange(entries: Sequence[int], lift_left: bool) -> Perm:
+    """convert_231_to_132 (lift_left) or convert_132_to_231 of the
+    flattening of entries, distinct integers: each block is sliced off the
+    entries as given, flattened by no call, and split at its maximum."""
+    n = len(entries)
+    if n <= 2:
+        return (2, 1) if n == 2 and entries[0] > entries[1] else (1, 2)[:n]
+    m = entries.index(max(entries))
+    left = _exchange(entries[:m], lift_left)
+    right = _exchange(entries[m + 1 :], lift_left)
+    if lift_left:
+        return tuple([v + n - 1 - m for v in left]) + (n,) + right
+    return left + (n,) + tuple([v + m for v in right])
+
+
 def convert_231_to_132(p: Sequence[int]) -> Perm:
     """Exchange 231-avoidance for 132-avoidance by recursing on the two
     sides of the maximum, keeping the maximum's position.  In a
     231-avoiding prefix everything left of the maximum is below everything
-    right of it; the map lifts the left block above the right block.
+    right of it; the map lifts the left block above the right block.  Any
+    permutation is mapped so, by the flattened blocks; anything else is
+    refused.
 
     >>> convert_231_to_132((1, 3, 2))
     (2, 3, 1)
     >>> convert_231_to_132((1, 2, 3))
     (1, 2, 3)
     """
-    if len(p) == 0:
-        return ()
-    perm = validate_permutation(p)
-    n = len(perm)
-    if n <= 2:
-        return perm
-    m = perm.index(n)
-    left = convert_231_to_132(_flat(perm[:m]))
-    right = convert_231_to_132(_flat(perm[m + 1 :]))
-    lift = n - 1 - m
-    return tuple(v + lift for v in left) + (n,) + right
+    return _exchange(validate_permutation(p), True) if len(p) else ()
 
 
 def convert_132_to_231(p: Sequence[int]) -> Perm:
@@ -114,16 +117,7 @@ def convert_132_to_231(p: Sequence[int]) -> Perm:
     >>> convert_132_to_231((2, 3, 1))
     (1, 3, 2)
     """
-    if len(p) == 0:
-        return ()
-    perm = validate_permutation(p)
-    n = len(perm)
-    if n <= 2:
-        return perm
-    m = perm.index(n)
-    left = convert_132_to_231(_flat(perm[:m]))
-    right = convert_132_to_231(_flat(perm[m + 1 :]))
-    return left + (n,) + tuple(v + m for v in right)
+    return _exchange(validate_permutation(p), False) if len(p) else ()
 
 
 def west_correspondence(g321: Game, g312: Game) -> dict[Perm, Perm]:

@@ -26,16 +26,21 @@ game(cls, n) is the sweep, a Game its caller keeps for every question; its
 two mode views read one mode's best below in value, stops, strike_set and
 per_node_values, and hold the game, which holds no view.  The moves are
 built once per game, on their first read; the strategy walk table,
-sampling, the West pairing and prefixtree.build read them directly.  Every
-other reader of nodes reads one preorder walk, Game.walk, from the null
-prefix, the root or any prefix p (state finds p's (k, label)), under the
-tree's caps: the whole-tree printout, the figures and isomorphism checks,
-and through its pruned form first_hits, which descends below no hit, the
-optimal set's listing (walked only when stops or strike_set is read, so a
-value alone costs only the sweep), strike-set completion, successors and
-the naming of a strike set's first uncovered leaf.  The walk carries each
+sampling, the West pairing, prefixtree.build and the optimal set's listing
+read them directly.  The listing (made only when stops or strike_set is
+read, so a value alone costs only the sweep) unfolds the label DAG one
+depth at a time: the stop rule reads only a prefix's state and eligibility,
+so each (label, eligible) group's prefixes are held in one list, the group
+is decided once, and its children's lists are made one comprehension a
+move, merged where groups meet; it comes in no set order.  Every reader
+that needs preorder, or tests the prefix itself, reads one preorder walk,
+Game.walk, from the null prefix, the root or any prefix p (state finds p's
+(k, label)), under the tree's caps: the whole-tree printout, the figures
+and isomorphism checks, and through its pruned form first_hits, which
+descends below no hit, strike-set completion, successors and the naming of
+a strike set's first uncovered leaf.  The walk and the listing carry each
 prefix as bytes, one byte an entry, stepped by permutations._shifts, so a
-child costs one translate and one append, and it refuses ranks past
+child costs one translate and one append, and both refuse ranks past
 errors.WALK_MAX_RANK.  hit reads those bytes and the walk yields them;
 stops hands them on, which the command line sorts and names with no tuples
 made, and a caller makes tuples only of what it returns (strike_set,
@@ -117,6 +122,16 @@ class Game:
         raise NotFoundError(f"prefix {p!r} is not a node of the rank-{self.rank} "
                             f"tree for class {self.pattern_class.name}")
 
+    def _step_tables(self) -> tuple[list[bytes], list[bytes]]:
+        """permutations._shifts for the game's rank, for a walk or a listing
+        of its prefixes: refused past the tree's member cap, then past rank
+        WALK_MAX_RANK."""
+        total = self.states[0][0][0]
+        if total > DEFAULT_TREE_CAP:
+            raise LimitError(f"class {self.pattern_class.name} has {total} members "
+                             f"at rank {self.rank}, over the cap {DEFAULT_TREE_CAP}")
+        return _shifts(self.rank)
+
     def walk(self, hit: Callable[[bytes, int, int, bool], bool] | None = None,
              start: Perm = (), inner: bool = True) -> Iterator[tuple[bytes, int, int, bool, bool]]:
         """(p, k, label, eligible, hit there) of each node at or below start
@@ -125,11 +140,8 @@ class Game:
         eligible) holds; without inner, only the hits and leaves.  Each p is
         bytes, one byte an entry, stepped by permutations._shifts's tables.
         Refused past the tree's member cap and past rank WALK_MAX_RANK."""
-        n, total = self.rank, self.states[0][0][0]
-        if total > DEFAULT_TREE_CAP:
-            raise LimitError(f"class {self.pattern_class.name} has {total} members "
-                             f"at rank {n}, over the cap {DEFAULT_TREE_CAP}")
-        shift, last = _shifts(n)
+        n = self.rank
+        shift, last = self._step_tables()
         k, label = self.state(start)
         stack = [(bytes(start), k, label, is_eligible(start), self.moves[k][label])]
         while stack:
@@ -172,22 +184,42 @@ class OptimalResult:
                 for label, state in level.items()}
 
     def stops(self) -> Iterator[bytes]:
-        """The first stopping prefix or leaf on each path, depth-first with
-        children in ascending value, each as bytes, one byte an entry,
-        walked afresh on each call (see Game.first_hits).  Refused past the
-        tree's member cap."""
-        states, trigger = self.game.states, self.mode == "trigger"
-
-        def stop(p: bytes, k: int, label: int, eligible: bool) -> bool:
-            _, z0, z1, strike, below = states[k][label]
-            return z1 > below if trigger else eligible and z0 > strike
-
-        hits = self.game.first_hits(stop, start=() if trigger else (1,))
-        return (p for p, _, _, _, _ in hits)
+        """The first stopping prefix or leaf on each path, each as bytes, one
+        byte an entry, in no set order, unfolded afresh on each call.  The
+        stop rule reads only a prefix's state and eligibility, so the label
+        DAG is unfolded one depth at a time, each (label, eligible) group's
+        prefixes in one list, decided once per group: a stopping group is
+        yielded, any other is stepped to its children's groups, which merge
+        where they meet, and the leaves are yielded as they are made.
+        Refused, on the first next(), past the tree's member cap and past
+        rank WALK_MAX_RANK (see Game.walk)."""
+        g, trigger = self.game, self.mode == "trigger"
+        n, states, moves = g.rank, g.states, g.moves
+        shift, last = g._step_tables()
+        start = () if trigger else (1,)
+        k, label = g.state(start)
+        level = {(label, is_eligible(start)): [bytes(start)]}
+        while level:
+            deeper: dict[tuple[int, bool], list[bytes]] = {}
+            while level:
+                (label, eligible), ps = level.popitem()
+                _, z0, z1, strike, below = states[k][label]
+                if k == n or (z1 > below if trigger else eligible and z0 > strike):
+                    yield from ps
+                    continue
+                for c, sub, _, _, eligible in moves[k][label]:
+                    kids = [p.translate(shift[c]) + last[c] for p in ps]
+                    if k + 1 == n:
+                        yield from kids
+                    elif (group := deeper.get((sub, eligible))) is None:
+                        deeper[sub, eligible] = kids
+                    else:
+                        group += kids
+            level, k = deeper, k + 1
 
     @cached_property
     def strike_set(self) -> StrikeSet:
-        """The members of stops() as tuples, walked on the first read."""
+        """The members of stops() as tuples, listed on the first read."""
         return StrikeSet(members=frozenset(map(tuple, self.stops())))
 
 

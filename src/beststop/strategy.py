@@ -103,10 +103,13 @@ def member_names(members: Iterable[Perm] | Iterable[bytes]) -> list[str]:
     The members are all tuples or all bytes, one byte an entry, as
     OptimalResult.stops gives them."""
     # within one length, bytes sort as their tuples do, and a stable sort
-    # by length follows
+    # by length follows; each member gives way to its name in place, so the
+    # members and their names are never all held at once
     ordered = sorted(members)
     ordered.sort(key=len)
-    return ["null" if not p else _perm_str(p) for p in ordered]
+    for i, p in enumerate(ordered):
+        ordered[i] = "null" if not p else _perm_str(p)
+    return ordered
 
 
 def members_str(names: Sequence[str]) -> str:

@@ -9,9 +9,12 @@ prefix for its children with this module's own interval scan (spans,
 children_by_scan); optimize_tree, the backward induction on every node
 of a built tree that the label-DAG optimizer is checked against; and
 render_tree, the whole-tree output that `beststop tree` streams off the
-game's walk, rendered from a built tree.  A third
-reads a game: score_by_first_hits, the prefix walk that the walk table's
-backward pass in strategy.exact_success is checked against.
+game's walk, rendered from a built tree.  Others read a game:
+score_by_first_hits, the prefix walk that the walk table's backward pass in
+strategy.exact_success is checked against, and stops_by_first_hits, the
+same walk's listing of an optimal set, that OptimalResult.stops's unfold by
+state groups is checked against.  upsilon_by_flatten and its inverse are the
+recursive definitions of the 231/132 conversions, flattening each block.
 """
 from __future__ import annotations
 
@@ -185,6 +188,45 @@ def score_by_first_hits(s, g):
                 f"strike set never fired on {perm_to_str(p)}; the set does not cover it"
             )
     return wins, states[0][0][0]
+
+
+def stops_by_first_hits(res):
+    """The optimal set of the mode view res, as the game's pruned preorder
+    walk lists it: the first prefix on each path where the stop rule holds
+    (own wins strictly above the state's best below, at an eligible prefix
+    for strike), or the path's leaf, as bytes, in preorder, from the root
+    for strike and from the null prefix for trigger."""
+    states, trigger = res.game.states, res.mode == "trigger"
+
+    def stop(p, k, label, eligible):
+        _, z0, z1, strike, below = states[k][label]
+        return z1 > below if trigger else eligible and z0 > strike
+
+    return [p for p, *_ in res.game.first_hits(stop, start=() if trigger else (1,))]
+
+
+def upsilon_by_flatten(p):
+    """convert_231_to_132 by its definition: keep the maximum's position,
+    map the flattened blocks on either side of it, and lift the left block
+    above the right one."""
+    n = len(p)
+    if n <= 2:
+        return tuple(p)
+    m = p.index(n)
+    left, right = upsilon_by_flatten(flat(p[:m])), upsilon_by_flatten(flat(p[m + 1:]))
+    return tuple(v + n - 1 - m for v in left) + (n,) + right
+
+
+def upsilon_inverse_by_flatten(p):
+    """convert_132_to_231 by its definition: as upsilon_by_flatten, but the
+    left block drops back below the right one."""
+    n = len(p)
+    if n <= 2:
+        return tuple(p)
+    m = p.index(n)
+    left = upsilon_inverse_by_flatten(flat(p[:m]))
+    right = upsilon_inverse_by_flatten(flat(p[m + 1:]))
+    return left + (n,) + tuple(v + m for v in right)
 
 
 def random_eligible_antichain(tree, rng):

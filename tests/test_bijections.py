@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 
 import beststop.prefixtree
@@ -109,6 +111,19 @@ def test_upsilon_examples():
     assert convert_231_to_132((1, 2, 3)) == (1, 2, 3)
     assert convert_231_to_132(()) == ()
     assert convert_132_to_231((2, 3, 1)) == (1, 3, 2)
+
+
+def test_upsilon_matches_its_flattening_definition():
+    # both conversions on every permutation of sizes 0-8, avoider or not;
+    # anything but a permutation is refused
+    for n in range(9):
+        for w in permutations(range(1, n + 1)):
+            assert convert_231_to_132(w) == oracles.upsilon_by_flatten(w), w
+            assert convert_132_to_231(w) == oracles.upsilon_inverse_by_flatten(w), w
+    for bad in ((1, 1), (0,), (2, 3), [1, 3], (1, 2, 2)):
+        for convert in (convert_231_to_132, convert_132_to_231):
+            with pytest.raises(InvalidInputError):
+                convert(bad)
 
 
 def test_upsilon_is_a_bijection_preserving_max_position():

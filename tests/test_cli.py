@@ -14,6 +14,7 @@ import pytest
 
 import beststop.bijections
 import beststop.cli
+import beststop.optimizer
 import beststop.prefixtree
 import oracles
 from beststop import pattern_class
@@ -192,6 +193,16 @@ def test_solve_builds_no_tree(capsys, monkeypatch):
     assert run(capsys, "verify", "triangle") == (0, "ok   triangle\n", "")
     code, out, err = run(capsys, "solve", "--class", "none", "--n", "10")
     assert (code, out) == (2, "") and "cap" in err
+
+
+def test_solve_lists_its_set_without_the_walk(capsys, monkeypatch):
+    # the optimal set is unfolded by state groups, not walked a prefix at a time
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve walked the tree")
+
+    monkeypatch.setattr(beststop.optimizer.Game, "walk", refuse)
+    code, out, err = run(capsys, "solve", "--class", "231", "--n", "10")
+    assert (code, err) == (0, "") and out.startswith("optimal strike set {")
 
 
 def test_strategy_commands_build_no_tree(capsys, monkeypatch):

@@ -240,6 +240,19 @@ def test_first_hits_matches_definition():
             assert strike.state(()) == res.state(()) == (0, 0)
 
 
+@pytest.mark.parametrize("cls", [*sorted(CLASSES), PatternClass("132+321", ((1, 3, 2), (3, 2, 1)))],
+                         ids=str)
+def test_stops_list_the_walks_first_hits(cls):
+    # the unfold by state groups lists, in its own order and each once, the
+    # prefixes where the game's preorder walk stops
+    for n in range(1, 10):
+        g = game(cls, n)
+        for res in (optimal_strike_set(g), optimal_trigger_set(g)):
+            got = list(res.stops())
+            assert len(got) == len(set(got)), (cls, n, res.mode)
+            assert set(got) == set(oracles.stops_by_first_hits(res)), (cls, n, res.mode)
+
+
 def test_walks_hold_ranks_up_to_a_byte():
     # the walks carry prefixes as bytes: the class whose only member at each
     # rank is the decreasing order stays under the member cap, so its walk
@@ -320,6 +333,9 @@ def test_caps(monkeypatch):
     assert res.value == optimal_success_231(15)
     with pytest.raises(LimitError, match="over the cap"):
         res.strike_set
+    listing = res.stops()  # refused on its first next(), as the walk is
+    with pytest.raises(LimitError, match="over the cap"):
+        next(listing)
     # the sweep is refused past its cap in states, counted as it goes
     monkeypatch.setattr(beststop.optimizer, "DAG_STATE_CAP", 1023)
     assert optimal_strike_set(game(AV312, 9)).value.total == catalan(9)

@@ -122,6 +122,10 @@ def commands() -> list[list[str]]:
                   for mode in ("strike", "trigger")]
     argvs += [["solve", "--class", "321", "--n", "10", "--mode", "strike", "--json"],
               ["solve", "--class", "123", "--n", "12", "--mode", "strike"]]
+    # the 321 and 312 thresholds past rank 8, each scored on a sigma table
+    # built for its rank
+    argvs += [["solve", "--class", cls, "--n", str(n), "--strategy", f"threshold:{mode}"]
+              for cls in ("321", "312") for n in range(9, 13) for mode in ("strike", "trigger")]
     return argvs + workflow_commands()
 
 

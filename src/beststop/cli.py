@@ -264,36 +264,25 @@ def _verify_figures_321(report) -> bool:
     return ok
 
 
-def _check_formula(report, label: str, cls_name: str, formula) -> bool:
-    """For 2 <= n <= 8, with (descr, want) = formula(n): the optimizer's
-    value is want, and the strategy descr plays to want."""
-    cls = pattern_class(cls_name)
+def _check_formula(report, label: str, *names: str) -> bool:
+    """For each class named and 2 <= n <= 8, with (descr, want) the strategy
+    and value solve --formula prints: the optimizer's value is want, and
+    the strategy descr plays to want."""
     ok = True
-    for n in range(2, 9):
-        descr, want = formula(n)
-        g = game(cls, n)
-        got = optimal_strike_set(g).value
-        if cmp_as_rational(want, got) != 0:
-            report(f"{label} n={n} optimizer {got} vs formula {want}")
-            ok = False
-        v = exact_success(parse_strategy(descr, cls, n), g)
-        if cmp_as_rational(v, want) != 0:
-            report(f"{label} n={n} {descr} plays to {v}, formula {want}")
-            ok = False
+    for name in names:
+        cls = pattern_class(name)
+        for n in range(2, 9):
+            descr, want = _solve_formula(name, n, "strike")
+            g = game(cls, n)
+            got = optimal_strike_set(g).value
+            if cmp_as_rational(want, got) != 0:
+                report(f"{label}: {name} n={n} optimizer {got} vs formula {want}")
+                ok = False
+            v = exact_success(parse_strategy(descr, cls, n), g)
+            if cmp_as_rational(v, want) != 0:
+                report(f"{label}: {name} n={n} {descr} plays to {v}, formula {want}")
+                ok = False
     return ok
-
-
-def _verify_catalan_231(report) -> bool:
-    """Optimal 231 value is catalan(n-1)/catalan(n); strike:{1} achieves it."""
-    return _check_formula(report, "catalan-231:", "231",
-                          lambda n: ("strike:{1}", optimal_success_231(n)))
-
-
-def _verify_closed_forms(report) -> bool:
-    """123 and 213 optimal values match their formulas (strategy-verified)."""
-    ok_123 = _check_formula(report, "closed-forms: 123", "123", optimal_success_123)
-    ok_213 = _check_formula(report, "closed-forms: 213", "213", optimal_success_213)
-    return ok_123 and ok_213
 
 
 def _verify_positional_321(report) -> bool:
@@ -360,8 +349,9 @@ def _verify_upsilon(report) -> bool:
 VERIFY_TARGETS = {
     "triangle": _verify_triangle,
     "figures-321": _verify_figures_321,
-    "catalan-231": _verify_catalan_231,
-    "closed-forms": _verify_closed_forms,
+    # 231's value is catalan(n-1)/catalan(n), and strike:{1} reaches it
+    "catalan-231": lambda report: _check_formula(report, "catalan-231", "231"),
+    "closed-forms": lambda report: _check_formula(report, "closed-forms", "123", "213"),
     "positional-321": _verify_positional_321,
     "asymptote-321": _fit_limit("asymptote-321", "strike", 30, (1, 4, 9), 5,
                                 Fraction(32983, 65536)),

@@ -160,12 +160,10 @@ def _reduce_321(p: Sequence[int], n: int) -> tuple[int, int, bool]:
         raise InvalidInputError(f"prefix {perm!r} contains the pattern 321")
     if n < len(perm):
         raise InvalidInputError(f"rank {n} is smaller than the prefix length")
-    from .bijections import remove_minimum
-
     eligible = True
     while has_inversion(perm):
         eligible = eligible and is_eligible(perm)
-        perm = remove_minimum(perm)
+        perm = tuple(v - 1 for v in perm if v != 1)
         n -= 1
     return len(perm), n, eligible
 
@@ -308,18 +306,18 @@ def sweep(
     """
     diag_cap = _check_triangle(mode, max_n, max_diag)
     rules = None if frozen_rules is None else tuple(frozen_rules)
-    return _sweep(mode, rules, diag_cap, 1, max_n + 1)
+    return _sweep(mode, rules, diag_cap, 1, max_n + 1, [None] * diag_cap)
 
 
 def _sweep(mode: str, rules: FrozenRules | None, diag_cap: int, r0: int, r1: int,
-           sums: list[int | None] | None = None) -> Iterator[tuple[list[int], int | None]]:
+           sums: list[int | None]) -> Iterator[tuple[list[int], int | None]]:
     """Rows r0 .. r1-1 of diagonals 0 .. diag_cap, each yielded as (its
     entries on those rows, the first column among them where stopping is
     optimal).  A block from row 1 must reach row diag_cap + 1, the first row
-    of the last diagonal, and a later block start below it.  In a sweep of
-    several blocks, sums[i] is diagonal i's running sum of X over the rows
-    above the block (None above its first row), and the block carries it
-    down to row r1 - 1; one block from row 1 needs none."""
+    of the last diagonal, and a later block start below it.  sums[i - 1] is
+    diagonal i's running sum of X over the rows above the block (None above
+    its first row, so all None for a block from row 1), and the block
+    carries it down to row r1 - 1 for the next block."""
     # entries and M of the previous diagonal on the block's rows; both terms
     # of the recurrence lie there: M(N, k+1) in the same row and the running
     # sum of X over the rows above.  On diagonal 0 a strike always stops (an
@@ -331,18 +329,15 @@ def _sweep(mode: str, rules: FrozenRules | None, diag_cap: int, r0: int, r1: int
     yield below, sigma
     for i, xs in zip(range(1, diag_cap + 1), _numerator_diagonals(mode, r0, r1)):
         k0 = max(r0 - i, 1)  # the column of diagonal i's first entry in the block
-        carried = None if sums is None else sums[i - 1]
-        # M(N, k+1) plus the running sum of X above row N; a sweep in
-        # several blocks carries X's sum through the block's last row on
+        # M(N, k+1) plus the running sum of X above row N; X's sum through
+        # the block's last row is carried on to the next block
         if mode == "strike":  # X = e
             new = list(map(add, islice(best, 1, None) if off else best,
-                           accumulate(below, initial=carried)))
-            if sums is not None:
-                sums[i - 1] = new[-1] - best[-1] + below[-1]
+                           accumulate(below, initial=sums[i - 1])))
+            sums[i - 1] = new[-1] - best[-1] + below[-1]
         else:  # X = M, so the two terms make X's running sum through row N
-            new = list(islice(accumulate(best, initial=carried), 1, None))
-            if sums is not None:
-                sums[i - 1] = new[-1]
+            new = list(islice(accumulate(best, initial=sums[i - 1]), 1, None))
+            sums[i - 1] = new[-1]
         below = new
         # the old M and numerators go before the new ones are made, so that
         # one list of each is alive at a time
@@ -424,7 +419,7 @@ def sigma_table(mode: str, max_n: int, max_diag: int | None = None) -> Threshold
     once found, since no entry reads a deeper row."""
     diag_cap = _check_triangle(mode, max_n, max_diag)
     r0, height = 1, 2 * (diag_cap + 1)
-    sigma, sums = [None] * (diag_cap + 1), None if height >= max_n else [None] * diag_cap
+    sigma, sums = [None] * (diag_cap + 1), [None] * diag_cap
     while r0 <= max_n:
         r1 = min(r0 + height, max_n + 1)
         for i, (_, s) in enumerate(_sweep(mode, None, diag_cap, r0, r1, sums)):

@@ -75,13 +75,6 @@ class SplitMix64:
             raise InvalidInputError(f"below expects a positive bound, got {bound}")
         if bound == 1:
             return 0
-        if bound <= _SPAN:
-            # a bound up to 2**64 takes one word: the loop below with words == 1
-            limit = _SPAN - _SPAN % bound
-            while True:
-                value = self.next64()
-                if value < limit:
-                    return value % bound
         words = ((bound - 1).bit_length() + 63) // 64
         span = 1 << (64 * words)
         limit = span - span % bound

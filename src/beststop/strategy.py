@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import sqrt
 from typing import Iterable, Sequence
 
@@ -217,8 +216,11 @@ def play(s: Strategy, pi: Sequence[int]) -> PlayTrace:
 
 def threshold_strategy(mode: str, cls: PatternClass | str, n: int) -> Strategy:
     """The saturated-count threshold strategy for the 321- or 312-avoiding
-    game.  Its sigma table is at least 60 deep, so strategies of nearby
-    ranks share one table."""
+    game, on the sigma table of its own rank n (2 rows at least, the
+    smallest triangle).  No entry reads a deeper row, so a deeper table
+    decides every prefix the same way: a sigma(i) found only past row n is
+    a column above n - i, which no size-(n - i) prefix's saturated count
+    reaches."""
     cl = pattern_class(cls)
     if cl.name not in ("321", "312"):
         raise InvalidInputError(
@@ -226,13 +228,8 @@ def threshold_strategy(mode: str, cls: PatternClass | str, n: int) -> Strategy:
         )
     if mode not in ("strike", "trigger"):
         raise InvalidInputError(f"mode must be strike or trigger, got {mode!r}")
-    sigma = _cached_boundary(mode, max(n, 60))
+    sigma = sigma_table(mode, max(n, 2))
     return Strategy(kind="threshold", mode=mode, sigma=sigma, pattern_class=cl, rank=n)
-
-
-@lru_cache(maxsize=None)
-def _cached_boundary(mode: str, depth: int) -> ThresholdTable:
-    return sigma_table(mode, depth)
 
 
 def exact_success(s: Strategy, g: Game) -> Tally:

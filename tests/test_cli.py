@@ -17,7 +17,7 @@ import beststop.cli
 import beststop.optimizer
 import beststop.prefixtree
 import oracles
-from beststop import pattern_class
+from beststop import Tally, pattern_class
 from beststop.cli import main
 from beststop.errors import DRAW_CAP
 from beststop.strategy import member_names, parse_strategy
@@ -737,6 +737,29 @@ def test_verify_names_each_failing_isomorphism_rank(capsys, monkeypatch):
         "FAIL upsilon",
         *(f"     upsilon: rank {n} mismatch at ('231', '132')" for n in range(2, 7)),
     ]
+
+
+def test_verify_checks_the_formulas_solve_prints(capsys, monkeypatch):
+    # catalan-231 and closed-forms check the strategy and value solve
+    # --formula prints: one class's wrong value there fails its target, and
+    # each message names the target, the class and the rank
+    solve_formula = beststop.cli._solve_formula
+
+    def wrong_for(cls):
+        def formula(name, n, mode):
+            descr, value = solve_formula(name, n, mode)
+            return descr, Tally(value.wins, value.total + (name == cls))
+        return formula
+
+    for target, cls in (("catalan-231", "231"), ("closed-forms", "213")):
+        monkeypatch.setattr(beststop.cli, "_solve_formula", wrong_for(cls))
+        code, out, _ = run(capsys, "verify", target)
+        assert code == 3, target
+        head, *messages = out.splitlines()
+        assert head == f"FAIL {target}"
+        # an optimizer and a play message per rank, the first five shown
+        assert [m.split(" ")[5:8] for m in messages] == [
+            [f"{target}:", cls, f"n={n}"] for n in (2, 2, 3, 3, 4)]
 
 
 def test_usage_errors(capsys):

@@ -224,6 +224,28 @@ def test_sigma_tables_depth_600_and_a_6000_row_band():
             assert tuple(band.get(i) for i in range(8, 25)) == TRIGGER_SIGMA_8_TO_24
 
 
+# trigger sigma(1..99), as the 10,000-row band of 99 diagonals gives them;
+# no closed form
+TRIGGER_SIGMA_1_TO_99 = (
+    1, 1, 3, 8, 15, 25, 36, 49, 65, 82, 101, 122, 146, 171, 198, 227, 259, 292, 327, 364,
+    404, 445, 488, 534, 581, 630, 681, 735, 790, 847, 906, 968, 1031, 1096, 1163, 1233,
+    1304, 1377, 1452, 1530, 1609, 1690, 1773, 1859, 1946, 2035, 2126, 2220, 2315, 2412,
+    2511, 2613, 2716, 2821, 2928, 3038, 3149, 3262, 3377, 3495, 3614, 3735, 3858, 3984,
+    4111, 4240, 4371, 4505, 4640, 4777, 4917, 5058, 5201, 5346, 5494, 5643, 5794, 5947,
+    6103, 6260, 6419, 6580, 6744, 6909, 7076, 7245, 7417, 7590, 7765, 7942, 8122, 8303,
+    8486, 8671, 8859, 9048, 9239, 9432, 9628,
+)
+
+
+def test_sigma_tables_depth_99():
+    # the deepest band the triangle cap admits at 10,000 rows (985,050
+    # entries); its sweep stops after the row block that settles sigma(99)
+    strike = sigma_table("strike", 10000, max_diag=99)
+    assert [strike.get(i) for i in range(1, 100)] == [i * i for i in range(1, 100)]
+    trigger = sigma_table("trigger", 10000, max_diag=99)
+    assert tuple(trigger.get(i) for i in range(1, 100)) == TRIGGER_SIGMA_1_TO_99
+
+
 def test_diagonal_numerators_match_point_formulas():
     # diagonals 1..200 of a 201-row triangle, each stepped from the one
     # before, and diagonals 1..60 on rows 150..259, a later row block seeded
@@ -313,7 +335,7 @@ def test_row_blocks_carry_the_whole_sweep(mode):
     for max_n, diag_cap, cuts in ((80, 7, (9, 10, 33, 70)), (80, 30, (32, 50)),
                                   (40, 1, (3, 4, 5, 40)), (61, 60, ())):
         for rules in (None, (1, 4, 9), (2, None, 5, 1), (0,)):
-            whole = list(_sweep(mode, rules, diag_cap, 1, max_n + 1))
+            whole = list(_sweep(mode, rules, diag_cap, 1, max_n + 1, [None] * diag_cap))
             sums, pieces, firsts = [None] * diag_cap, [[] for _ in whole], [None] * len(whole)
             bounds = (1, *cuts, max_n + 1)
             for r0, r1 in zip(bounds, bounds[1:]):

@@ -35,6 +35,7 @@ from beststop import (
     pattern_class,
     play,
     sample_uniform,
+    sigma_table,
     simulate,
     threshold_strategy,
 )
@@ -478,13 +479,30 @@ def test_threshold_table_as_deep_as_the_rank(mode):
     sigma = optimal_boundary(continuation_triangle(mode, 5))
     exact = Strategy(kind="threshold", mode=mode, sigma=sigma, pattern_class=AV321, rank=5)
     deep = threshold_strategy(mode, "321", 5)
-    assert deep.sigma.depth == 60
+    assert deep.sigma.depth == 5
     for pi in enumerate_class(pattern_class("321"), 5):
         assert play(exact, pi) == play(deep, pi), pi
     g = game("321", 5)
     assert exact_success(exact, g) == exact_success(deep, g)
     trace = play(threshold_strategy(mode, "321", 60), tuple(range(1, 61)))
     assert trace.decisions[0].action == "pass"
+
+
+@pytest.mark.parametrize("mode", ["strike", "trigger"])
+def test_threshold_at_its_rank_plays_as_one_60_deep(mode):
+    # a sigma(i) that only rows past the rank find is a column no prefix's
+    # saturated count reaches, so the rank's own table scores and simulates
+    # exactly as the 60-row one
+    deep = sigma_table(mode, 60)
+    for cl in (AV321, AV312):
+        for n in range(1, 13):
+            g = game(cl, n)
+            own = threshold_strategy(mode, cl, n)
+            assert own.sigma == sigma_table(mode, max(n, 2))
+            ref = Strategy(kind="threshold", mode=mode, sigma=deep, pattern_class=cl, rank=n)
+            assert exact_success(own, g) == exact_success(ref, g), (cl.name, n)
+            assert simulate(own, g, 500, seed=n).wins == simulate(ref, g, 500, seed=n).wins, \
+                (cl.name, n)
 
 
 def test_transport_rejects_foreign_prefix():

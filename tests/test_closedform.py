@@ -238,8 +238,8 @@ TRIGGER_SIGMA_1_TO_99 = (
 
 
 def test_sigma_tables_depth_99():
-    # the deepest band the triangle cap admits at 10,000 rows (985,050
-    # entries); its sweep stops after the row block that settles sigma(99)
+    # 99 diagonals are the most the triangle cap admits at 10,000 rows
+    # (985,050 entries); sigma(99) settles by row 9,900 in either mode
     strike = sigma_table("strike", 10000, max_diag=99)
     assert [strike.get(i) for i in range(1, 100)] == [i * i for i in range(1, 100)]
     trigger = sigma_table("trigger", 10000, max_diag=99)

@@ -221,9 +221,10 @@ def verify_tree_isomorphism(
     """Check whether two games' prefix trees at rank n match node for
     node, with equal completion counts and win counts throughout.
 
-    The class pair picks the method: "upsilon" (the 231/132 relabeling),
-    "west" (the 321/312 pairing), or else "search" (canonical-form
-    comparison, rank <= 6 only).
+    The class pair picks the method: "upsilon" (the 231/132 relabeling,
+    whose inverse must send each partner back to its prefix), "west" (the
+    321/312 pairing), or else "search" (canonical-form comparison, rank
+    <= 6 only).
     """
     ca, cb = pattern_class(a), pattern_class(b)
     pair = (ca.name, cb.name)
@@ -234,8 +235,11 @@ def verify_tree_isomorphism(
 
     if pair in _UPSILON_PAIRS:
         method = "upsilon"
-        fn = convert_231_to_132 if ca.name == "231" else convert_132_to_231
-        s_ok, v_ok, miss = _pair_by_map(ga, gb, fn)
+        there, back = convert_231_to_132, convert_132_to_231
+        if ca.name == "132":
+            there, back = back, there
+        # a partner the inverse map does not send back counts as missing
+        s_ok, v_ok, miss = _pair_by_map(ga, gb, lambda p: q if back(q := there(p)) == p else None)
     elif pair in _WEST_PAIRS:
         method = "west"
         if ca.name == "321":

@@ -223,6 +223,26 @@ def test_verify_isomorphism_detects_difference():
         verify_tree_isomorphism("321", "231", 7)
 
 
+def test_upsilon_needs_the_inverse_to_send_each_partner_back(monkeypatch):
+    # with the inverse map broken on one prefix, that prefix's partner
+    # counts as missing, in both directions and at every rank it reaches
+    import beststop.bijections as bijections
+
+    for a, b, inverse, p in (("231", "132", "convert_132_to_231", (1, 3, 2)),
+                             ("132", "231", "convert_231_to_132", (2, 3, 1))):
+        def broken(q, real=getattr(bijections, inverse), p=p):
+            back = real(q)
+            return back[::-1] if back == p else back
+
+        monkeypatch.setattr(bijections, inverse, broken)
+        assert verify_tree_isomorphism(a, b, 2).ok, (a, b)
+        for n in (3, 5, 7):
+            rep = verify_tree_isomorphism(a, b, n)
+            assert (rep.ok, rep.structure_ok, rep.first_mismatch) == (False, False, (p, ())), \
+                (a, b, n)
+        monkeypatch.undo()
+
+
 def test_pairing_needs_each_partner_to_extend_its_parents():
     # (1, 2, 3) is a node of the 132 game with the counts and children of
     # (2, 1, 3) in the 231 game, but it does not extend (2, 1), the partner

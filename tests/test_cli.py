@@ -307,10 +307,10 @@ def test_simulate_checks_each_cap_once_before_the_sweep(capsys, monkeypatch):
 
 
 def test_verify_builds_no_tree_and_sweeps_one_game_per_check(capsys, monkeypatch):
-    # figures-321 and the upsilon round trip walk the games the command
-    # line sweeps, and each isomorphism check walks its two games, which
-    # the West pairing reads too: no tree, and one sweep per (class, rank)
-    # in each check
+    # figures-321 walks the games the command line sweeps, and each
+    # isomorphism check walks its two games, which the West pairing and
+    # the upsilon round trip read too: no tree, and one sweep per (class,
+    # rank) in each check
     swept = {}
     for module in (beststop.cli, beststop.bijections):
         def counted(cls, n, sweep=module.game, site=swept.setdefault(module.__name__, [])):
@@ -321,7 +321,7 @@ def test_verify_builds_no_tree_and_sweeps_one_game_per_check(capsys, monkeypatch
     patch_build(monkeypatch, refuse_build)
     code, out, err = run(capsys, "verify", "figures-321", "west", "upsilon")
     assert (code, out, err) == (0, "ok   figures-321\nok   west\nok   upsilon\n", "")
-    assert swept["beststop.cli"] == [("321", n) for n in range(2, 8)] + [("231", 7)]
+    assert swept["beststop.cli"] == [("321", n) for n in range(2, 8)]
     assert sorted(swept["beststop.bijections"]) == sorted(
         (name, n) for name in ("321", "312", "231", "132") for n in range(2, 8))
 
@@ -722,6 +722,16 @@ def test_verify_subset(capsys):
     assert out.strip() == "ok   catalan-231"
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 1 and "unknown verify target" in err
+
+
+def test_verify_fails_a_target_exactly_when_it_reports(capsys, monkeypatch):
+    # verify alone judges a target: one message fails it and is printed
+    # after the target's name, and what a target returns is never read
+    for name in beststop.cli.VERIFY_TARGETS:
+        monkeypatch.setitem(beststop.cli.VERIFY_TARGETS, name, lambda report: report("x"))
+        assert run(capsys, "verify", name) == (3, f"FAIL {name}\n     {name}: x\n", ""), name
+        monkeypatch.setitem(beststop.cli.VERIFY_TARGETS, name, lambda report: False)
+        assert run(capsys, "verify", name) == (0, f"ok   {name}\n", ""), name
 
 
 def test_verify_names_each_failing_isomorphism_rank(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import islice
 
 import pytest
@@ -72,15 +73,32 @@ def test_below_large_bound():
 BOUNDS = (1, 2, 7, 16796, 2**63 - 1, 2**64 - 1, 2**64, 2**64 + 1, 2**130 + 7)
 
 
+# sha256 of repr((draws, states)) for each bound: the 100 draws below(bound)
+# makes from seeds 0-4, 20 a seed, and the five final states, recorded off
+# the rejection loop over whole 64-bit words
+BELOW_SHA256 = {
+    1: "da8e9867fb9e490681c77d21c0299851cc284e4ff630af67121262a32663f0d2",
+    2: "1dd535221f0ab90831e740f5e056579bda2d46aa219bf97eba4bd7a88b75b3dc",
+    7: "c08f5aafa9fe015c274f525fe8a422741821ebca9a58dcbdc63cbda1f3d12e94",
+    16796: "7d58f7b094fd03331c3858752a7e1e0f2bae5e5610d0df5d60de6eee82a2f582",
+    2**63 - 1: "ffe9c6f01574ff71ebd38331e19e20467c42558174247f4101e06078c561cda6",
+    2**64 - 1: "048c611cf7c6533f2f1d97e04c60a3d6a041b4f49023fe2bb76b650c18ce7783",
+    2**64: "048c611cf7c6533f2f1d97e04c60a3d6a041b4f49023fe2bb76b650c18ce7783",
+    2**64 + 1: "a2b238e9459d65b9e30fb6ef9055b6286b4d0b757b8b664dd7f0962c583de2b7",
+    2**130 + 7: "6a0d4ea9096411ca20b09cc9b28fb0f8e9e0fc41129aee9519b30a620d0e1375",
+}
+
+
 @pytest.mark.parametrize("bound", BOUNDS)
 def test_below_matches_word_loop(bound):
-    # one-word and multi-word bounds draw the same values in the same
-    # number of words as the general rejection loop
+    # one-word and multi-word bounds draw the same values, in the same
+    # number of words, as the general rejection loop did when recorded
+    draws, states = [], []
     for seed in range(5):
-        r, oracle = SplitMix64(seed), SplitMix64(seed)
-        for _ in range(20):
-            assert r.below(bound) == oracles.below_by_words(oracle, bound), (seed, bound)
-            assert r.state == oracle.state
+        r = SplitMix64(seed)
+        draws += [r.below(bound) for _ in range(20)]
+        states.append(r.state)
+    assert hashlib.sha256(repr((draws, states)).encode()).hexdigest() == BELOW_SHA256[bound]
 
 
 def test_below_stream_across_the_word_boundary():

@@ -75,7 +75,8 @@ BOUNDS = (1, 2, 7, 16796, 2**63 - 1, 2**64 - 1, 2**64, 2**64 + 1, 2**130 + 7)
 
 # sha256 of repr((draws, states)) for each bound: the 100 draws below(bound)
 # makes from seeds 0-4, 20 a seed, and the five final states, recorded off
-# the rejection loop over whole 64-bit words
+# the rejection loop over whole 64-bit words; 2**64 - 1 and 2**64 draw alike,
+# as no word of these seeds is 2**64 - 1
 BELOW_SHA256 = {
     1: "da8e9867fb9e490681c77d21c0299851cc284e4ff630af67121262a32663f0d2",
     2: "1dd535221f0ab90831e740f5e056579bda2d46aa219bf97eba4bd7a88b75b3dc",
